@@ -6,35 +6,10 @@ source with a well-defined distinguished factor only a single point on the
 sweep is reachable; the verdicts on both sides show why.
 """
 
-import math
-
 import numpy as np
 
 from triloc import locc, state_core
-from triloc.invariants import CParams, Inconsistent, NegativeDiscriminant, \
-    coeffs_from_invariants, profile
-
-
-def pinned_factor(p, za, zb, zc):
-    """Collective factor singled out by the per-qubit factors."""
-    d = p.derived
-    gap = max(d.j_ap - p.c.j5**2, 0.0)
-    prod = ((p.k.k_ab - zc * p.c.tau) * (p.k.k_ac - zb * p.c.tau)
-            * (p.k.k_bc - za * p.c.tau))
-    return (d.k_ap * gap + d.delta_j * d.j_ap) / (d.k_ap * gap + d.delta_j * prod)
-
-
-def scaled_state(p, za, zb, zc, z, q):
-    k = p.k
-    tau = z * za * zb * zc * p.c.tau
-    cp = CParams(math.sqrt(max(z * za * zb * k.k_ab - tau, 0.0)),
-                 math.sqrt(max(z * za * zc * k.k_ac - tau, 0.0)),
-                 math.sqrt(max(z * zb * zc * k.k_bc - tau, 0.0)),
-                 tau, z * za * zb * zc * p.c.j5)
-    try:
-        return state_core.state_from_schmidt(coeffs_from_invariants(cp, q)[0])
-    except (Inconsistent, NegativeDiscriminant):
-        return None
+from triloc.invariants import profile
 
 
 def main():
@@ -54,13 +29,13 @@ def main():
     print(f"identity map: feasible={verdict_self.feasible}, "
           f"zeta={verdict_self.witness.zeta:.6f}, zeta_tilde={ztil:.6f}\n")
 
-    pinned = pinned_factor(p, za, zb, zc)
+    pinned = locc.zeta_tilde(p, za, zb, zc)
     print(f"per-qubit factors ({za}, {zb}, {zc}) pin the collective factor "
           f"to {pinned:.6f}")
 
     print(f"{'z':>10} {'feasible':>9}  verdict")
     for z in (0.80, 0.90, pinned, 0.98, 1.00):
-        dst = scaled_state(p, za, zb, zc, z, p.q_e)
+        dst = locc.scaled_destination(p, za, zb, zc, z, p.q_e)
         if dst is None:
             print(f"{z:10.6f} {'-':>9}  no state carries these invariants")
             continue
@@ -68,7 +43,7 @@ def main():
         tag = "reachable" if v.feasible else v.violated
         print(f"{z:10.6f} {str(v.feasible):>9}  {tag}")
 
-    dst = scaled_state(p, za, zb, zc, pinned, p.q_e)
+    dst = locc.scaled_destination(p, za, zb, zc, pinned, p.q_e)
     n = locc.min_measurements(src, dst)
     print(f"\nreaching the pinned destination needs {n} local measurements")
 

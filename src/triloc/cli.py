@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import locc, state_core, transfer
-from .invariants import ep_phase, lu_equivalent, profile
+from .invariants import ep_phase, lu_equivalent_profiles, profile
 
 
 def _fail(msg):
@@ -66,12 +66,18 @@ def _jsonable(x):
     return x
 
 
+def _positive_tolerance(ctx, param, value):
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        raise click.BadParameter(f"must be finite and > 0, got {value}")
+    return value
+
+
 @click.group()
-@click.option("--tol-zero", type=float, default=None,
+@click.option("--tol-zero", type=float, default=None, callback=_positive_tolerance,
               help="Threshold below which an invariant counts as zero.")
-@click.option("--tol-norm", type=float, default=None,
+@click.option("--tol-norm", type=float, default=None, callback=_positive_tolerance,
               help="Normalization / completeness tolerance.")
-@click.option("--tol-eq", type=float, default=None,
+@click.option("--tol-eq", type=float, default=None, callback=_positive_tolerance,
               help="Tolerance for equality of invariants between states.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for commands that sample.")
@@ -125,11 +131,9 @@ def invariants(ctx, state_path):
 @_guard
 def lu_equiv(ctx, state_a, state_b):
     """Decide local-unitary equivalence of two states (exit 0 / 1)."""
-    sa, sb = _load_state(state_a), _load_state(state_b)
-    pa, pb = profile(sa), profile(sb)
-    dev = max(abs(x - y) for x, y in zip(pa.c.as_tuple(), pb.c.as_tuple()))
-    same = lu_equivalent(sa, sb)
-    _emit(ctx, {"equivalent": same, "max_c_deviation": dev,
+    pa, pb = profile(_load_state(state_a)), profile(_load_state(state_b))
+    same = lu_equivalent_profiles(pa, pb)
+    _emit(ctx, {"equivalent": same, "max_c_deviation": pa.c.max_deviation(pb.c),
                 "charges": [pa.q_e, pb.q_e]})
     sys.exit(0 if same else 1)
 
@@ -144,16 +148,14 @@ def locc_check(ctx, src_path, dst_path):
     src, dst = _load_state(src_path), _load_state(dst_path)
     verdict = locc.dlocc_feasible(src, dst)
     witness = None
-    count = None
     if verdict.feasible:
         w = verdict.witness
         witness = {"zeta": w.zeta, "zeta_a": w.zeta_a, "zeta_b": w.zeta_b,
                    "zeta_c": w.zeta_c, "zeta_lower": w.zeta_lower,
                    "zeta_tilde": w.zeta_tilde}
-        count = locc.min_measurements(src, dst)
     _emit(ctx, {"feasible": verdict.feasible, "case": verdict.case,
                 "witness": witness, "violated": verdict.violated,
-                "min_measurements": count})
+                "min_measurements": verdict.min_measurements})
     sys.exit(0 if verdict.feasible else 1)
 
 
@@ -258,3 +260,7 @@ def verify_lemmas(ctx, samples):
     _emit(ctx, {"samples": samples, "max_deviation": max_dev,
                 "pass": bool(max_dev <= 1e-9), "components": worst})
     sys.exit(0 if max_dev <= 1e-9 else 1)
+
+
+if __name__ == "__main__":
+    main()

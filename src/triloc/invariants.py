@@ -40,6 +40,10 @@ class CParams:
     def as_tuple(self):
         return (self.c_ab, self.c_ac, self.c_bc, self.tau, self.j5)
 
+    def max_deviation(self, other):
+        """Largest per-component difference from another CParams."""
+        return max(abs(x - y) for x, y in zip(self.as_tuple(), other.as_tuple()))
+
 
 @dataclass(frozen=True)
 class KParams:
@@ -88,47 +92,58 @@ class StateProfile:
 # invariants from normal-form coefficients
 
 
-def c_params(coeffs):
-    """Continuous invariants from normal-form coefficients."""
-    l0, l1, l2, l3, l4 = coeffs.as_array()
-    w = l1 * l4 * cmath.exp(1j * coeffs.phi) - l2 * l3
+def invariant_kernel(l0, l1c, l2, l3, l4):
+    """Continuous invariants and charge of a normal-form coefficient set.
+
+    l1c = l1 e^{i phi} carries the phase.  Broadcasts over array-valued
+    coefficients and also accepts the non-positive sets of the measurement
+    update: the charge only needs the signs of Im(l1c) and of the weight
+    bracket, both of which are representation independent.  Returns
+    (c_ab, c_ac, c_bc, tau, j5, q_e).
+    """
+    tz = state_core.TOL_ZERO
+    w = l1c * l4 - l2 * l3
     c_ab = 2.0 * l0 * l3
     c_ac = 2.0 * l0 * l2
     c_bc = 2.0 * abs(w)
     tau = 4.0 * l0**2 * l4**2
-    j5 = 4.0 * l0**2 * (abs(w) ** 2 + (l2 * l3) ** 2 - (l1 * l4) ** 2)
-    return CParams(c_ab, c_ac, c_bc, tau, j5)
-
-
-def q_e(coeffs, c=None):
-    """Charge of the state: the sign that flips under complex conjugation.
-
-    Zero when the distinguishing bracket or sin(phi) vanishes, and defined
-    as zero when the state carries no BC-side entanglement at all.
-    """
-    tz = state_core.TOL_ZERO
-    if c is None:
-        c = c_params(coeffs)
-    k_bc = c.c_bc**2 + c.tau
-    # tangle-free states are chargeless: the bracket below vanishes
-    # identically on that family, so its float residue must not set the sign
-    if k_bc <= tz or c.tau <= tz:
-        return 0
-    # the charge vanishes exactly on the double-root surface and on the
-    # real-phase surface; testing those invariant-level quantities keeps the
-    # charge consistent with the classification thresholds
-    k5 = c.tau + c.j5
-    delta = k5**2 - (c.c_ab**2 + c.tau) * (c.c_ac**2 + c.tau) * k_bc
-    gap = (c.c_ab * c.c_ac * c.c_bc) ** 2 - c.j5**2
-    if delta <= tz or gap <= tz:
-        return 0
-    s = math.sin(coeffs.phi)
-    bracket = coeffs.l0**2 - k5 / (2.0 * k_bc)
+    j5 = 4.0 * l0**2 * (abs(w) ** 2 + (l2 * l3) ** 2 - (abs(l1c) * l4) ** 2)
+    k_bc = c_bc**2 + tau
+    k5 = tau + j5
+    delta = k5**2 - (c_ab**2 + tau) * (c_ac**2 + tau) * k_bc
+    gap = (c_ab * c_ac * c_bc) ** 2 - j5**2
+    # the offset only keeps a vanishing k_bc from dividing by zero; the zero
+    # test below masks the charge there anyway
+    bracket = l0**2 - k5 / (2.0 * k_bc + 1e-300)
     # the physically meaningful phase weight is the imaginary amplitude
     # l1 sin(phi), which is what survives decomposition noise
-    if coeffs.l1 * abs(s) <= tz or abs(bracket) <= tz:
-        return 0
-    return 1 if s * bracket > 0 else -1
+    imw = l1c.imag
+    # the charge vanishes on the tangle-free family (where the bracket's
+    # float residue must not set the sign), on the double-root surface and
+    # on the real-phase surface.  A vanishing coefficient lands on one of
+    # these: l0 or l4 zeroes tau, l2 or l3 closes the gap, l1 zeroes imw
+    zero = ((k_bc <= tz) | (tau <= tz) | (delta <= tz) | (gap <= tz)
+            | (abs(imw) <= tz) | (abs(bracket) <= tz))
+    # +1 where Im(l1c) and the bracket share their sign, -1 where they differ
+    q = (1 - zero) * (2 * ((imw > 0) == (bracket > 0)) - 1)
+    return c_ab, c_ac, c_bc, tau, j5, q
+
+
+def _coeff_invariants(coeffs):
+    """(CParams, charge) of a SchmidtCoeffs, through the kernel."""
+    *c, q = invariant_kernel(coeffs.l0, coeffs.l1 * cmath.exp(1j * coeffs.phi),
+                             coeffs.l2, coeffs.l3, coeffs.l4)
+    return CParams(*c), int(q)
+
+
+def c_params(coeffs):
+    """Continuous invariants from normal-form coefficients."""
+    return _coeff_invariants(coeffs)[0]
+
+
+def q_e(coeffs):
+    """Charge of the state: the sign that flips under complex conjugation."""
+    return _coeff_invariants(coeffs)[1]
 
 
 def k_params(c):
@@ -150,7 +165,7 @@ def derived(k):
     k5 = k.tau + k.j5
     delta_j = k5**2 - k_ap
     if delta_j < -tz:
-        raise NegativeDiscriminant(f"k5^2 - k_ap = {delta_j!r} < 0")
+        raise NegativeDiscriminant(f"k5^2 - k_ap = {delta_j} < 0")
     return Derived(j_ap, k_ap, k5, max(delta_j, 0.0))
 
 
@@ -191,10 +206,9 @@ def _classify(c, der):
 def profile(state):
     """Decompose once and compute every invariant of the state."""
     coeffs, _ = schmidt_decompose(state)
-    c = c_params(coeffs)
+    c, q = _coeff_invariants(coeffs)
     k = k_params(c)
     der = derived(k)
-    q = q_e(coeffs, c)
     return StateProfile(coeffs, c, k, der, q, _classify(c, der))
 
 
@@ -203,15 +217,18 @@ def classify(state):
     return profile(state).state_class
 
 
-def lu_equivalent(state_a, state_b):
-    """True when the two states share all six invariants.
+def lu_equivalent_profiles(pa, pb):
+    """True when two profiled states share all six invariants.
 
     Continuous invariants are compared within TOL_EQ per component and the
     charge exactly.
     """
-    pa, pb = profile(state_a), profile(state_b)
-    diff = np.abs(np.array(pa.c.as_tuple()) - np.array(pb.c.as_tuple()))
-    return bool(np.max(diff) <= state_core.TOL_EQ and pa.q_e == pb.q_e)
+    return bool(pa.c.max_deviation(pb.c) <= state_core.TOL_EQ and pa.q_e == pb.q_e)
+
+
+def lu_equivalent(state_a, state_b):
+    """True when the two states share all six invariants."""
+    return lu_equivalent_profiles(profile(state_a), profile(state_b))
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +244,10 @@ def _split_pair(value):
 
 
 def _verified(cand_list, c, q):
-    tz = state_core.TOL_ZERO
     good = []
     for cand in cand_list:
-        back = c_params(cand)
-        dev = max(abs(x - y) for x, y in zip(back.as_tuple(), c.as_tuple()))
-        if dev <= state_core.TOL_RECON and q_e(cand, back) == q:
+        back, q_back = _coeff_invariants(cand)
+        if back.max_deviation(c) <= state_core.TOL_RECON and q_back == q:
             good.append(cand)
     if not good:
         raise Inconsistent("no coefficient set reproduces the requested invariants")
@@ -252,7 +267,7 @@ def coeffs_from_invariants(c, q):
     for name, v in (("c_ab", c.c_ab), ("c_ac", c.c_ac), ("c_bc", c.c_bc),
                     ("tau", c.tau)):
         if not -tz <= v <= 1.0 + 1e-6:
-            raise Inconsistent(f"{name} = {v!r} outside [0, 1]")
+            raise Inconsistent(f"{name} = {v} outside [0, 1]")
     k = k_params(c)
     try:
         der = derived(k)

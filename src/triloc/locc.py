@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 from . import state_core
-from .invariants import CParams, classify, profile
+from .invariants import (CParams, Inconsistent, NegativeDiscriminant,
+                         coeffs_from_invariants, profile)
 
 
 class NotGhzType(ValueError):
@@ -81,12 +82,15 @@ class LoccVerdict:
     definite, "B" target indefinite, "C" source indefinite, "D" source
     without tangle.  violated is one of cond1_no_solution,
     zeta_out_of_range, charge_mismatch, zeta_not_tilde, charge_magnitude.
+    min_measurements, present exactly when feasible, is the minimum number
+    of local measurements realizing the transformation.
     """
 
     feasible: bool
     case: str
     witness: ZetaWitness | None
     violated: str | None
+    min_measurements: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -153,32 +157,57 @@ def w_coords(c):
 # feasibility
 
 
-def _zeta_lower(p, za, zb, zc):
+def _contracted_product(p, za, zb, zc):
+    """(k_ab - zeta_c tau)(k_ac - zeta_b tau)(k_bc - zeta_a tau)."""
+    return ((p.k.k_ab - zc * p.c.tau) * (p.k.k_ac - zb * p.c.tau)
+            * (p.k.k_bc - za * p.c.tau))
+
+
+def zeta_lower(p, za, zb, zc):
     """Lower end of the admissible collective factor for given per-qubit
     factors.  Defined as 0 when the concurrence product vanishes (the 0/0
     boundary only matters for targets where the charge condition is skipped).
     """
     if p.derived.j_ap <= state_core.TOL_ZERO:
         return 0.0
-    denom = ((p.k.k_ab - zc * p.c.tau) * (p.k.k_ac - zb * p.c.tau)
-             * (p.k.k_bc - za * p.c.tau))
-    return p.derived.j_ap / denom
+    return p.derived.j_ap / _contracted_product(p, za, zb, zc)
 
 
-def _zeta_tilde(p, za, zb, zc):
+def zeta_tilde(p, za, zb, zc):
     """The single admissible collective factor of a zeta-tilde-definite
     source; None when indefinite or on a degenerate boundary."""
     if not p.state_class.zeta_tilde_definite:
         return None
     der = p.derived
     gap = max(der.j_ap - p.c.j5**2, 0.0)
-    denom3 = ((p.k.k_ab - zc * p.c.tau) * (p.k.k_ac - zb * p.c.tau)
-              * (p.k.k_bc - za * p.c.tau))
     num = der.k_ap * gap + der.delta_j * der.j_ap
-    den = der.k_ap * gap + der.delta_j * denom3
+    den = der.k_ap * gap + der.delta_j * _contracted_product(p, za, zb, zc)
     if den <= 1e-300:
         return None
     return num / den
+
+
+def scaled_destination(p, za, zb, zc, z, q):
+    """State whose residues are the source's scaled by (z, za, zb, zc).
+
+    Returns None when no pure state carries the scaled invariants with
+    charge q.
+    """
+    k = p.k
+    kp_ab = z * za * zb * k.k_ab
+    kp_ac = z * za * zc * k.k_ac
+    kp_bc = z * zb * zc * k.k_bc
+    tau_p = z * za * zb * zc * p.c.tau
+    j5_p = z * za * zb * zc * p.c.j5
+    cp = CParams(math.sqrt(max(kp_ab - tau_p, 0.0)),
+                 math.sqrt(max(kp_ac - tau_p, 0.0)),
+                 math.sqrt(max(kp_bc - tau_p, 0.0)),
+                 tau_p, j5_p)
+    try:
+        cands = coeffs_from_invariants(cp, q)
+    except (Inconsistent, NegativeDiscriminant):
+        return None
+    return state_core.state_from_schmidt(cands[0])
 
 
 def _pair_zetas(pair, r):
@@ -202,11 +231,22 @@ def _case_label(ps, pd):
     return "A"
 
 
+_MIN_MEASUREMENTS = {("tri", "tri"): 3, ("tri", "pair"): 2, ("tri", "none"): 2,
+                     ("pair", "pair"): 1, ("pair", "none"): 1, ("none", "none"): 0}
+
+
+def _depth(kind):
+    if kind in ("ghz_type", "w_type"):
+        return "tri"
+    return "pair" if kind == "biseparable" else "none"
+
+
 def dlocc_feasible(src, dst):
     """Decide deterministic transformability of src into dst.
 
     Returns a LoccVerdict; when feasible, the witness holds the unique
-    contraction factors (per-qubit factors clamped to [0, 1]).
+    contraction factors (per-qubit factors clamped to [0, 1]) and
+    min_measurements the measurement count.
     """
     ps, pd = profile(src), profile(dst)
     tz, te = state_core.TOL_ZERO, state_core.TOL_EQ
@@ -218,7 +258,16 @@ def dlocc_feasible(src, dst):
     def feasible(zeta, za, zb, zc, zl, zt):
         w = ZetaWitness(min(max(zeta, 0.0), 1.0), min(za, 1.0), min(zb, 1.0),
                         min(zc, 1.0), min(max(zl, 0.0), 1.0), zt)
-        return LoccVerdict(True, case, w, None)
+        count = _MIN_MEASUREMENTS[(_depth(ps.state_class.kind),
+                                   _depth(pd.state_class.kind))]
+        return LoccVerdict(True, case, w, None, count)
+
+    def pair_ratio(field):
+        """Target over source value of the biseparable target's pair
+        quantity ("c" or "k"), capped at 1; None when it would have to grow."""
+        name = f"{field}_{pd.state_class.pair.lower()}"
+        v_src, v_dst = (getattr(getattr(p, field), name) for p in (ps, pd))
+        return None if v_dst > v_src + te else min(v_dst / v_src, 1.0)
 
     if ps.c.tau > tz:
         if pd.c.tau > tz:
@@ -233,8 +282,8 @@ def dlocc_feasible(src, dst):
                 return infeasible("cond1_no_solution")
             za, zb, zc = min(za, 1.0), min(zb, 1.0), min(zc, 1.0)
             zeta = pd.c.tau / (ps.c.tau * za * zb * zc)
-            zl = _zeta_lower(ps, za, zb, zc)
-            zt = _zeta_tilde(ps, za, zb, zc)
+            zl = zeta_lower(ps, za, zb, zc)
+            zt = zeta_tilde(ps, za, zb, zc)
             if zeta > 1.0 + te or zeta < zl - te:
                 return infeasible("zeta_out_of_range")
             if pd.state_class.ep_definite:
@@ -249,18 +298,15 @@ def dlocc_feasible(src, dst):
                         return infeasible("charge_magnitude")
             return feasible(zeta, za, zb, zc, zl, zt)
         if pd.state_class.kind == "biseparable":
-            pair = pd.state_class.pair
-            k_src = {"AB": ps.k.k_ab, "AC": ps.k.k_ac, "BC": ps.k.k_bc}[pair]
-            k_dst = {"AB": pd.k.k_ab, "AC": pd.k.k_ac, "BC": pd.k.k_bc}[pair]
-            if k_dst > k_src + te:
+            r = pair_ratio("k")
+            if r is None:
                 return infeasible("cond1_no_solution")
-            r = math.sqrt(min(k_dst / k_src, 1.0))
-            za, zb, zc = _pair_zetas(pair, r)
-            return feasible(1.0, za, zb, zc, _zeta_lower(ps, za, zb, zc),
-                            _zeta_tilde(ps, za, zb, zc))
+            za, zb, zc = _pair_zetas(pd.state_class.pair, math.sqrt(r))
+            return feasible(1.0, za, zb, zc, zeta_lower(ps, za, zb, zc),
+                            zeta_tilde(ps, za, zb, zc))
         if pd.state_class.kind == "full_separable":
-            return feasible(1.0, 0.0, 0.0, 0.0, _zeta_lower(ps, 0, 0, 0),
-                            _zeta_tilde(ps, 0, 0, 0))
+            return feasible(1.0, 0.0, 0.0, 0.0, zeta_lower(ps, 0, 0, 0),
+                            zeta_tilde(ps, 0, 0, 0))
         # zero-tangle, fully pair-entangled targets need a factor to vanish,
         # which would kill one of their concurrences
         return infeasible("cond1_no_solution")
@@ -269,6 +315,14 @@ def dlocc_feasible(src, dst):
     kind_s, kind_d = ps.state_class.kind, pd.state_class.kind
     if kind_d == "ghz_type":
         return infeasible("cond1_no_solution")
+    same_pair = kind_s == "biseparable" and pd.state_class.pair == ps.state_class.pair
+    if kind_d == "biseparable" and (kind_s == "w_type" or same_pair):
+        # the target's pair concurrence can only shrink
+        r = pair_ratio("c")
+        if r is None:
+            return infeasible("cond1_no_solution")
+        za, zb, zc = _pair_zetas(pd.state_class.pair, r)
+        return feasible(1.0, za, zb, zc, 1.0 if kind_s == "w_type" else 0.0, None)
     if kind_s == "w_type":
         if kind_d == "w_type":
             xs = w_coords(ps.c).as_tuple()
@@ -277,26 +331,8 @@ def dlocc_feasible(src, dst):
                 return infeasible("cond1_no_solution")
             za, zb, zc = (min((d / s) ** 2, 1.0) for s, d in zip(xs, xd))
             return feasible(1.0, za, zb, zc, 1.0, None)
-        if kind_d == "biseparable":
-            pair = pd.state_class.pair
-            c_src = {"AB": ps.c.c_ab, "AC": ps.c.c_ac, "BC": ps.c.c_bc}[pair]
-            c_dst = {"AB": pd.c.c_ab, "AC": pd.c.c_ac, "BC": pd.c.c_bc}[pair]
-            if c_dst > c_src + te:
-                return infeasible("cond1_no_solution")
-            za, zb, zc = _pair_zetas(pair, min(c_dst / c_src, 1.0))
-            return feasible(1.0, za, zb, zc, 1.0, None)
         return feasible(1.0, 0.0, 0.0, 0.0, 1.0, None)  # full separable target
     if kind_s == "biseparable":
-        pair = ps.state_class.pair
-        if kind_d == "biseparable":
-            if pd.state_class.pair != pair:
-                return infeasible("cond1_no_solution")
-            c_src = {"AB": ps.c.c_ab, "AC": ps.c.c_ac, "BC": ps.c.c_bc}[pair]
-            c_dst = {"AB": pd.c.c_ab, "AC": pd.c.c_ac, "BC": pd.c.c_bc}[pair]
-            if c_dst > c_src + te:
-                return infeasible("cond1_no_solution")
-            za, zb, zc = _pair_zetas(pair, min(c_dst / c_src, 1.0))
-            return feasible(1.0, za, zb, zc, 0.0, None)
         if kind_d == "full_separable":
             return feasible(1.0, 0.0, 0.0, 0.0, 0.0, None)
         return infeasible("cond1_no_solution")
@@ -338,16 +374,6 @@ def ghz_oracle(src, dst):
     return g2.abs_z >= g1.abs_z - te
 
 
-_MIN_MEASUREMENTS = {("tri", "tri"): 3, ("tri", "pair"): 2, ("tri", "none"): 2,
-                     ("pair", "pair"): 1, ("pair", "none"): 1, ("none", "none"): 0}
-
-
-def _depth(kind):
-    if kind in ("ghz_type", "w_type"):
-        return "tri"
-    return "pair" if kind == "biseparable" else "none"
-
-
 def min_measurements(src, dst):
     """Minimum number of local measurements realizing the transformation.
 
@@ -356,4 +382,4 @@ def min_measurements(src, dst):
     verdict = dlocc_feasible(src, dst)
     if not verdict.feasible:
         raise NotFeasible(f"transformation violates {verdict.violated}")
-    return _MIN_MEASUREMENTS[(_depth(classify(src).kind), _depth(classify(dst).kind))]
+    return verdict.min_measurements

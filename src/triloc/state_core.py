@@ -85,7 +85,7 @@ class SchmidtCoeffs:
             raise ValueError("negative Schmidt coefficient")
         norm2 = sum(l * l for l in lams)
         if abs(norm2 - 1.0) > TOL_NORM * 10:
-            raise NotNormalized(f"coefficient norm^2 = {norm2!r}")
+            raise NotNormalized(f"coefficient norm^2 = {norm2}")
         if not -1e-12 <= self.phi <= math.pi + 1e-12:
             raise ValueError("phase outside [0, pi]")
         if min(lams) < TOL_ZERO and self.phi > TOL_ZERO:
@@ -182,7 +182,7 @@ def validate_state(raw):
         raise NonFinite("state contains non-finite amplitudes")
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > TOL_NORM:
-        raise NotNormalized(f"state norm {norm!r} differs from 1 beyond tolerance")
+        raise NotNormalized(f"state norm {norm} differs from 1 beyond tolerance")
     return PureState3(amps / norm)
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import state_core
-from .invariants import CParams, coeffs_from_invariants, lu_equivalent, profile
+from .invariants import (CParams, coeffs_from_invariants, invariant_kernel,
+                         lu_equivalent_profiles, profile)
 from .state_core import GramParams, Measurement2, SchmidtCoeffs
 
 
@@ -103,42 +104,6 @@ def _raw_update(co, a, b, k, theta):
     return p, l0, l1c, co.l2 * scale, co.l3 * scale, co.l4 * scale
 
 
-def _raw_invariants(l0, l1c, l2, l3, l4):
-    """Invariants and charge of a possibly non-positive coefficient set.
-
-    The sign rule for the charge only needs the sign of sin(phi) and of the
-    weight bracket, both of which are representation independent.
-    """
-    tz = state_core.TOL_ZERO
-    wq = l1c * l4 - l2 * l3
-    c_ab = 2.0 * l0 * l3
-    c_ac = 2.0 * l0 * l2
-    c_bc = 2.0 * np.abs(wq)
-    tau = 4.0 * l0**2 * l4**2
-    j5 = 4.0 * l0**2 * (np.abs(wq) ** 2 + (l2 * l3) ** 2 - np.abs(l1c) ** 2 * l4**2)
-    k_bc = c_bc**2 + tau
-    mod = np.abs(l1c)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        bracket = l0**2 - (tau + j5) / np.maximum(2.0 * k_bc, 1e-300)
-    # a vanishing coefficient makes the phase removable, and the tangle-free
-    # family is chargeless identically; both must zero the sign explicitly.
-    # the phase weight is the imaginary amplitude l1 sin(phi), matching the
-    # threshold the decomposition itself applies
-    imw = np.imag(l1c)
-    lmin = np.minimum.reduce([np.asarray(l0, dtype=float), mod,
-                              np.asarray(l2, dtype=float),
-                              np.asarray(l3, dtype=float),
-                              np.asarray(l4, dtype=float)])
-    # same zero surfaces as the scalar charge: double-root and real-phase
-    delta = (tau + j5) ** 2 - (c_ab**2 + tau) * (c_ac**2 + tau) * k_bc
-    gap = (c_ab * c_ac * c_bc) ** 2 - j5**2
-    zero = ((k_bc <= tz) | (tau <= tz) | (lmin <= tz)
-            | (delta <= tz) | (gap <= tz)
-            | (np.abs(imw) <= tz) | (np.abs(bracket) <= tz))
-    q = np.where(zero, 0.0, np.sign(imw) * np.sign(bracket))
-    return c_ab, c_ac, c_bc, tau, j5, q.astype(int)
-
-
 @dataclass(frozen=True)
 class OutcomePrediction:
     """Predicted data of one measurement outcome.
@@ -164,7 +129,7 @@ def _predict_one(co, g):
         # the measured side loses its |1> range: a pure product remains
         return OutcomePrediction(p, 0.0, CParams(0.0, 0.0, 0.0, 0.0, 0.0), 0,
                                  SchmidtCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    cab, cac, cbc, tau, j5, q = (x.item() for x in _raw_invariants(l0, l1c, l2, l3, l4))
+    cab, cac, cbc, tau, j5, q = (x.item() for x in invariant_kernel(l0, l1c, l2, l3, l4))
     c = CParams(min(cab, 1.0), min(cac, 1.0), min(cbc, 1.0), min(tau, 1.0), j5)
     alpha = math.sqrt(float(_gram_det(g.a, g.b, g.k))) / p
     cands = coeffs_from_invariants(c, int(q))
@@ -230,8 +195,7 @@ def verify_update(state, meas, tol=1e-8):
         max_dev = max(max_dev, abs(pred.probability - sim_p))
         if sim_state is not None and pred.c is not None:
             prof = profile(sim_state)
-            dev = max(abs(x - y) for x, y
-                      in zip(prof.c.as_tuple(), pred.c.as_tuple()))
+            dev = prof.c.max_deviation(pred.c)
             entry["invariant_deviation"] = dev
             entry["charge_simulated"] = prof.q_e
             max_dev = max(max_dev, dev)
@@ -282,7 +246,8 @@ def synth_bisep_measurement(target):
 
 
 def _outcome_terms(state, meas):
-    """Per-outcome (p, alpha, profile) of a measurement, simulated honestly.
+    """Per-outcome (p, alpha, state) of a measurement, simulated honestly,
+    and the measured-front source state.
 
     Degenerate outcomes are skipped; alpha comes from the Gram determinant,
     which the frame rotation into the normal form leaves untouched.
@@ -295,8 +260,8 @@ def _outcome_terms(state, meas):
         g = m.conj().T @ m
         det = float(_gram_det(g[0, 0].real, g[1, 1].real,
                               abs(g[0, 1])))
-        terms.append((p, math.sqrt(det) / p, profile(sim_state)))
-    return profile(front), terms
+        terms.append((p, math.sqrt(det) / p, sim_state))
+    return front, terms
 
 
 def alpha_average(state, meas):
@@ -313,8 +278,9 @@ def lemma2_bounds(state, meas):
     its probability-averaged outcome value, and the transfer ceiling.  The
     law is lhs <= mid <= rhs.
     """
-    src, terms = _outcome_terms(state, meas)
-    mid = sum(p * prof.c.c_bc for p, _, prof in terms)
+    front, terms = _outcome_terms(state, meas)
+    src = profile(front)
+    mid = sum(p * profile(out).c.c_bc for p, _, out in terms)
     asum = sum(p * alpha for p, alpha, _ in terms)
     rhs = math.sqrt(src.c.c_bc**2 + max(1.0 - asum**2, 0.0) * src.c.tau)
     return src.c.c_bc, mid, rhs
@@ -325,9 +291,9 @@ def lemma4_check(state, meas):
 
     Returns (avg, bound) with the law avg <= bound.
     """
-    src, terms = _outcome_terms(state, meas)
-    avg = sum(p * math.sqrt(prof.k.k_bc) for p, _, prof in terms)
-    return avg, math.sqrt(src.k.k_bc)
+    front, terms = _outcome_terms(state, meas)
+    avg = sum(p * math.sqrt(profile(out).k.k_bc) for p, _, out in terms)
+    return avg, math.sqrt(profile(front).k.k_bc)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +304,8 @@ def _objective_arrays(co, a, b, k, theta, tvec, tq):
     """Worst-outcome invariant distance to the target, broadcast over grids."""
     dev = None
     for aa, bb, th in ((a, b, theta), (1.0 - a, 1.0 - b, theta + math.pi)):
-        p, l0, l1c, l2, l3, l4 = _raw_update(co, aa, bb, k, th)
-        inv = _raw_invariants(l0, l1c, l2, l3, l4)
+        p, *lams = _raw_update(co, aa, bb, k, th)
+        inv = invariant_kernel(*lams)
         d = np.zeros_like(p)
         for got, want in zip(inv[:5], tvec):
             d = np.maximum(d, np.abs(got - want))
@@ -397,6 +363,6 @@ def search_deterministic_measurement(state, target):
     base = state_core.measurement_from_grams(GramParams(a, b, k, th))
     meas = Measurement2("A", base.m0 @ ua, base.m1 @ ua)
     for sim_state, _ in state_core.measure(state, meas):
-        if sim_state is None or not lu_equivalent(sim_state, target):
+        if sim_state is None or not lu_equivalent_profiles(profile(sim_state), tprof):
             return None
     return meas

@@ -6,11 +6,9 @@ surface (scaling the pair residues by admissible contraction factors), or
 at a controlled offset from it.
 """
 
-import math
-
 import numpy as np
 
-from triloc import invariants, state_core
+from triloc import invariants, locc, state_core
 
 
 def ep_definite_ghz(rng, min_c=0.05, max_tries=400):
@@ -25,63 +23,21 @@ def ep_definite_ghz(rng, min_c=0.05, max_tries=400):
     raise RuntimeError("sampler failed to find a suitable source state")
 
 
-def zeta_tilde(prof, za, zb, zc):
-    """Distinguished contraction factor for the chosen per-qubit factors."""
-    ktil = ((prof.k.k_ab - zc * prof.c.tau)
-            * (prof.k.k_ac - zb * prof.c.tau)
-            * (prof.k.k_bc - za * prof.c.tau))
-    gap = max(prof.derived.j_ap - prof.c.j5**2, 0.0)
-    num = prof.derived.k_ap * gap + prof.derived.delta_j * prof.derived.j_ap
-    den = prof.derived.k_ap * gap + prof.derived.delta_j * ktil
-    return num / den
-
-
-def zeta_lower(prof, za, zb, zc):
-    if prof.derived.j_ap <= 1e-9:
-        return 0.0
-    return prof.derived.j_ap / ((prof.k.k_ab - zc * prof.c.tau)
-                                * (prof.k.k_ac - zb * prof.c.tau)
-                                * (prof.k.k_bc - za * prof.c.tau))
-
-
-def scaled_destination(prof, za, zb, zc, z, q):
-    """State whose residues are the source's scaled by (z, za, zb, zc).
-
-    Returns None when no pure state carries the scaled invariants with
-    charge q.
-    """
-    k = prof.k
-    kp_ab = z * za * zb * k.k_ab
-    kp_ac = z * za * zc * k.k_ac
-    kp_bc = z * zb * zc * k.k_bc
-    tau_p = z * za * zb * zc * prof.c.tau
-    j5_p = z * za * zb * zc * prof.c.j5
-    cp = invariants.CParams(math.sqrt(max(kp_ab - tau_p, 0.0)),
-                            math.sqrt(max(kp_ac - tau_p, 0.0)),
-                            math.sqrt(max(kp_bc - tau_p, 0.0)),
-                            tau_p, j5_p)
-    try:
-        cands = invariants.coeffs_from_invariants(cp, q)
-    except (invariants.Inconsistent, invariants.NegativeDiscriminant):
-        return None
-    return state_core.state_from_schmidt(cands[0])
-
-
 def feasible_from(prof, rng, lo=0.6, hi=1.0):
     """Destination reachable from a state with the given profile, or None."""
     za, zb, zc = rng.uniform(lo, hi, 3)
     if prof.state_class.zeta_tilde_definite:
-        z = zeta_tilde(prof, za, zb, zc)
+        z = locc.zeta_tilde(prof, za, zb, zc)
         q = prof.q_e
     else:
-        zl = max(zeta_lower(prof, za, zb, zc), 0.0)
+        zl = max(locc.zeta_lower(prof, za, zb, zc), 0.0)
         z = rng.uniform(zl + 0.1 * (1.0 - zl), 1.0)
         q = int(rng.choice([-1, 1]))
-    if not (0.0 <= z <= 1.0):
+    if z is None or not (0.0 <= z <= 1.0):
         return None
-    dst = scaled_destination(prof, za, zb, zc, z, q)
+    dst = locc.scaled_destination(prof, za, zb, zc, z, q)
     if dst is None and not prof.state_class.zeta_tilde_definite:
-        dst = scaled_destination(prof, za, zb, zc, z, 0)
+        dst = locc.scaled_destination(prof, za, zb, zc, z, 0)
     return dst
 
 
@@ -105,11 +61,11 @@ def offset_pair(rng, margin=1e-3, min_c=0.1):
     if not prof.state_class.zeta_tilde_definite:
         return None
     za, zb, zc = rng.uniform(0.7, 0.95, 3)
-    z = zeta_tilde(prof, za, zb, zc)
-    if not (margin < z <= 1.0):
+    z = locc.zeta_tilde(prof, za, zb, zc)
+    if z is None or not (margin < z <= 1.0):
         return None
-    dst_on = scaled_destination(prof, za, zb, zc, z, prof.q_e)
-    dst_off = scaled_destination(prof, za, zb, zc, z * (1.0 - margin), prof.q_e)
+    dst_on = locc.scaled_destination(prof, za, zb, zc, z, prof.q_e)
+    dst_off = locc.scaled_destination(prof, za, zb, zc, z * (1.0 - margin), prof.q_e)
     if dst_on is None or dst_off is None:
         return None
     return src, dst_on, dst_off

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import triloc
 from triloc import state_core
 from triloc.cli import main
 from triloc.state_core import SchmidtCoeffs
@@ -231,3 +235,34 @@ def test_tolerance_flag_applies(runner, tmp_path):
     assert runner.invoke(main, ["lu-equiv", pa, pb]).exit_code == 1
     assert runner.invoke(main, ["--tol-eq", "0.5", "lu-equiv", pa, pb]
                          ).exit_code == 0
+
+
+@pytest.mark.parametrize("flag", ["--tol-zero", "--tol-norm", "--tol-eq"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_bad_tolerance_flag_is_usage_error(runner, ghz, flag, value):
+    res = runner.invoke(main, [flag, value, "invariants", ghz])
+    assert res.exit_code == 2
+    assert "must be finite and > 0" in res.stderr
+
+
+def test_error_message_prints_plain_floats(runner, tmp_path):
+    unnorm = tmp_path / "unnorm.json"
+    amps = [[0.0, 0.0]] * 8
+    amps[0] = amps[7] = [0.9, 0.0]  # norm 0.9 sqrt(2)
+    unnorm.write_text(json.dumps({"amplitudes": amps}))
+    res = runner.invoke(main, ["invariants", str(unnorm)])
+    assert res.exit_code == 2
+    assert "state norm 1.27279220613578" in res.stderr
+    assert "np.float64" not in res.stderr
+
+
+def test_module_entry_point(ghz):
+    src_dir = os.path.dirname(os.path.dirname(triloc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-m", "triloc.cli", "invariants", ghz],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    data = json.loads(res.stdout)
+    assert data["class"] == "ghz_type"
+    assert abs(data["c_params"]["tau"] - 1.0) < 1e-12

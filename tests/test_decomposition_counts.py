@@ -1,0 +1,61 @@
+"""Each decision decomposes each of its states exactly once."""
+
+import json
+import math
+
+import pytest
+from click.testing import CliRunner
+
+from triloc import invariants, locc, state_core
+from triloc.cli import main
+from triloc.state_core import SchmidtCoeffs
+
+R2 = 1.0 / math.sqrt(2.0)
+GHZ = state_core.state_from_schmidt(SchmidtCoeffs(R2, 0, 0, 0, R2, 0.0))
+BELL_BC = state_core.state_from_schmidt(SchmidtCoeffs(0, R2, 0, 0, R2, 0.0))
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    calls = []
+    original = invariants.schmidt_decompose
+
+    def counting(state):
+        calls.append(state)
+        return original(state)
+
+    monkeypatch.setattr(invariants, "schmidt_decompose", counting)
+    return calls
+
+
+@pytest.fixture
+def state_files(tmp_path):
+    paths = []
+    for name, st in (("ghz.json", GHZ), ("bell.json", BELL_BC)):
+        path = tmp_path / name
+        path.write_text(json.dumps(state_core.state_to_dict(st)))
+        paths.append(str(path))
+    return paths
+
+
+def test_dlocc_feasible(decompositions):
+    assert locc.dlocc_feasible(GHZ, BELL_BC).feasible
+    assert len(decompositions) == 2
+
+
+def test_min_measurements(decompositions):
+    assert locc.min_measurements(GHZ, BELL_BC) == 2
+    assert len(decompositions) == 2
+
+
+def test_cli_locc_check_feasible_pair(decompositions, state_files):
+    res = CliRunner().invoke(main, ["locc-check", *state_files])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["min_measurements"] == 2
+    assert len(decompositions) == 2
+
+
+def test_cli_lu_equiv(decompositions, state_files):
+    res = CliRunner().invoke(main, ["lu-equiv", *state_files])
+    assert res.exit_code == 1
+    assert len(decompositions) == 2

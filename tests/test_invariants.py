@@ -190,3 +190,28 @@ def test_inversion_rejects_out_of_range():
 def test_inversion_rejects_bad_charge():
     with pytest.raises(ValueError):
         coeffs_from_invariants(CParams(0.5, 0.0, 0.0, 0.0, 0.0), 2)
+
+
+def test_kernel_broadcast_matches_scalar_views():
+    coeffs = [profile(state_core.random_state(RANDOM_KINDS[i % 7], 140_000 + i)).coeffs
+              for i in range(70)]
+    coeffs.append(PINNED)
+    lams = np.array([co.as_array() for co in coeffs])
+    phis = np.array([co.phi for co in coeffs])
+    *c, q = invariants.invariant_kernel(lams[:, 0], lams[:, 1] * np.exp(1j * phis),
+                                        lams[:, 2], lams[:, 3], lams[:, 4])
+    for i, co in enumerate(coeffs):
+        np.testing.assert_allclose([x[i] for x in c], invariants.c_params(co).as_tuple(),
+                                   rtol=0, atol=1e-15)
+        assert q[i] == invariants.q_e(co)
+    assert set(q) == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("make_error", [
+    lambda: derived(invariants.KParams(*np.float64([0.1, 0.1, 0.1, 0.0, 0.0]))),
+    lambda: coeffs_from_invariants(CParams(*np.float64([1.5, 0.0, 0.0, 0.0, 0.0])), 0),
+])
+def test_error_messages_print_plain_floats(make_error):
+    with pytest.raises(ValueError) as info:
+        make_error()
+    assert "np.float64" not in str(info.value)

@@ -233,7 +233,7 @@ def test_expanding_row_is_out_of_range():
         src, p = samplers.ep_definite_ghz(rng)
         bigger = None
         for q in (p.q_e, 0, -p.q_e):
-            bigger = samplers.scaled_destination(p, 1.0, 1.0, 1.0, 0.82, q)
+            bigger = locc.scaled_destination(p, 1.0, 1.0, 1.0, 0.82, q)
             if bigger is not None:
                 break
         if bigger is None:
@@ -249,16 +249,16 @@ def test_indefinite_source_boundary_and_interior():
     # carry zero charge, interior targets unit charge
     rng = np.random.default_rng(25)
     st, p = samplers.real_weight_ghz(rng, sign=1)
-    boundary = samplers.scaled_destination(p, 0.9, 0.95, 0.85, 1.0, 0)
+    boundary = locc.scaled_destination(p, 0.9, 0.95, 0.85, 1.0, 0)
     assert boundary is not None
     vb = dlocc_feasible(st, boundary)
     assert vb.feasible and vb.case == "A"
 
-    zl = samplers.zeta_lower(p, 0.9, 0.95, 0.85)
+    zl = locc.zeta_lower(p, 0.9, 0.95, 0.85)
     zmid = zl + 0.5 * (1.0 - zl)
     interior = None
     for q in (1, -1):
-        interior = samplers.scaled_destination(p, 0.9, 0.95, 0.85, zmid, q)
+        interior = locc.scaled_destination(p, 0.9, 0.95, 0.85, zmid, q)
         if interior is not None:
             break
     assert interior is not None
@@ -292,6 +292,7 @@ def test_min_measurements_tri_to_tri():
 
 
 def test_min_measurements_raises_when_infeasible():
+    assert dlocc_feasible(SEP, GHZ).min_measurements is None
     with pytest.raises(NotFeasible):
         min_measurements(SEP, GHZ)
     with pytest.raises(NotFeasible):
