@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import state_core
 from .invariants import (CParams, coeffs_from_invariants, invariant_kernel,
@@ -143,8 +142,11 @@ def predict_update(coeffs, gram):
     gram parametrizes the outcome-0 Gram matrix; outcome 1 takes the
     complement, so the pair is complete by construction.
     """
-    pred0 = _predict_one(coeffs, gram)
-    pred1 = _predict_one(coeffs, gram.complement())
+    return _nondegenerate_pair(_predict_one(coeffs, gram),
+                               _predict_one(coeffs, gram.complement()))
+
+
+def _nondegenerate_pair(pred0, pred1):
     if pred0.alpha is None and pred1.alpha is None:
         raise ZeroProbability("both outcomes have vanishing probability")
     return pred0, pred1
@@ -172,15 +174,19 @@ def _measured_front(state, meas):
 def verify_update(state, meas, tol=1e-8):
     """Compare predicted outcome invariants against direct simulation.
 
-    Works for a measurement on any qubit.  Returns a report dict with the
-    worst probability/invariant deviation; charges are compared separately
-    (they are integers, so they either match or they do not).
+    Works for a measurement on any qubit.  Each outcome is predicted from
+    its own operator's Gram parameters: the complement of the other outcome's
+    Gram misses a rank-1 Gram's zero determinant by rounding, which the
+    prediction would inflate.  Returns a report dict with the worst
+    probability/invariant deviation; charges are compared separately (they
+    are integers, so they either match or they do not).
     """
     qubit = meas.qubit
     front, meas = _measured_front(state, meas)
     coeffs, (ua, _, _) = state_core.schmidt_decompose(front)
-    g0 = state_core.gram_params(meas.m0 @ ua.conj().T)
-    preds = predict_update(coeffs, g0)
+    preds = _nondegenerate_pair(
+        *(_predict_one(coeffs, state_core.gram_params(m @ ua.conj().T))
+          for m in meas.operators()))
     sims = state_core.measure(front, meas)
     max_dev = 0.0
     charge_ok = True
@@ -315,6 +321,61 @@ def _objective_arrays(co, a, b, k, theta, tvec, tq):
     return dev
 
 
+def _nelder_mead(f, x0, xatol, fatol, maxiter):
+    """Minimize f from x0 by the non-adaptive Nelder-Mead simplex method.
+
+    The initial simplex scales each coordinate of x0 in turn by 1.05 (or sets
+    it to 0.00025 where it is zero).  Reflection 1, expansion 2, contraction
+    and shrink 1/2; the vertices are re-sorted by value after every
+    iteration.  Stops once the simplex spans at most xatol and its values at
+    most fatol, or after maxiter - 1 iterations.  Returns (x, fx).
+    """
+    rho, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for j in range(n):
+        y = np.array(x0, dtype=float)
+        y[j] = 1.05 * y[j] if y[j] != 0 else 0.00025
+        sim[j + 1] = y
+    fsim = np.array([f(v) for v in sim])
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], np.min(fsim)
+
+
 def _grid_axes():
     a = np.linspace(0.03, 0.97, 21)
     kf = np.linspace(0.0, 1.0, 13)
@@ -356,9 +417,8 @@ def search_deterministic_measurement(state, target):
         return float(_objective_arrays(coeffs, a, b, k, th, tvec, tq))
 
     x0 = np.array([ag[best], bg[best], kfg[best], thg[best]])
-    res = minimize(f, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-    x = res.x if res.fun <= f(x0) else x0
+    x, fx = _nelder_mead(f, x0, xatol=1e-10, fatol=1e-12, maxiter=2000)
+    x = x if fx <= f(x0) else x0
     a, b, k, th = unpack(x)
     base = state_core.measurement_from_grams(GramParams(a, b, k, th))
     meas = Measurement2("A", base.m0 @ ua, base.m1 @ ua)

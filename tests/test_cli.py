@@ -256,13 +256,25 @@ def test_error_message_prints_plain_floats(runner, tmp_path):
     assert "np.float64" not in res.stderr
 
 
-def test_module_entry_point(ghz):
+def _run_python(*args):
+    """Run a fresh interpreter that imports this checkout's triloc."""
     src_dir = os.path.dirname(os.path.dirname(triloc.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-m", "triloc.cli", "invariants", ghz],
-                         capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point(ghz):
+    res = _run_python("-m", "triloc.cli", "invariants", ghz)
     assert res.returncode == 0, res.stderr
     data = json.loads(res.stdout)
     assert data["class"] == "ghz_type"
     assert abs(data["c_params"]["tau"] - 1.0) < 1e-12
+
+
+def test_import_loads_no_scipy():
+    res = _run_python("-c", "import sys, triloc, triloc.cli; print(sorted("
+                      "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

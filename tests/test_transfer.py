@@ -129,9 +129,12 @@ def test_synth_bisep_random_states():
 
 def test_verify_update_on_splitting_measurement():
     # the splitting grams are rank-1, so ab - k^2 is pure cancellation noise;
-    # unsnapped it inflates to alpha ~ 1e-8 and fails the prediction gate
-    for seed in range(20):
-        st = state_core.random_state("ghz_type", 640 + seed)
+    # unsnapped it inflates to alpha ~ 1e-8 and fails the prediction gate.
+    # On seeds 123598, 123769 and 123918 the complement of outcome 0's Gram
+    # missed rank 1 by ~5e-16, beyond the snap: each outcome must be
+    # predicted from its own operator.
+    for seed in [*range(640, 660), 123598, 123769, 123918]:
+        st = state_core.random_state("ghz_type", seed)
         rep = verify_update(st, synth_bisep_measurement(st))
         assert rep["pass"], rep["max_deviation"]
         assert rep["max_deviation"] < 1e-10
@@ -211,3 +214,53 @@ def test_search_rejects_unreachable():
     # a generic tangled target is not reachable from GHZ in one step on A
     # when its invariants do not lie on the GHZ contraction row
     assert search_deterministic_measurement(stronger, ghz) is None
+
+
+def _rosenbrock(x):
+    return float(100.0 * (x[1] - x[0]**2)**2 + (1.0 - x[0])**2)
+
+
+def test_nelder_mead_converges():
+    center = np.array([0.3, -1.7, 2.5, 0.0])
+    x, fx = transfer._nelder_mead(lambda x: float(np.sum((x - center)**2)),
+                                  np.zeros(4), xatol=1e-10, fatol=1e-12,
+                                  maxiter=2000)
+    np.testing.assert_allclose(x, center, atol=1e-9)
+    assert fx < 1e-18
+    x, fx = transfer._nelder_mead(_rosenbrock, np.array([-1.2, 1.0]),
+                                  xatol=1e-10, fatol=1e-12, maxiter=2000)
+    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-9)
+    assert fx < 1e-18
+
+
+def test_nelder_mead_matches_scipy(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def scipy_nm(f, x0, xatol, fatol, maxiter):
+        res = optimize.minimize(f, x0, method="Nelder-Mead",
+                                options={"xatol": xatol, "fatol": fatol,
+                                         "maxiter": maxiter})
+        return res.x, res.fun
+
+    # maxiter 1, 2 and 50 stop Rosenbrock early; 2000 lets it converge
+    for maxiter in (1, 2, 50, 2000):
+        x0 = np.array([-1.2, 1.0])
+        x, fx = transfer._nelder_mead(_rosenbrock, x0, 1e-10, 1e-12, maxiter)
+        sx, sfx = scipy_nm(_rosenbrock, x0, 1e-10, 1e-12, maxiter)
+        assert np.array_equal(x, sx) and np.array_equal(fx, sfx)
+
+    own = transfer._nelder_mead
+    runs = []
+
+    def both(f, x0, xatol, fatol, maxiter):
+        x, fx = own(f, x0, xatol, fatol, maxiter)
+        runs.append((x.copy(), fx) + scipy_nm(f, x0, xatol, fatol, maxiter))
+        return x, fx
+
+    monkeypatch.setattr(transfer, "_nelder_mead", both)
+    for seed in range(10):
+        st = state_core.random_state("ghz_type", 700 + seed)
+        search_deterministic_measurement(st, st)
+    assert len(runs) == 10
+    for x, fx, sx, sfx in runs:
+        assert np.array_equal(x, sx) and np.array_equal(fx, sfx)
