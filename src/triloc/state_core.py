@@ -306,70 +306,119 @@ def apply_local_unitaries(state, ua, ub, uc):
     return PureState3(_apply_locals(state.amplitudes, ua, ub, uc))
 
 
-_GAUGE_ROWS = {
-    4: (1.0, 0.0, 0.0),
-    5: (1.0, 0.0, 1.0),
-    6: (1.0, 1.0, 0.0),
-    7: (1.0, 1.0, 1.0),
-}
+def _svd2(a, b, c, d):
+    """Closed-form SVD of the 2x2 matrix M = [[a, b], [c, d]].
+
+    Returns (s1, s2, u1, u2, v1, v2) with s1 >= s2 >= 0, orthonormal pairs
+    (u1, u2) and (v1, v2) as 2-tuples, and M v_i = s_i u_i.  v1 is the top
+    eigenvector of M^dag M, taken from the row of M^dag M - s1^2 I that
+    suffers no cancellation, and u1 = M v1 / s1.  u2 is the orthogonal
+    complement of u1, phase-aligned so that u2^dag M v2 = s2 is real: the
+    quotient M v2 / s2 would be noise over noise when s2 vanishes.
+    """
+    p = abs(a) ** 2 + abs(c) ** 2
+    q = abs(b) ** 2 + abs(d) ** 2
+    r = a.conjugate() * b + c.conjugate() * d
+    half = 0.5 * (p - q)
+    h = math.hypot(half, abs(r))
+    x, y = (half + h, r.conjugate()) if half >= 0.0 else (r, h - half)
+    n = math.hypot(abs(x), abs(y))
+    if n == 0.0:
+        # M^dag M is a multiple of I: every vector is a right singular vector
+        x, y, n = 1.0, 0.0, 1.0
+    v1 = (x / n, y / n)
+    v2 = (-v1[1].conjugate(), v1[0].conjugate())
+    w0, w1 = a * v1[0] + b * v1[1], c * v1[0] + d * v1[1]
+    s1 = math.hypot(abs(w0), abs(w1))
+    u1 = (w0 / s1, w1 / s1) if s1 > 0.0 else (1.0, 0.0)
+    u2 = (-u1[1].conjugate(), u1[0].conjugate())
+    z = (u2[0].conjugate() * (a * v2[0] + b * v2[1])
+         + u2[1].conjugate() * (c * v2[0] + d * v2[1]))
+    s2 = abs(z)
+    if s2 > 0.0:
+        ph = z / s2
+        u2 = (u2[0] * ph, u2[1] * ph)
+    return s1, s2, u1, u2, v1, v2
 
 
 def _phase_gauge(raw):
     """Diagonal phases (a1, b1, c1) zeroing the phases of the anchor slots.
 
-    raw maps slot index (4..7) -> complex amplitude.  Slots 5, 6, 7 must end
-    up real nonnegative; slot 4 keeps the gauge-invariant leftover phase
-    unless some other slot is negligible, in which case the leftover can be
-    dumped there and slot 4 gets zero phase too.
+    raw holds the complex amplitudes of slots 4..7, which pick up the phases
+    a1, a1 + c1, a1 + b1 and a1 + b1 + c1.  Slots 5, 6, 7 must end up real
+    nonnegative; slot 4 keeps the gauge-invariant leftover phase unless some
+    other slot is negligible, in which case the leftover can be dumped there
+    and slot 4 gets zero phase too.  With fewer than three anchors the
+    minimum-norm solution is returned.
     """
     tz = TOL_ZERO
-    anchors = [i for i in (5, 6, 7) if abs(raw[i]) >= tz]
-    if abs(raw[4]) >= tz and len(anchors) < 3:
-        anchors.append(4)
-    rows = np.array([_GAUGE_ROWS[i] for i in anchors]) if anchors else np.zeros((0, 3))
-    rhs = np.array([-cmath.phase(raw[i]) for i in anchors])
-    if len(anchors) == 3:
-        sol = np.linalg.solve(rows, rhs)
-    elif anchors:
-        sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    else:
-        sol = np.zeros(3)
-    return sol
+    r4, r5, r6, r7 = (-cmath.phase(z) for z in raw)
+    on5, on6, on7 = (abs(z) >= tz for z in raw[1:])
+    if on5 and on6 and on7:
+        return r5 + r6 - r7, r7 - r5, r7 - r6
+    if abs(raw[0]) >= tz:
+        # slot 4 fixes a1 and slots 5, 6 fix c1, b1; slot 7 fixes whichever
+        # of them is still free, or splits evenly between both
+        s5, s6, s7 = r5 - r4, r6 - r4, r7 - r4
+        b1 = s6 if on6 else (s7 - (s5 if on5 else 0.5 * s7) if on7 else 0.0)
+        c1 = s5 if on5 else (s7 - (s6 if on6 else 0.5 * s7) if on7 else 0.0)
+        return r4, b1, c1
+    if on5 and on6:
+        return (r5 + r6) / 3.0, (2.0 * r6 - r5) / 3.0, (2.0 * r5 - r6) / 3.0
+    if on5 and on7:
+        return 0.5 * r5, r7 - r5, 0.5 * r5
+    if on6 and on7:
+        return 0.5 * r6, 0.5 * r6, r7 - r6
+    if on5:
+        return 0.5 * r5, 0.0, 0.5 * r5
+    if on6:
+        return 0.5 * r6, 0.5 * r6, 0.0
+    if on7:
+        return r7 / 3.0, r7 / 3.0, r7 / 3.0
+    return 0.0, 0.0, 0.0
 
 
 def _candidate_decomposition(num, den, t0, t1):
-    """Normal form induced by the slice-mixing row (den, num)."""
+    """Normal form induced by the slice-mixing row (den, num).
+
+    t0, t1 are the A = 0 and A = 1 slices as flat (b, c) = 00, 01, 10, 11
+    lists; the local unitaries come back as pairs of rows.
+    """
     ell = math.hypot(abs(num), abs(den))
     u00, u01 = den / ell, num / ell
-    ua = np.array([[u00, u01], [-u01.conjugate(), u00.conjugate()]])
-    s0 = u00 * t0 + u01 * t1
-    s1 = -u01.conjugate() * t0 + u00.conjugate() * t1
-    w, sig, vh = np.linalg.svd(s0)
-    if sig[0] < TOL_ZERO:
+    u10, u11 = -u01.conjugate(), u00.conjugate()
+    s0 = [u00 * x + u01 * y for x, y in zip(t0, t1)]
+    s1 = [u10 * x + u11 * y for x, y in zip(t0, t1)]
+    # s0 is rank-1 because (den, num) is a root of det(t0 + x t1)
+    sig, _, w1, w2, v1, v2 = _svd2(*s0)
+    if sig < TOL_ZERO:
         # the mixed slice vanishes: qubit A factors out on the other side,
         # so diagonalize that slice instead (biseparable BC normal form)
-        w2, sig2, vh2 = np.linalg.svd(s1)
-        ub, uc = w2.conj().T, vh2.conj()
-        lams = np.array([0.0, sig2[0], 0.0, 0.0, sig2[1]])
-        lams /= np.linalg.norm(lams)
-        coeffs = SchmidtCoeffs(*lams, 0.0)
-        return coeffs, (ua, ub, uc)
-    ub, uc = w.conj().T, vh.conj()
-    g1 = ub @ s1 @ uc.T
-    raw = {4: g1[0, 0], 5: g1[0, 1], 6: g1[1, 0], 7: g1[1, 1]}
+        sa, sb, w1, w2, v1, v2 = _svd2(*s1)
+        n = math.hypot(sa, sb)
+        coeffs = SchmidtCoeffs(0.0, sa / n, 0.0, 0.0, sb / n, 0.0)
+        ub = ((w1[0].conjugate(), w1[1].conjugate()),
+              (w2[0].conjugate(), w2[1].conjugate()))
+        return coeffs, (((u00, u01), (u10, u11)), ub, (v1, v2))
+    # slot 4 + 2b + c of the rotated A = 1 slice is w_b^dag s1 v_c
+    sv = [(s1[0] * v[0] + s1[1] * v[1], s1[2] * v[0] + s1[3] * v[1]) for v in (v1, v2)]
+    raw = [w[0].conjugate() * x[0] + w[1].conjugate() * x[1]
+           for w in (w1, w2) for x in sv]
     a1, b1, c1 = _phase_gauge(raw)
-    da = np.diag([1.0, cmath.exp(1j * a1)])
-    db = np.diag([1.0, cmath.exp(1j * b1)])
-    dc = np.diag([1.0, cmath.exp(1j * c1)])
-    ua, ub, uc = da @ ua, db @ ub, dc @ uc
-    lams = np.array([sig[0], abs(raw[4]), abs(raw[5]), abs(raw[6]), abs(raw[7])])
-    lams /= np.linalg.norm(lams)
+    ea, eb, ec = cmath.exp(1j * a1), cmath.exp(1j * b1), cmath.exp(1j * c1)
+    ua = ((u00, u01), (u10 * ea, u11 * ea))
+    ub = ((w1[0].conjugate(), w1[1].conjugate()),
+          (w2[0].conjugate() * eb, w2[1].conjugate() * eb))
+    uc = (v1, (v2[0] * ec, v2[1] * ec))
+    mags = [abs(z) for z in raw]
+    n = math.hypot(sig, *mags)
+    lams = [sig / n] + [x / n for x in mags]
     if lams[1] < TOL_ZERO or min(lams[2:]) < TOL_ZERO:
         # any vanishing coefficient makes the phase removable; the gauge above
         # already dumped the leftover onto the negligible slot
         phi = 0.0
     else:
-        phi = (cmath.phase(raw[4]) + a1) % (2 * math.pi)
+        phi = (cmath.phase(raw[0]) + a1) % (2 * math.pi)
         s = math.sin(phi)
         # the extracted phase carries noise of order eps / l1, so test the
         # imaginary amplitude l1 sin(phi) rather than the bare sine
@@ -387,15 +436,14 @@ def schmidt_decompose(state):
     Returns (coeffs, (ua, ub, uc)) such that applying ua ⊗ ub ⊗ uc to the
     input reproduces the normal-form amplitudes of coeffs within TOL_RECON.
     The positive decomposition is returned; for chargeless states with two
-    admissible coefficient sets the one with larger l0 is chosen.
+    admissible coefficient sets the one with larger l0 is chosen.  All 2x2
+    algebra is closed form on Python complex numbers.
     """
-    amps = state.amplitudes
-    t = amps.reshape(2, 2, 2)
-    t0, t1 = t[0], t[1]
-    d0 = t0[0, 0] * t0[1, 1] - t0[0, 1] * t0[1, 0]
-    d1 = t1[0, 0] * t1[1, 1] - t1[0, 1] * t1[1, 0]
-    m = (t0[0, 0] * t1[1, 1] + t1[0, 0] * t0[1, 1]
-         - t0[0, 1] * t1[1, 0] - t1[0, 1] * t0[1, 0])
+    amps = state.amplitudes.tolist()
+    t0, t1 = amps[:4], amps[4:]
+    d0 = t0[0] * t0[3] - t0[1] * t0[2]
+    d1 = t1[0] * t1[3] - t1[1] * t1[2]
+    m = t0[0] * t1[3] + t1[0] * t0[3] - t0[1] * t1[2] - t1[1] * t0[2]
     disc2 = m * m - 4.0 * d0 * d1
     disc = cmath.sqrt(disc2)
     # q-trick: pick the sign that avoids cancellation
@@ -430,11 +478,14 @@ def schmidt_decompose(state):
         # double root the sort would promote a noise-shifted copy over the
         # exact midpoint, so keep insertion order instead.
         candidates.sort(key=lambda cu: -cu[0].l0)
-    for coeffs, (ua, ub, uc) in candidates:
-        target = state_from_schmidt(coeffs).amplitudes
-        err = np.linalg.norm(_apply_locals(amps, ua, ub, uc) - target)
+    for coeffs, us in candidates:
+        us = tuple(np.array(u, dtype=complex) for u in us)
+        out = _apply_locals(state.amplitudes, *us).tolist()
+        target = (coeffs.l0, 0.0, 0.0, 0.0, coeffs.l1 * cmath.exp(1j * coeffs.phi),
+                  coeffs.l2, coeffs.l3, coeffs.l4)
+        err = math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(out, target)))
         if err <= TOL_RECON:
-            return coeffs, (ua, ub, uc)
+            return coeffs, us
     raise DecompositionFailed(f"reconstruction error {err:.3e} exceeds budget")
 
 

@@ -75,14 +75,21 @@ def _gram_det(a, b, k):
     ulps that a square root would inflate to ~1e-8, so anything below 1e-14
     of the term scale counts as zero.  Broadcasts.
     """
-    det = np.maximum(a * b - k**2, 0.0)
-    return np.where(det <= 1e-14 * (a * b + k**2), 0.0, det)
+    return _snap_det(a * b - k**2, a * b + k**2)
 
 
-def _raw_update(co, a, b, k, theta):
+def _snap_det(det, scale):
+    """det clamped at zero, and snapped to zero below 1e-14 of scale, the
+    size of the terms whose difference it is.  Broadcasts."""
+    det = np.maximum(det, 0.0)
+    return np.where(det <= 1e-14 * scale, 0.0, det)
+
+
+def _raw_update(co, a, b, k, theta, det):
     """Unnormalized-phase update of the normal-form coefficients.
 
-    Broadcasts over array-valued Gram parameters.  Returns
+    det is the snapped Gram determinant ab - k^2.  Broadcasts over
+    array-valued Gram parameters.  Returns
     (p, l0, l1c, l2, l3, l4) where l1c is the complex slot whose magnitude
     and phase are the updated l1 and phi; the other coefficients stay real
     nonnegative.  Meaningless where p or b vanish; callers must branch.
@@ -93,7 +100,6 @@ def _raw_update(co, a, b, k, theta):
     theta = np.asarray(theta, dtype=float)
     p = (co.l0**2 * a + (1.0 - co.l0**2) * b
          + 2.0 * k * co.l0 * co.l1 * np.cos(theta - co.phi))
-    det = _gram_det(a, b, k)
     # clamp so an all-zero gram divides cleanly; callers discard those slots
     root_pb = np.maximum(np.sqrt(np.maximum(p, 1e-300) * np.maximum(b, 1e-300)),
                          1e-300)
@@ -118,9 +124,13 @@ class OutcomePrediction:
     coeffs: SchmidtCoeffs | None
 
 
-def _predict_one(co, g):
+def _predict_one(co, g, det=None):
+    """Prediction for the Gram g; det replaces g's own snapped determinant
+    where the caller knows it more accurately."""
     tz = state_core.TOL_ZERO
-    p, l0, l1c, l2, l3, l4 = _raw_update(co, g.a, g.b, g.k, g.theta)
+    if det is None:
+        det = _gram_det(g.a, g.b, g.k)
+    p, l0, l1c, l2, l3, l4 = _raw_update(co, g.a, g.b, g.k, g.theta, det)
     p = float(p)
     if p <= tz:
         return OutcomePrediction(p, None, None, None, None)
@@ -130,7 +140,7 @@ def _predict_one(co, g):
                                  SchmidtCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     cab, cac, cbc, tau, j5, q = (x.item() for x in invariant_kernel(l0, l1c, l2, l3, l4))
     c = CParams(min(cab, 1.0), min(cac, 1.0), min(cbc, 1.0), min(tau, 1.0), j5)
-    alpha = math.sqrt(float(_gram_det(g.a, g.b, g.k))) / p
+    alpha = math.sqrt(float(det)) / p
     cands = coeffs_from_invariants(c, int(q))
     coeffs = min(cands, key=lambda s: abs(s.l0 - float(l0)))
     return OutcomePrediction(p, alpha, c, int(q), coeffs)
@@ -142,8 +152,13 @@ def predict_update(coeffs, gram):
     gram parametrizes the outcome-0 Gram matrix; outcome 1 takes the
     complement, so the pair is complete by construction.
     """
+    a, b = gram.a, gram.b
+    # det(I - G) = 1 - (a + b) + det G.  Expanding (1 - a)(1 - b) - k^2
+    # instead leaves the rounding of 1 - a and 1 - b against terms of size
+    # ab, which a rank-1 complement escapes the snap with (alpha ~ 1e-6)
+    det1 = _snap_det(1.0 - (a + b) + _gram_det(a, b, gram.k), 1.0 + a + b)
     return _nondegenerate_pair(_predict_one(coeffs, gram),
-                               _predict_one(coeffs, gram.complement()))
+                               _predict_one(coeffs, gram.complement(), det1))
 
 
 def _nondegenerate_pair(pred0, pred1):
@@ -310,7 +325,7 @@ def _objective_arrays(co, a, b, k, theta, tvec, tq):
     """Worst-outcome invariant distance to the target, broadcast over grids."""
     dev = None
     for aa, bb, th in ((a, b, theta), (1.0 - a, 1.0 - b, theta + math.pi)):
-        p, *lams = _raw_update(co, aa, bb, k, th)
+        p, *lams = _raw_update(co, aa, bb, k, th, _gram_det(aa, bb, k))
         inv = invariant_kernel(*lams)
         d = np.zeros_like(p)
         for got, want in zip(inv[:5], tvec):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triloc import state_core
+from triloc import invariants, state_core
 from triloc.state_core import (
     GramParams,
     IncompleteMeasurement,
@@ -50,19 +50,26 @@ def test_schmidt_coeffs_phase_guard():
         SchmidtCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, 0.5)
 
 
+def _round_trip(state):
+    """Decompose, check the local maps are unitary and rebuild the normal form."""
+    coeffs, us = state_core.schmidt_decompose(state)
+    for u in us:
+        assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
+    rebuilt = state_core.apply_local_unitaries(state, *us)
+    target = state_core.state_from_schmidt(coeffs)
+    assert np.linalg.norm(rebuilt.amplitudes - target.amplitudes) < 1e-8
+    return coeffs
+
+
 def test_decompose_round_trip_all_kinds():
     for kind in RANDOM_KINDS:
-        for seed in range(30):
-            state = state_core.random_state(kind, 1000 * (seed + 1) + hash(kind) % 97)
-            coeffs, (ua, ub, uc) = state_core.schmidt_decompose(state)
+        for i in range(30):
+            seed = 1000 * (i + 1) + RANDOM_KINDS.index(kind)
+            coeffs = _round_trip(state_core.random_state(kind, seed))
             lams = coeffs.as_array()
             assert np.all(lams >= 0.0)
             assert abs(np.sum(lams**2) - 1.0) < 1e-9
             assert 0.0 <= coeffs.phi <= math.pi + 1e-12
-            rebuilt = state_core.apply_local_unitaries(state, ua, ub, uc)
-            target = state_core.state_from_schmidt(coeffs)
-            err = np.linalg.norm(rebuilt.amplitudes - target.amplitudes)
-            assert err < 1e-8, (kind, seed, err)
 
 
 @settings(max_examples=80, deadline=None)
@@ -72,11 +79,143 @@ def test_decompose_round_trip_arbitrary(raw):
     norm = np.linalg.norm(vec)
     if norm < 1e-3:
         return
-    state = PureState3(vec / norm)
-    coeffs, (ua, ub, uc) = state_core.schmidt_decompose(state)
-    rebuilt = state_core.apply_local_unitaries(state, ua, ub, uc)
-    target = state_core.state_from_schmidt(coeffs)
-    assert np.linalg.norm(rebuilt.amplitudes - target.amplitudes) < 1e-8
+    _round_trip(PureState3(vec / norm))
+
+
+def _scrambled(coeffs, rng):
+    us = [state_core.haar_unitary(rng) for _ in range(3)]
+    return state_core.apply_local_unitaries(state_core.state_from_schmidt(coeffs), *us)
+
+
+def _lams(rng, lo=0.15):
+    lams = rng.uniform(lo, 1.0, 5)
+    return lams / np.linalg.norm(lams)
+
+
+def _assert_same_invariants(coeffs, want):
+    got = invariants.c_params(coeffs)
+    assert got.max_deviation(invariants.c_params(want)) < 1e-9
+    assert invariants.q_e(coeffs) == invariants.q_e(want)
+
+
+def test_decompose_round_trip_real_phase():
+    rng = np.random.default_rng(41)
+    for phi in (0.0, math.pi) * 10:
+        want = SchmidtCoeffs(*_lams(rng), phi)
+        coeffs = _round_trip(_scrambled(want, rng))
+        assert coeffs.phi in (0.0, math.pi)
+        _assert_same_invariants(coeffs, want)
+
+
+def test_decompose_round_trip_vanishing_coefficient():
+    rng = np.random.default_rng(42)
+    for slot in list(range(5)) * 4:
+        lams = _lams(rng)
+        lams[slot] = 0.0
+        want = SchmidtCoeffs(*(lams / np.linalg.norm(lams)), 0.0)
+        coeffs = _round_trip(_scrambled(want, rng))
+        # l1 = 0 leaves charge 0, whose larger-l0 set may have no zero and phi = pi
+        assert coeffs.phi in (0.0, math.pi)
+        assert coeffs.phi == 0.0 or min(coeffs.as_array()) >= state_core.TOL_ZERO
+        _assert_same_invariants(coeffs, want)
+
+
+def test_decompose_round_trip_double_root():
+    # replace j5 by the value that closes the discriminant delta_J
+    rng = np.random.default_rng(43)
+    done = 0
+    while done < 20:
+        lams = _lams(rng, lo=0.3)
+        c = invariants.c_params(SchmidtCoeffs(*lams, rng.uniform(0.0, math.pi)))
+        k_ap = (c.c_ab**2 + c.tau) * (c.c_ac**2 + c.tau) * (c.c_bc**2 + c.tau)
+        j5 = math.sqrt(k_ap) - c.tau
+        if abs(j5) >= c.c_ab * c.c_ac * c.c_bc:
+            continue
+        c = invariants.CParams(c.c_ab, c.c_ac, c.c_bc, c.tau, j5)
+        want = invariants.coeffs_from_invariants(c, 0)[0]
+        _assert_same_invariants(_round_trip(_scrambled(want, rng)), want)
+        done += 1
+
+
+def test_decompose_round_trip_near_product():
+    for i, eps in enumerate((1e-2, 1e-3, 1e-4, 1e-5) * 5):
+        prod = state_core.random_state("full_separable", 500 + i).amplitudes
+        noise = state_core.random_state("haar", 600 + i).amplitudes
+        amps = prod + eps * noise
+        _round_trip(PureState3(amps / np.linalg.norm(amps)))
+
+
+def test_decompose_biseparable_bc_takes_the_fallback():
+    # |a> (x) |psi_BC>: every slice mix is a multiple of psi, so the mixed
+    # slice of the root direction vanishes and the BC slice is diagonalized
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        th = rng.uniform(0.15, math.pi / 4)
+        want = SchmidtCoeffs(0.0, math.cos(th), 0.0, 0.0, math.sin(th), 0.0)
+        coeffs = _round_trip(_scrambled(want, rng))
+        assert (coeffs.l0, coeffs.l2, coeffs.l3) == (0.0, 0.0, 0.0)
+        assert abs(coeffs.l1 - want.l1) < 1e-12 and abs(coeffs.l4 - want.l4) < 1e-12
+
+
+def _svd_cases(rng):
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for _ in range(200):
+        yield gauss(2, 2)
+    for _ in range(50):
+        yield np.outer(gauss(2), gauss(2))
+    yield np.zeros((2, 2), dtype=complex)
+    yield np.diag([0.3, 0.0]).astype(complex)
+    yield np.diag([0.0, 2.0j])
+    yield np.diag([1e-9, 0.5])
+    for _ in range(20):
+        yield gauss(1)[0] * state_core.haar_unitary(rng)
+
+
+def test_svd2_matches_numpy():
+    rng = np.random.default_rng(45)
+    for m in _svd_cases(rng):
+        s1, s2, u1, u2, v1, v2 = state_core._svd2(*m.ravel().tolist())
+        np.testing.assert_allclose([s1, s2], np.linalg.svd(m, compute_uv=False),
+                                   rtol=1e-12, atol=1e-12)
+        u = np.array([u1, u2]).T
+        v = np.array([v1, v2]).T
+        for w in (u, v):
+            assert np.max(np.abs(w.conj().T @ w - np.eye(2))) <= 1e-12
+        for s, ui, vi in ((s1, u[:, 0], v[:, 0]), (s2, u[:, 1], v[:, 1])):
+            assert np.max(np.abs(m @ vi - s * ui)) <= 1e-12
+
+
+def test_phase_gauge_matches_lstsq():
+    # slot 4 + 2b + c picks up the phase a1, a1 + c1, a1 + b1, a1 + b1 + c1
+    rows = {4: (1, 0, 0), 5: (1, 0, 1), 6: (1, 1, 0), 7: (1, 1, 1)}
+    rng = np.random.default_rng(46)
+    for pattern in range(16):
+        raw = [complex(*rng.standard_normal(2)) * (pattern >> j & 1) for j in range(4)]
+        anchors = [i for i in (5, 6, 7) if raw[i - 4] != 0]
+        if raw[0] != 0 and len(anchors) < 3:
+            anchors.append(4)
+        want = np.zeros(3)
+        if anchors:
+            lhs = np.array([rows[i] for i in anchors], dtype=float)
+            rhs = [-np.angle(raw[i - 4]) for i in anchors]
+            want = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        np.testing.assert_allclose(state_core._phase_gauge(raw), want, atol=1e-12)
+
+
+def test_profile_calls_no_lapack(monkeypatch):
+    states = [state_core.random_state(kind, 7 + i)
+              for i, kind in enumerate(RANDOM_KINDS * 3)]
+    want = [invariants.profile(state) for state in states]
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the decomposition must not call np.linalg")
+
+    for name in ("svd", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    for state, prof in zip(states, want):
+        got = invariants.profile(state)
+        assert (got.c, got.q_e, got.state_class) == (prof.c, prof.q_e, prof.state_class)
 
 
 def test_permute_matches_tensor_reorder():

@@ -142,6 +142,21 @@ def test_verify_update_on_splitting_measurement():
             assert oc["alpha"] == 0.0
 
 
+def test_predict_update_rank1_complement():
+    # a splitting Gram and its complement are both rank-1.  Expanding the
+    # complement's determinant as (1 - a)(1 - b) - k^2 left ~5e-16 there,
+    # and outcome 1 got alpha ~ 1e-6 on seeds 123598, 123769 and 123918
+    for seed in [*range(640, 660), 123598, 123769, 123918]:
+        st = state_core.random_state("ghz_type", seed)
+        coeffs, (ua, _, _) = state_core.schmidt_decompose(st)
+        meas = synth_bisep_measurement(st)
+        g0 = state_core.gram_params(meas.m0 @ ua.conj().T)
+        pred0, pred1 = predict_update(coeffs, g0)
+        assert (pred0.alpha, pred1.alpha) == (0.0, 0.0), seed
+        own = transfer._predict_one(coeffs, state_core.gram_params(meas.m1 @ ua.conj().T))
+        assert pred1.c.max_deviation(own.c) < 1e-10
+
+
 def test_synth_bisep_degenerate():
     with pytest.raises(DegenerateInput):
         synth_bisep_measurement(SchmidtCoeffs(0.0, R2, 0.0, 0.0, R2, 0.0))
