@@ -186,14 +186,16 @@ def validate_state(raw):
     return PureState3(amps / norm)
 
 
+def _normal_form_amps(coeffs):
+    """The eight amplitudes of the normal form, unnormalized:
+    l0|000> + l1 e^{i phi}|100> + l2|101> + l3|110> + l4|111>."""
+    return (coeffs.l0, 0.0, 0.0, 0.0, coeffs.l1 * cmath.exp(1j * coeffs.phi),
+            coeffs.l2, coeffs.l3, coeffs.l4)
+
+
 def state_from_schmidt(coeffs):
     """Build the normal-form state for the given coefficients."""
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = coeffs.l0
-    amps[4] = coeffs.l1 * cmath.exp(1j * coeffs.phi)
-    amps[5] = coeffs.l2
-    amps[6] = coeffs.l3
-    amps[7] = coeffs.l4
+    amps = np.array(_normal_form_amps(coeffs), dtype=complex)
     n = np.linalg.norm(amps)
     return PureState3(amps / n)
 
@@ -481,8 +483,7 @@ def schmidt_decompose(state):
     for coeffs, us in candidates:
         us = tuple(np.array(u, dtype=complex) for u in us)
         out = _apply_locals(state.amplitudes, *us).tolist()
-        target = (coeffs.l0, 0.0, 0.0, 0.0, coeffs.l1 * cmath.exp(1j * coeffs.phi),
-                  coeffs.l2, coeffs.l3, coeffs.l4)
+        target = _normal_form_amps(coeffs)
         err = math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(out, target)))
         if err <= TOL_RECON:
             return coeffs, us

@@ -78,6 +78,19 @@ def _gram_det(a, b, k):
     return _snap_det(a * b - k**2, a * b + k**2)
 
 
+def _complement_det(a, b, k):
+    """Determinant of the complementary Gram I - G, snapped like _gram_det.
+
+    1 - a and 1 - b carry the rounding of a and b, up to ~1e-16 whatever
+    the complement's size, so the snap scale also counts (1 - a) + (1 - b):
+    a rank-1 complement's residue goes to zero, while a small full-rank
+    complement (1 - a = 1 - b = 1e-8, det 1e-16) keeps its determinant.
+    Broadcasts.
+    """
+    ca, cb = 1.0 - a, 1.0 - b
+    return _snap_det(ca * cb - k**2, ca * cb + k**2 + ca + cb)
+
+
 def _snap_det(det, scale):
     """det clamped at zero, and snapped to zero below 1e-14 of scale, the
     size of the terms whose difference it is.  Broadcasts."""
@@ -124,12 +137,9 @@ class OutcomePrediction:
     coeffs: SchmidtCoeffs | None
 
 
-def _predict_one(co, g, det=None):
-    """Prediction for the Gram g; det replaces g's own snapped determinant
-    where the caller knows it more accurately."""
+def _predict_one(co, g, det):
+    """Prediction for the Gram g, whose snapped determinant is det."""
     tz = state_core.TOL_ZERO
-    if det is None:
-        det = _gram_det(g.a, g.b, g.k)
     p, l0, l1c, l2, l3, l4 = _raw_update(co, g.a, g.b, g.k, g.theta, det)
     p = float(p)
     if p <= tz:
@@ -152,13 +162,10 @@ def predict_update(coeffs, gram):
     gram parametrizes the outcome-0 Gram matrix; outcome 1 takes the
     complement, so the pair is complete by construction.
     """
-    a, b = gram.a, gram.b
-    # det(I - G) = 1 - (a + b) + det G.  Expanding (1 - a)(1 - b) - k^2
-    # instead leaves the rounding of 1 - a and 1 - b against terms of size
-    # ab, which a rank-1 complement escapes the snap with (alpha ~ 1e-6)
-    det1 = _snap_det(1.0 - (a + b) + _gram_det(a, b, gram.k), 1.0 + a + b)
-    return _nondegenerate_pair(_predict_one(coeffs, gram),
-                               _predict_one(coeffs, gram.complement(), det1))
+    a, b, k = gram.a, gram.b, gram.k
+    return _nondegenerate_pair(
+        _predict_one(coeffs, gram, _gram_det(a, b, k)),
+        _predict_one(coeffs, gram.complement(), _complement_det(a, b, k)))
 
 
 def _nondegenerate_pair(pred0, pred1):
@@ -199,9 +206,9 @@ def verify_update(state, meas, tol=1e-8):
     qubit = meas.qubit
     front, meas = _measured_front(state, meas)
     coeffs, (ua, _, _) = state_core.schmidt_decompose(front)
+    grams = [state_core.gram_params(m @ ua.conj().T) for m in meas.operators()]
     preds = _nondegenerate_pair(
-        *(_predict_one(coeffs, state_core.gram_params(m @ ua.conj().T))
-          for m in meas.operators()))
+        *(_predict_one(coeffs, g, _gram_det(g.a, g.b, g.k)) for g in grams))
     sims = state_core.measure(front, meas)
     max_dev = 0.0
     charge_ok = True
@@ -324,8 +331,9 @@ def lemma4_check(state, meas):
 def _objective_arrays(co, a, b, k, theta, tvec, tq):
     """Worst-outcome invariant distance to the target, broadcast over grids."""
     dev = None
-    for aa, bb, th in ((a, b, theta), (1.0 - a, 1.0 - b, theta + math.pi)):
-        p, *lams = _raw_update(co, aa, bb, k, th, _gram_det(aa, bb, k))
+    for aa, bb, th, det in ((a, b, theta, _gram_det),
+                            (1.0 - a, 1.0 - b, theta + math.pi, _complement_det)):
+        p, *lams = _raw_update(co, aa, bb, k, th, det(a, b, k))
         inv = invariant_kernel(*lams)
         d = np.zeros_like(p)
         for got, want in zip(inv[:5], tvec):

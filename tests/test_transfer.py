@@ -143,9 +143,10 @@ def test_verify_update_on_splitting_measurement():
 
 
 def test_predict_update_rank1_complement():
-    # a splitting Gram and its complement are both rank-1.  Expanding the
-    # complement's determinant as (1 - a)(1 - b) - k^2 left ~5e-16 there,
-    # and outcome 1 got alpha ~ 1e-6 on seeds 123598, 123769 and 123918
+    # a splitting Gram and its complement are both rank-1.  The complement's
+    # determinant (1 - a)(1 - b) - k^2 carries the rounding of 1 - a and
+    # 1 - b; snapped against (1 - a)(1 - b) + k^2 alone it left ~5e-16, and
+    # outcome 1 got alpha ~ 1e-6 on seeds 123598, 123769 and 123918
     for seed in [*range(640, 660), 123598, 123769, 123918]:
         st = state_core.random_state("ghz_type", seed)
         coeffs, (ua, _, _) = state_core.schmidt_decompose(st)
@@ -153,8 +154,22 @@ def test_predict_update_rank1_complement():
         g0 = state_core.gram_params(meas.m0 @ ua.conj().T)
         pred0, pred1 = predict_update(coeffs, g0)
         assert (pred0.alpha, pred1.alpha) == (0.0, 0.0), seed
-        own = transfer._predict_one(coeffs, state_core.gram_params(meas.m1 @ ua.conj().T))
-        assert pred1.c.max_deviation(own.c) < 1e-10
+        sim1 = profile(state_core.measure(st, meas)[1][0])
+        assert pred1.q_e == sim1.q_e
+        assert pred1.c.max_deviation(sim1.c) < 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6, 1e-8])
+def test_predict_update_small_full_rank_complement(eps):
+    # outcome 1 is eps * I: unlikely, but it leaves the state unchanged, so
+    # its determinant eps^2 must survive the snap however small it is
+    co = state_core.schmidt_decompose(state_core.random_state("ghz_type", 7))[0]
+    src = profile(state_core.state_from_schmidt(co))
+    _, pred1 = predict_update(co, GramParams(1.0 - eps, 1.0 - eps, 0.0, 0.0))
+    assert abs(pred1.probability - eps) < 1e-15
+    assert abs(pred1.alpha - 1.0) < 1e-6
+    assert pred1.q_e == src.q_e
+    assert pred1.c.max_deviation(src.c) < 1e-9
 
 
 def test_synth_bisep_degenerate():
