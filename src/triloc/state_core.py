@@ -96,22 +96,6 @@ class SchmidtCoeffs:
         return np.array([self.l0, self.l1, self.l2, self.l3, self.l4])
 
 
-@dataclass(frozen=True, eq=False)
-class LocalOperator:
-    """A 2x2 operator acting on one named qubit."""
-
-    qubit: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.qubit not in QUBITS:
-            raise ValueError(f"qubit must be one of {QUBITS}")
-        m = np.asarray(self.matrix, dtype=complex).reshape(2, 2).copy()
-        if not np.all(np.isfinite(m.view(float))):
-            raise NonFinite("non-finite operator entry")
-        object.__setattr__(self, "matrix", m)
-
-
 @dataclass(frozen=True)
 class GramParams:
     """Parameters (a, b, k, theta) of a Gram matrix M^dag M =
@@ -140,6 +124,42 @@ class GramParams:
     def complement(self):
         """Gram parameters of the complementary outcome (I minus this Gram)."""
         return GramParams(1.0 - self.a, 1.0 - self.b, self.k, self.theta + math.pi)
+
+
+def _snap_det(det, scale):
+    """det clamped at zero, and snapped to zero below 1e-14 of scale, the
+    size of the terms whose difference it is.  Broadcasts."""
+    det = np.maximum(det, 0.0)
+    return np.where(det <= 1e-14 * scale, 0.0, det)
+
+
+def _gram_det(a, b, k):
+    """Determinant ab - k^2, with cancellation noise snapped to zero.
+
+    A rank-1 gram has ab = k^2 exactly; the float difference is then a few
+    ulps that a square root would inflate to ~1e-8, so anything below 1e-14
+    of the term scale counts as zero.  Broadcasts.
+    """
+    return _snap_det(a * b - k**2, a * b + k**2)
+
+
+def _complement_det(a, b, k):
+    """Determinant of the complementary Gram I - G, snapped like _gram_det.
+
+    1 - a and 1 - b carry the rounding of a and b, up to ~1e-16 whatever
+    the complement's size, so the snap scale also counts (1 - a) + (1 - b):
+    a rank-1 complement's residue goes to zero, while a small full-rank
+    complement (1 - a = 1 - b = 1e-8, det 1e-16) keeps its determinant.
+    Broadcasts.
+    """
+    ca, cb = 1.0 - a, 1.0 - b
+    return _snap_det(ca * cb - k**2, ca * cb + k**2 + ca + cb)
+
+
+def _max_k(a, b):
+    """Largest k for which both the Gram and its complement are positive
+    semidefinite: sqrt(min(ab, (1 - a)(1 - b))).  Broadcasts."""
+    return np.sqrt(np.minimum(a * b, (1.0 - a) * (1.0 - b)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,21 +240,6 @@ def complex_conjugate(state):
 # operators and measurements
 
 
-def apply_operator(state, op):
-    """Apply a one-qubit operator; returns (unnormalized amplitudes, p).
-
-    p is the squared norm of the resulting vector, i.e. the outcome
-    probability when op is a measurement operator.
-    """
-    axis = _AXIS[op.qubit]
-    t = np.tensordot(op.matrix, state.tensor(), axes=([1], [axis]))
-    # tensordot puts the contracted slot first; restore (A, B, C) order
-    t = np.moveaxis(t, 0, axis)
-    out = t.reshape(8)
-    p = float(np.vdot(out, out).real)
-    return out, p
-
-
 def gram_params(matrix):
     """Gram parameters (a, b, k, theta) of a single 2x2 operator."""
     m = np.asarray(matrix, dtype=complex).reshape(2, 2)
@@ -261,9 +266,13 @@ def measure(state, meas):
     invariant checks downstream.
     """
     validate_measurement(meas)
+    axis = _AXIS[meas.qubit]
     results = []
     for m in meas.operators():
-        out, p = apply_operator(state, LocalOperator(meas.qubit, m))
+        t = np.tensordot(m, state.tensor(), axes=([1], [axis]))
+        # tensordot puts the contracted slot first; restore (A, B, C) order
+        out = np.moveaxis(t, 0, axis).reshape(8)
+        p = float(np.vdot(out, out).real)
         if p < TOL_ZERO:
             results.append((None, p))
         else:
@@ -271,27 +280,25 @@ def measure(state, meas):
     return results
 
 
-def sqrtm_psd(g):
-    """Principal square root of a 2x2 positive semidefinite matrix."""
-    g = np.asarray(g, dtype=complex)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    s = math.sqrt(max(det.real, 0.0))
-    t2 = (g[0, 0] + g[1, 1]).real + 2.0 * s
-    if t2 <= 0.0:
-        return np.zeros((2, 2), dtype=complex)
-    return (g + s * np.eye(2)) / math.sqrt(t2)
-
-
 def measurement_from_grams(g0, qubit="A"):
     """Build the measurement whose outcome-0 Gram matrix has parameters g0.
 
     Outcome 1 takes the complementary Gram; both operators are the principal
-    square roots, which fixes the (physically irrelevant) unitary freedom.
+    square roots (G + sqrt(det) I) / sqrt(tr G + 2 sqrt(det)), which fixes
+    the (physically irrelevant) unitary freedom.  det is the snapped
+    determinant, so a rank-1 Gram gives the rank-1 operator G / sqrt(tr G).
     """
     g1 = g0.complement()
     if g1.a * g1.b - g1.k**2 < -TOL_ZERO:
         raise ValueError("complementary gram not positive semidefinite")
-    return Measurement2(qubit, sqrtm_psd(g0.matrix()), sqrtm_psd(g1.matrix()))
+    ops = []
+    for g, det in ((g0, _gram_det(g0.a, g0.b, g0.k)),
+                   (g1, _complement_det(g0.a, g0.b, g0.k))):
+        s = math.sqrt(det)
+        t2 = g.a + g.b + 2.0 * s
+        ops.append((g.matrix() + s * np.eye(2)) / math.sqrt(t2) if t2 > 0.0
+                   else np.zeros((2, 2)))
+    return Measurement2(qubit, *ops)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +571,7 @@ def random_measurement(seed, qubit="A"):
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.05, 0.95)
     b = rng.uniform(0.05, 0.95)
-    kmax = math.sqrt(min(a * b, (1 - a) * (1 - b)))
-    k = rng.uniform(0.0, 1.0) * kmax
+    k = rng.uniform(0.0, 1.0) * _max_k(a, b)
     theta = rng.uniform(0.0, 2 * math.pi)
     base = measurement_from_grams(GramParams(a, b, k, theta), qubit)
     return Measurement2(qubit, haar_unitary(rng) @ base.m0, haar_unitary(rng) @ base.m1)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import state_core
-from .invariants import (CParams, coeffs_from_invariants, invariant_kernel,
-                         lu_equivalent_profiles, profile)
-from .state_core import GramParams, Measurement2, SchmidtCoeffs
+from .invariants import CParams, invariant_kernel, lu_equivalent_profiles, profile
+from .state_core import (GramParams, Measurement2, _complement_det, _gram_det,
+                         _max_k)
 
 
 class ZeroProbability(RuntimeError):
@@ -68,36 +68,6 @@ def transfer_rule(c, t):
 # closed-form outcome prediction
 
 
-def _gram_det(a, b, k):
-    """Determinant ab - k^2, with cancellation noise snapped to zero.
-
-    A rank-1 gram has ab = k^2 exactly; the float difference is then a few
-    ulps that a square root would inflate to ~1e-8, so anything below 1e-14
-    of the term scale counts as zero.  Broadcasts.
-    """
-    return _snap_det(a * b - k**2, a * b + k**2)
-
-
-def _complement_det(a, b, k):
-    """Determinant of the complementary Gram I - G, snapped like _gram_det.
-
-    1 - a and 1 - b carry the rounding of a and b, up to ~1e-16 whatever
-    the complement's size, so the snap scale also counts (1 - a) + (1 - b):
-    a rank-1 complement's residue goes to zero, while a small full-rank
-    complement (1 - a = 1 - b = 1e-8, det 1e-16) keeps its determinant.
-    Broadcasts.
-    """
-    ca, cb = 1.0 - a, 1.0 - b
-    return _snap_det(ca * cb - k**2, ca * cb + k**2 + ca + cb)
-
-
-def _snap_det(det, scale):
-    """det clamped at zero, and snapped to zero below 1e-14 of scale, the
-    size of the terms whose difference it is.  Broadcasts."""
-    det = np.maximum(det, 0.0)
-    return np.where(det <= 1e-14 * scale, 0.0, det)
-
-
 def _raw_update(co, a, b, k, theta, det):
     """Unnormalized-phase update of the normal-form coefficients.
 
@@ -134,7 +104,6 @@ class OutcomePrediction:
     alpha: float | None
     c: CParams | None
     q_e: int | None
-    coeffs: SchmidtCoeffs | None
 
 
 def _predict_one(co, g, det):
@@ -143,17 +112,13 @@ def _predict_one(co, g, det):
     p, l0, l1c, l2, l3, l4 = _raw_update(co, g.a, g.b, g.k, g.theta, det)
     p = float(p)
     if p <= tz:
-        return OutcomePrediction(p, None, None, None, None)
+        return OutcomePrediction(p, None, None, None)
     if g.b <= tz:
         # the measured side loses its |1> range: a pure product remains
-        return OutcomePrediction(p, 0.0, CParams(0.0, 0.0, 0.0, 0.0, 0.0), 0,
-                                 SchmidtCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        return OutcomePrediction(p, 0.0, CParams(0.0, 0.0, 0.0, 0.0, 0.0), 0)
     cab, cac, cbc, tau, j5, q = (x.item() for x in invariant_kernel(l0, l1c, l2, l3, l4))
     c = CParams(min(cab, 1.0), min(cac, 1.0), min(cbc, 1.0), min(tau, 1.0), j5)
-    alpha = math.sqrt(float(det)) / p
-    cands = coeffs_from_invariants(c, int(q))
-    coeffs = min(cands, key=lambda s: abs(s.l0 - float(l0)))
-    return OutcomePrediction(p, alpha, c, int(q), coeffs)
+    return OutcomePrediction(p, math.sqrt(float(det)) / p, c, int(q))
 
 
 def predict_update(coeffs, gram):
@@ -179,6 +144,9 @@ def _nondegenerate_pair(pred0, pred1):
 
 _FRONT = {"A": None, "B": "BAC", "C": "CBA"}
 
+# worst probability/invariant deviation a verified prediction may show
+VERIFY_TOL = 1e-8
+
 
 def _measured_front(state, meas):
     """Permute so the measured qubit sits in slot A (the normal-form slot).
@@ -193,15 +161,16 @@ def _measured_front(state, meas):
             Measurement2("A", meas.m0, meas.m1))
 
 
-def verify_update(state, meas, tol=1e-8):
+def verify_update(state, meas):
     """Compare predicted outcome invariants against direct simulation.
 
     Works for a measurement on any qubit.  Each outcome is predicted from
-    its own operator's Gram parameters: the complement of the other outcome's
-    Gram misses a rank-1 Gram's zero determinant by rounding, which the
-    prediction would inflate.  Returns a report dict with the worst
-    probability/invariant deviation; charges are compared separately (they
-    are integers, so they either match or they do not).
+    its own operator's Gram parameters, so a measurement that is complete
+    only within TOL_NORM is checked against what its operators do.  Returns
+    a report dict with the worst probability/invariant deviation; charges
+    are compared separately (they are integers, so they either match or
+    they do not).  The report passes when that deviation is at most
+    VERIFY_TOL and every charge matches.
     """
     qubit = meas.qubit
     front, meas = _measured_front(state, meas)
@@ -234,7 +203,7 @@ def verify_update(state, meas, tol=1e-8):
             "max_deviation": max_dev,
             "p_sum_deviation": p_sum_dev,
             "charge_consistent": charge_ok,
-            "pass": bool(max_dev <= tol and charge_ok),
+            "pass": bool(max_dev <= VERIFY_TOL and charge_ok),
             "outcomes": outcomes}
 
 
@@ -285,9 +254,8 @@ def _outcome_terms(state, meas):
     for m, (sim_state, p) in zip(meas.operators(), state_core.measure(front, meas)):
         if sim_state is None:
             continue
-        g = m.conj().T @ m
-        det = float(_gram_det(g[0, 0].real, g[1, 1].real,
-                              abs(g[0, 1])))
+        g = state_core.gram_params(m)
+        det = float(_gram_det(g.a, g.b, g.k))
         terms.append((p, math.sqrt(det) / p, sim_state))
     return front, terms
 
@@ -414,8 +382,6 @@ def search_deterministic_measurement(state, target):
     the winner is kept only if simulation confirms both outcomes are locally
     equivalent to the target.  Returns the lab-frame measurement, or None.
     """
-    if isinstance(target, SchmidtCoeffs):
-        target = state_core.state_from_schmidt(target)
     coeffs, (ua, _, _) = state_core.schmidt_decompose(state)
     tprof = profile(target)
     tvec = np.array(tprof.c.as_tuple())
@@ -424,16 +390,14 @@ def search_deterministic_measurement(state, target):
     av, kfv, thv = _grid_axes()
     ag, bg, kfg, thg = np.meshgrid(av, av, kfv, thv, indexing="ij")
     ag, bg, kfg, thg = (x.ravel() for x in (ag, bg, kfg, thg))
-    kmax = np.sqrt(np.minimum(ag * bg, (1.0 - ag) * (1.0 - bg)))
-    devs = _objective_arrays(coeffs, ag, bg, kfg * kmax, thg, tvec, tq)
+    devs = _objective_arrays(coeffs, ag, bg, kfg * _max_k(ag, bg), thg, tvec, tq)
     best = int(np.argmin(devs))
 
     def unpack(x):
         a = min(max(x[0], 1e-3), 1.0 - 1e-3)
         b = min(max(x[1], 1e-3), 1.0 - 1e-3)
         kf = min(max(x[2], 0.0), 1.0)
-        k = kf * math.sqrt(min(a * b, (1.0 - a) * (1.0 - b)))
-        return a, b, k, x[3] % (2.0 * math.pi)
+        return a, b, kf * _max_k(a, b), x[3] % (2.0 * math.pi)
 
     def f(x):
         a, b, k, th = unpack(x)

@@ -287,13 +287,13 @@ def test_measurement_from_grams():
                                np.eye(2) - g.matrix(), atol=1e-12)
 
 
-def test_apply_operator_probability():
+def test_measure_probabilities_on_qubit_c():
     state = state_core.random_state("haar", 5)
     meas = state_core.random_measurement(6, qubit="C")
-    _, p = state_core.apply_operator(state, state_core.LocalOperator("C", meas.m0))
     rho = oracles.density(state.amplitudes)
-    big = np.kron(np.kron(np.eye(2), np.eye(2)), meas.m0.conj().T @ meas.m0)
-    assert abs(p - np.trace(big @ rho).real) < 1e-12
+    for m, (_, p) in zip(meas.operators(), state_core.measure(state, meas)):
+        big = np.kron(np.kron(np.eye(2), np.eye(2)), m.conj().T @ m)
+        assert abs(p - np.trace(big @ rho).real) < 1e-12
 
 
 def test_random_state_kinds_against_oracles():

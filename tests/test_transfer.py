@@ -159,6 +159,33 @@ def test_predict_update_rank1_complement():
         assert pred1.c.max_deviation(sim1.c) < 1e-10
 
 
+def test_rank1_gram_outcomes_profile_and_match_prediction():
+    # k at its largest makes the Gram (a + b <= 1) or its complement
+    # (a + b >= 1) rank-1.  A matrix square root that only clamps the
+    # determinant turned its ~1e-17 residue into a ~3e-9 second singular
+    # value of the operator: the outcome then straddled TOL_ZERO, so profile
+    # raised on some outcomes and missed the prediction by ~3e-8 on others
+    rng = np.random.default_rng(5)
+    kinds = state_core.RANDOM_KINDS
+    for i in range(160):
+        st = state_core.random_state(kinds[i % len(kinds)], 30_000 + i)
+        coeffs, (ua, _, _) = state_core.schmidt_decompose(st)
+        small = 10.0 ** rng.uniform(-5.0, -1.0, 2)
+        a, b = (rng.uniform(0.05, 0.95, 2), small, 1.0 - small)[i % 3]
+        k = math.sqrt(min(a * b, (1.0 - a) * (1.0 - b)))
+        g = GramParams(a, b, k, rng.uniform(0.0, 2.0 * math.pi))
+        base = state_core.measurement_from_grams(g)
+        meas = state_core.Measurement2("A", base.m0 @ ua, base.m1 @ ua)
+        sims = state_core.measure(st, meas)
+        for pred, (out, p) in zip(predict_update(coeffs, g), sims):
+            assert abs(pred.probability - p) < 1e-10
+            if out is None:
+                continue
+            sim = profile(out)
+            assert sim.q_e == pred.q_e, (i, a, b)
+            assert sim.c.max_deviation(pred.c) < 1e-10, (i, a, b)
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6, 1e-8])
 def test_predict_update_small_full_rank_complement(eps):
     # outcome 1 is eps * I: unlikely, but it leaves the state unchanged, so
