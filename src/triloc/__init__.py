@@ -60,19 +60,34 @@ from .state_core import (
     validate_measurement,
     validate_state,
 )
-from .transfer import (
-    DegenerateInput,
-    OutcomePrediction,
-    TransferParams,
-    ZeroProbability,
-    alpha_average,
-    lemma2_bounds,
-    lemma4_check,
-    predict_update,
-    search_deterministic_measurement,
-    synth_bisep_measurement,
-    transfer_rule,
-    verify_update,
+# transfer needs numpy for its array formulas, so it is imported on first
+# use of any of its names (PEP 562) and the scalar commands never load it
+_TRANSFER_NAMES = (
+    "DegenerateInput",
+    "OutcomePrediction",
+    "TransferParams",
+    "ZeroProbability",
+    "alpha_average",
+    "lemma2_bounds",
+    "lemma4_check",
+    "predict_update",
+    "search_deterministic_measurement",
+    "synth_bisep_measurement",
+    "transfer_rule",
+    "verify_update",
 )
+
+
+def __getattr__(name):
+    if name == "transfer" or name in _TRANSFER_NAMES:
+        import importlib
+        transfer = importlib.import_module(".transfer", __name__)
+        return transfer if name == "transfer" else getattr(transfer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), "transfer", *_TRANSFER_NAMES])
+
 
 __version__ = "0.1.0"

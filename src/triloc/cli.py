@@ -12,9 +12,8 @@ import math
 import sys
 
 import click
-import numpy as np
 
-from . import locc, state_core, transfer
+from . import locc, state_core
 from .invariants import ep_phase, lu_equivalent_profiles, profile
 
 
@@ -55,9 +54,11 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, np.integer):
+    # numpy scalars can only occur once a command has loaded numpy
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(x, np.integer):
         return int(x)
-    if isinstance(x, np.floating):
+    if np is not None and isinstance(x, np.floating):
         x = float(x)
     if isinstance(x, float) and not math.isfinite(x):
         # infinities are meaningful (the shape parameter s), JSON has no
@@ -180,6 +181,7 @@ def random(ctx, kind, count):
 @_guard
 def measure(ctx, state_path, measurement_path):
     """Apply a measurement and check the closed-form outcome prediction."""
+    from . import transfer
     st = _load_state(state_path)
     mdata = _read_json(measurement_path)
     if isinstance(mdata, dict) and "measurement" in mdata:
@@ -200,6 +202,7 @@ def measure(ctx, state_path, measurement_path):
 @_guard
 def synth_bisep(ctx, state_path):
     """Measurement that deterministically splits off the unmeasured pair."""
+    from . import transfer
     st = _load_state(state_path)
     prof = profile(st)
     try:
@@ -235,6 +238,7 @@ def ghz_canonical(ctx, state_path):
 @_guard
 def verify_lemmas(ctx, samples):
     """Fuzz the transfer laws on random states and measurements."""
+    from . import transfer
     base = ctx.obj["seed"]
     worst = {"lemma1": 0.0, "lemma2": 0.0, "lemma4": 0.0, "alpha_sum": 0.0}
     for i in range(samples):

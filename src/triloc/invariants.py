@@ -11,12 +11,10 @@ they get their own container.
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import astuple, dataclass
 
 from . import state_core
-from .state_core import SchmidtCoeffs, schmidt_decompose, state_from_schmidt
+from .state_core import SchmidtCoeffs, _decompose, state_from_schmidt
 
 
 class NegativeDiscriminant(ValueError):
@@ -205,7 +203,7 @@ def _classify(c, der):
 
 def profile(state):
     """Decompose once and compute every invariant of the state."""
-    coeffs, _ = schmidt_decompose(state)
+    coeffs, _ = _decompose(state)
     c, q = _coeff_invariants(coeffs)
     k = k_params(c)
     der = derived(k)
@@ -241,6 +239,11 @@ def _split_pair(value):
     hi = math.sqrt((1.0 + root) / 2.0)
     lo = math.sqrt(max((1.0 - root) / 2.0, 0.0))
     return hi, lo
+
+
+def _normalized(lams):
+    n = math.hypot(*lams)
+    return [x / n for x in lams]
 
 
 def _verified(cand_list, c, q):
@@ -290,8 +293,7 @@ def coeffs_from_invariants(c, q):
             l1sq = 1.0 - l0**2 - l2**2 - l3**2
             if l1sq < -1e-6:
                 raise Inconsistent("zero-tangle coordinates break normalization")
-            lams = np.array([l0, math.sqrt(max(l1sq, 0.0)), l2, l3, 0.0])
-            lams /= np.linalg.norm(lams)
+            lams = _normalized([l0, math.sqrt(max(l1sq, 0.0)), l2, l3, 0.0])
             return _verified([SchmidtCoeffs(*lams, 0.0)], c, q)
         if sum(alive) == 2:
             raise Inconsistent("two bare pair entanglements cannot coexist")
@@ -331,8 +333,7 @@ def coeffs_from_invariants(c, q):
             if abs(x) > 1.0 + 1e-6:
                 continue
             phi = math.acos(min(1.0, max(-1.0, x)))
-        lams = np.array([l0, l1, l2, l3, l4])
-        lams /= np.linalg.norm(lams)
+        lams = _normalized([l0, l1, l2, l3, l4])
         if min(lams) < tz and phi > tz:
             phi = 0.0
         try:
@@ -340,7 +341,7 @@ def coeffs_from_invariants(c, q):
         except ValueError:
             continue
     # a double root yields the same set twice
-    if len(cands) == 2 and max(abs(cands[0].as_array() - cands[1].as_array())) <= tz \
-            and abs(cands[0].phi - cands[1].phi) <= tz:
+    if len(cands) == 2 and max(abs(x - y) for x, y in
+                               zip(astuple(cands[0]), astuple(cands[1]))) <= tz:
         cands = cands[:1]
     return _verified(cands, c, q)

@@ -14,10 +14,12 @@ onto a single set for states of nonzero charge.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
+# numpy is imported inside the functions that build or read arrays, so the
+# scalar path (validation, decomposition, permutation) runs without it.
 
 # Zero/normalization thresholds.  Classification of nearly-zero invariants is
 # discontinuous, so these are module globals that the CLI can override for a
@@ -28,7 +30,7 @@ TOL_RECON = 1e-8  # reconstruction / round-trip error budget
 TOL_EQ = 1e-8     # equality of invariants between two states
 
 QUBITS = ("A", "B", "C")
-_AXIS = {"A": 0, "B": 1, "C": 2}
+_STRIDE = {"A": 4, "B": 2, "C": 1}  # amplitude-index weight of each qubit
 
 
 class NotNormalized(ValueError):
@@ -51,15 +53,41 @@ class DecompositionFailed(RuntimeError):
 # data types
 
 
+def _amplitude_tuple(raw):
+    """raw flattened to a tuple of Python complex numbers.  A flat list or
+    tuple of numbers is read directly; ndarrays and nested sequences go
+    through numpy."""
+    if isinstance(raw, (list, tuple)):
+        try:
+            return tuple(map(complex, raw))
+        except TypeError:
+            pass
+    import numpy as np
+    return tuple(np.asarray(raw, dtype=complex).ravel().tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class PureState3:
-    """Normalized three-qubit pure state, amplitudes indexed by 4a+2b+c."""
+    """Normalized three-qubit pure state, amplitudes indexed by 4a+2b+c.
 
-    amplitudes: np.ndarray
+    amps holds the eight amplitudes as Python complex numbers; amplitudes is
+    the same vector as a read-only complex ndarray, built on first use.
+    """
+
+    amps: tuple
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(8).copy()
-        object.__setattr__(self, "amplitudes", amps)
+        amps = _amplitude_tuple(self.amps)
+        if len(amps) != 8:
+            raise ValueError("a three-qubit state needs exactly 8 amplitudes")
+        object.__setattr__(self, "amps", amps)
+
+    @functools.cached_property
+    def amplitudes(self):
+        import numpy as np
+        arr = np.array(self.amps, dtype=complex)
+        arr.flags.writeable = False
+        return arr
 
     def tensor(self):
         """Amplitudes as a (2, 2, 2) array t[a, b, c]."""
@@ -93,6 +121,7 @@ class SchmidtCoeffs:
             raise ValueError("phi must be 0 when some coefficient vanishes")
 
     def as_array(self):
+        import numpy as np
         return np.array([self.l0, self.l1, self.l2, self.l3, self.l4])
 
 
@@ -118,6 +147,7 @@ class GramParams:
         object.__setattr__(self, "theta", float(self.theta) % (2 * math.pi))
 
     def matrix(self):
+        import numpy as np
         off = self.k * cmath.exp(1j * self.theta)
         return np.array([[self.a, off.conjugate()], [off, self.b]], dtype=complex)
 
@@ -129,6 +159,7 @@ class GramParams:
 def _snap_det(det, scale):
     """det clamped at zero, and snapped to zero below 1e-14 of scale, the
     size of the terms whose difference it is.  Broadcasts."""
+    import numpy as np
     det = np.maximum(det, 0.0)
     return np.where(det <= 1e-14 * scale, 0.0, det)
 
@@ -159,6 +190,7 @@ def _complement_det(a, b, k):
 def _max_k(a, b):
     """Largest k for which both the Gram and its complement are positive
     semidefinite: sqrt(min(ab, (1 - a)(1 - b))).  Broadcasts."""
+    import numpy as np
     return np.sqrt(np.minimum(a * b, (1.0 - a) * (1.0 - b)))
 
 
@@ -167,10 +199,11 @@ class Measurement2:
     """Two-outcome generalized measurement {m0, m1} on one named qubit."""
 
     qubit: str
-    m0: np.ndarray
-    m1: np.ndarray
+    m0: "np.ndarray"
+    m1: "np.ndarray"
 
     def __post_init__(self):
+        import numpy as np
         if self.qubit not in QUBITS:
             raise ValueError(f"qubit must be one of {QUBITS}")
         for name in ("m0", "m1"):
@@ -187,23 +220,26 @@ class Measurement2:
 # construction / validation
 
 
+def _norm(amps):
+    """Euclidean norm of a sequence of complex numbers."""
+    return math.hypot(*map(abs, amps))
+
+
 def validate_state(raw):
     """Coerce raw amplitudes into a PureState3.
 
-    Raises NonFinite for NaN/inf entries and NotNormalized when the vector
-    norm differs from 1 by more than TOL_NORM.  The returned state is
-    renormalized exactly.
+    Accepts any flat or (2, 2, 2) sequence or array of 8 numbers.  Raises
+    ValueError for another size, NonFinite for NaN/inf entries and
+    NotNormalized when the vector norm differs from 1 by more than TOL_NORM.
+    The returned state is renormalized exactly.
     """
-    amps = np.asarray(raw, dtype=complex)
-    if amps.size != 8:
-        raise ValueError("a three-qubit state needs exactly 8 amplitudes")
-    amps = amps.reshape(8)
-    if not np.all(np.isfinite(amps.view(float))):
+    amps = PureState3(raw).amps
+    if not all(map(cmath.isfinite, amps)):
         raise NonFinite("state contains non-finite amplitudes")
-    norm = np.linalg.norm(amps)
+    norm = _norm(amps)
     if abs(norm - 1.0) > TOL_NORM:
         raise NotNormalized(f"state norm {norm} differs from 1 beyond tolerance")
-    return PureState3(amps / norm)
+    return PureState3(tuple(z / norm for z in amps))
 
 
 def _normal_form_amps(coeffs):
@@ -215,9 +251,9 @@ def _normal_form_amps(coeffs):
 
 def state_from_schmidt(coeffs):
     """Build the normal-form state for the given coefficients."""
-    amps = np.array(_normal_form_amps(coeffs), dtype=complex)
-    n = np.linalg.norm(amps)
-    return PureState3(amps / n)
+    amps = _normal_form_amps(coeffs)
+    n = _norm(amps)
+    return PureState3([z / n for z in amps])
 
 
 def permute_qubits(state, order):
@@ -227,31 +263,75 @@ def permute_qubits(state, order):
     """
     if sorted(order) != ["A", "B", "C"]:
         raise ValueError("order must be a permutation of 'ABC'")
-    axes = tuple(_AXIS[q] for q in order)
-    return PureState3(state.tensor().transpose(axes).reshape(8))
+    s0, s1, s2 = (_STRIDE[q] for q in order)
+    amps = state.amps
+    return PureState3(tuple(amps[(i >> 2) * s0 + (i >> 1 & 1) * s1 + (i & 1) * s2]
+                            for i in range(8)))
 
 
 def complex_conjugate(state):
     """Entrywise complex conjugate (flips the charge, keeps all magnitudes)."""
-    return PureState3(state.amplitudes.conj())
+    return PureState3(tuple(z.conjugate() for z in state.amps))
 
 
 # ---------------------------------------------------------------------------
-# operators and measurements
+# local operators
+
+# the amplitude indices with a zero bit at each stride
+_LOW = {4: (0, 1, 2, 3), 2: (0, 1, 4, 5), 1: (0, 2, 4, 6)}
+
+
+def _mode_product(amps, u, stride):
+    """The eight amplitudes after the 2x2 operator u = ((u00, u01), (u10,
+    u11)) acts on the qubit whose index weight is stride."""
+    (u00, u01), (u10, u11) = u
+    out = list(amps)
+    for i in _LOW[stride]:
+        x, y = amps[i], amps[i + stride]
+        out[i] = u00 * x + u01 * y
+        out[i + stride] = u10 * x + u11 * y
+    return out
+
+
+def _local_product(amps, ua, ub, uc):
+    """The eight amplitudes of (ua ⊗ ub ⊗ uc)|amps>, one mode product per
+    qubit.  Operators are 2x2 nested sequences of Python numbers."""
+    for u, stride in ((ua, 4), (ub, 2), (uc, 1)):
+        amps = _mode_product(amps, u, stride)
+    return amps
+
+
+def apply_local_unitaries(state, ua, ub, uc):
+    """Apply (ua ⊗ ub ⊗ uc) to the state."""
+    import numpy as np
+    us = (np.asarray(u, dtype=complex).tolist() for u in (ua, ub, uc))
+    return PureState3(_local_product(state.amps, *us))
+
+
+# ---------------------------------------------------------------------------
+# measurements
 
 
 def gram_params(matrix):
-    """Gram parameters (a, b, k, theta) of a single 2x2 operator."""
-    m = np.asarray(matrix, dtype=complex).reshape(2, 2)
-    g = m.conj().T @ m
-    off = g[1, 0]
+    """Gram parameters (a, b, k, theta) of a single 2x2 operator m.
+
+    The entries of m^dag m are formed once each from the entries of m, so the
+    off-diagonal pair is exactly conjugate: k e^{i theta} is the lower entry
+    conj(m01) m00 + conj(m11) m10.
+    """
+    import numpy as np
+    (m00, m01), (m10, m11) = np.asarray(matrix, dtype=complex).reshape(2, 2).tolist()
+    a = (m00.conjugate() * m00 + m10.conjugate() * m10).real
+    b = (m01.conjugate() * m01 + m11.conjugate() * m11).real
+    off = m01.conjugate() * m00 + m11.conjugate() * m10
     k = abs(off)
     theta = cmath.phase(off) % (2 * math.pi) if k > 1e-300 else 0.0
-    return GramParams(float(g[0, 0].real), float(g[1, 1].real), float(k), theta)
+    return GramParams(a, b, k, theta)
 
 
 def validate_measurement(meas):
     """Check completeness m0^dag m0 + m1^dag m1 = I within TOL_NORM."""
+    import numpy as np
     g = meas.m0.conj().T @ meas.m0 + meas.m1.conj().T @ meas.m1
     dev = np.max(np.abs(g - np.eye(2)))
     if dev > TOL_NORM:
@@ -266,17 +346,16 @@ def measure(state, meas):
     invariant checks downstream.
     """
     validate_measurement(meas)
-    axis = _AXIS[meas.qubit]
+    stride = _STRIDE[meas.qubit]
     results = []
     for m in meas.operators():
-        t = np.tensordot(m, state.tensor(), axes=([1], [axis]))
-        # tensordot puts the contracted slot first; restore (A, B, C) order
-        out = np.moveaxis(t, 0, axis).reshape(8)
-        p = float(np.vdot(out, out).real)
+        out = _mode_product(state.amps, m.tolist(), stride)
+        n = _norm(out)
+        p = n * n
         if p < TOL_ZERO:
             results.append((None, p))
         else:
-            results.append((PureState3(out / math.sqrt(p)), p))
+            results.append((PureState3(tuple(z / n for z in out)), p))
     return results
 
 
@@ -288,6 +367,7 @@ def measurement_from_grams(g0, qubit="A"):
     the (physically irrelevant) unitary freedom.  det is the snapped
     determinant, so a rank-1 Gram gives the rank-1 operator G / sqrt(tr G).
     """
+    import numpy as np
     g1 = g0.complement()
     if g1.a * g1.b - g1.k**2 < -TOL_ZERO:
         raise ValueError("complementary gram not positive semidefinite")
@@ -303,16 +383,6 @@ def measurement_from_grams(g0, qubit="A"):
 
 # ---------------------------------------------------------------------------
 # generalized Schmidt decomposition
-
-
-def _apply_locals(amps, ua, ub, uc):
-    t = amps.reshape(2, 2, 2)
-    return np.einsum("ai,bj,ck,ijk->abc", ua, ub, uc, t).reshape(8)
-
-
-def apply_local_unitaries(state, ua, ub, uc):
-    """Apply (ua ⊗ ub ⊗ uc) to the state."""
-    return PureState3(_apply_locals(state.amplitudes, ua, ub, uc))
 
 
 def _svd2(a, b, c, d):
@@ -439,16 +509,10 @@ def _candidate_decomposition(num, den, t0, t1):
     return coeffs, (ua, ub, uc)
 
 
-def schmidt_decompose(state):
-    """Normal form of a three-qubit state.
-
-    Returns (coeffs, (ua, ub, uc)) such that applying ua ⊗ ub ⊗ uc to the
-    input reproduces the normal-form amplitudes of coeffs within TOL_RECON.
-    The positive decomposition is returned; for chargeless states with two
-    admissible coefficient sets the one with larger l0 is chosen.  All 2x2
-    algebra is closed form on Python complex numbers.
-    """
-    amps = state.amplitudes.tolist()
+def _decompose(state):
+    """schmidt_decompose with the local unitaries as pairs of rows of Python
+    complex numbers."""
+    amps = state.amps
     t0, t1 = amps[:4], amps[4:]
     d0 = t0[0] * t0[3] - t0[1] * t0[2]
     d1 = t1[0] * t1[3] - t1[1] * t1[2]
@@ -488,13 +552,27 @@ def schmidt_decompose(state):
         # exact midpoint, so keep insertion order instead.
         candidates.sort(key=lambda cu: -cu[0].l0)
     for coeffs, us in candidates:
-        us = tuple(np.array(u, dtype=complex) for u in us)
-        out = _apply_locals(state.amplitudes, *us).tolist()
+        out = _local_product(amps, *us)
         target = _normal_form_amps(coeffs)
-        err = math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(out, target)))
+        err = _norm([x - y for x, y in zip(out, target)])
         if err <= TOL_RECON:
             return coeffs, us
     raise DecompositionFailed(f"reconstruction error {err:.3e} exceeds budget")
+
+
+def schmidt_decompose(state):
+    """Normal form of a three-qubit state.
+
+    Returns (coeffs, (ua, ub, uc)) such that applying ua ⊗ ub ⊗ uc to the
+    input reproduces the normal-form amplitudes of coeffs within TOL_RECON;
+    the unitaries are (2, 2) complex ndarrays.  The positive decomposition is
+    returned; for chargeless states with two admissible coefficient sets the
+    one with larger l0 is chosen.  All 2x2 algebra is closed form on Python
+    complex numbers.
+    """
+    import numpy as np
+    coeffs, us = _decompose(state)
+    return coeffs, tuple(np.array(u, dtype=complex) for u in us)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +584,7 @@ RANDOM_KINDS = ("haar", "ghz_type", "w_type", "biseparable_ab",
 
 def haar_unitary(rng, n=2):
     """Haar-random n x n unitary (QR of a complex Gaussian matrix)."""
+    import numpy as np
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -513,12 +592,9 @@ def haar_unitary(rng, n=2):
 
 
 def _random_qubit(rng):
+    import numpy as np
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return v / np.linalg.norm(v)
-
-
-def _scramble(amps, rng):
-    return _apply_locals(amps, haar_unitary(rng), haar_unitary(rng), haar_unitary(rng))
 
 
 def random_state(kind, seed):
@@ -531,6 +607,7 @@ def random_state(kind, seed):
     """
     if kind not in RANDOM_KINDS:
         raise ValueError(f"unknown state kind {kind!r}")
+    import numpy as np
     rng = np.random.default_rng(seed)
     if kind == "haar":
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -539,12 +616,13 @@ def random_state(kind, seed):
         lams = rng.uniform(0.15, 1.0, 5)
         lams /= np.linalg.norm(lams)
         phi = rng.uniform(0.0, math.pi)
-        amps = state_from_schmidt(SchmidtCoeffs(*lams, phi)).amplitudes
+        amps = state_from_schmidt(SchmidtCoeffs(*lams, phi)).amps
     elif kind == "w_type":
         x = np.concatenate([[rng.uniform(0.0, 0.6)], rng.uniform(0.25, 1.0, 3)])
         x /= np.linalg.norm(x)
         amps = np.zeros(8, dtype=complex)
         amps[0], amps[4], amps[2], amps[1] = x  # x0|000> + x1|100> + x2|010> + x3|001>
+        amps = amps.tolist()
     elif kind.startswith("biseparable_"):
         th = rng.uniform(0.15, math.pi / 4)
         pair = np.array([math.cos(th), 0.0, 0.0, math.sin(th)], dtype=complex)
@@ -557,17 +635,19 @@ def random_state(kind, seed):
             t += np.einsum("ac,b->abc", p, lone)
         else:
             t += np.einsum("bc,a->abc", p, lone)
-        amps = t.reshape(8)
+        amps = t.reshape(8).tolist()
     else:  # full_separable
         t = np.einsum("a,b,c->abc", _random_qubit(rng), _random_qubit(rng),
                       _random_qubit(rng))
-        amps = t.reshape(8)
-    return PureState3(_scramble(amps, rng))
+        amps = t.reshape(8).tolist()
+    scramble = (haar_unitary(rng).tolist() for _ in range(3))
+    return PureState3(_local_product(amps, *scramble))
 
 
 def random_measurement(seed, qubit="A"):
     """Deterministic random two-outcome measurement (Gram square roots twisted
     by Haar-random unitaries, so the operators are generally non-Hermitian)."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.05, 0.95)
     b = rng.uniform(0.05, 0.95)
@@ -582,7 +662,7 @@ def random_measurement(seed, qubit="A"):
 
 
 def state_to_dict(state):
-    return {"amplitudes": [[float(z.real), float(z.imag)] for z in state.amplitudes]}
+    return {"amplitudes": [[z.real, z.imag] for z in state.amps]}
 
 
 def state_from_dict(data):
@@ -599,6 +679,7 @@ def _matrix_to_rows(m):
 
 
 def _matrix_from_rows(rows):
+    import numpy as np
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 

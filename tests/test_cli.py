@@ -273,8 +273,36 @@ def test_module_entry_point(ghz):
     assert abs(data["c_params"]["tau"] - 1.0) < 1e-12
 
 
-def test_import_loads_no_scipy():
+@pytest.mark.parametrize("package", ["scipy", "numpy"])
+def test_import_loads_no(package):
     res = _run_python("-c", "import sys, triloc, triloc.cli; print(sorted("
-                      "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                      f"m for m in sys.modules if m.split('.')[0] == {package!r}))")
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+# runs `python -m triloc.cli ARGS` after registering an exit hook that writes
+# the loaded numpy modules to stderr as its last line
+_REPORT_NUMPY = (
+    "import atexit, json, runpy, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules\n"
+    "    if m.split('.')[0] == 'numpy')), file=sys.stderr))\n"
+    "sys.argv[0] = 'triloc'\n"
+    "runpy.run_module('triloc.cli', run_name='__main__', alter_sys=True)\n")
+
+
+def test_scalar_commands_load_no_numpy(tmp_path, ghz, w):
+    for args, code in ((["invariants", ghz], 0), (["lu-equiv", ghz, w], 1),
+                       (["locc-check", ghz, w], 1), (["ghz-canonical", ghz], 0)):
+        res = _run_python("-c", _REPORT_NUMPY, *args)
+        assert res.returncode == code, res.stderr
+        json.loads(res.stdout)
+        assert json.loads(res.stderr.splitlines()[-1]) == [], args[0]
+    # measure loads numpy on first use, and the hook sees it
+    meas = tmp_path / "meas.json"
+    meas.write_text(json.dumps(state_core.measurement_to_dict(
+        state_core.random_measurement(5, qubit="A"))))
+    res = _run_python("-c", _REPORT_NUMPY, "measure", ghz, str(meas))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["report"]["pass"] is True
+    assert "numpy" in json.loads(res.stderr.splitlines()[-1])

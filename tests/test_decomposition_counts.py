@@ -18,13 +18,15 @@ BELL_BC = state_core.state_from_schmidt(SchmidtCoeffs(0, R2, 0, 0, R2, 0.0))
 @pytest.fixture
 def decompositions(monkeypatch):
     calls = []
-    original = invariants.schmidt_decompose
+    original = invariants._decompose
 
     def counting(state):
         calls.append(state)
         return original(state)
 
-    monkeypatch.setattr(invariants, "schmidt_decompose", counting)
+    # profile decomposes through the internal step that keeps its unitaries
+    # as Python numbers; the public schmidt_decompose wraps the same step
+    monkeypatch.setattr(invariants, "_decompose", counting)
     return calls
 
 

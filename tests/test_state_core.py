@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from triloc.state_core import (
     GramParams,
     IncompleteMeasurement,
     Measurement2,
+    NonFinite,
     NotNormalized,
     PureState3,
     SchmidtCoeffs,
@@ -27,6 +29,34 @@ def test_validate_rejects_unnormalized():
 def test_validate_rejects_wrong_length():
     with pytest.raises(ValueError):
         state_core.validate_state(np.array([1.0, 0.0]))
+
+
+def test_state_input_contract():
+    vec = state_core.random_state("haar", 9).amplitudes
+    forms = [vec.tolist(), list(vec), tuple(vec.tolist()), vec.copy(),
+             vec.reshape(2, 2, 2)]
+    for make in (PureState3, state_core.validate_state):
+        got = [make(raw).amps for raw in forms]
+        assert all(amps == got[0] for amps in got)
+        assert all(type(z) is complex for z in got[0])
+        assert np.max(np.abs(np.array(got[0]) - vec)) <= 1e-15
+        for size in (7, 9, 16):
+            with pytest.raises(ValueError):
+                make(np.full(size, 1.0 / math.sqrt(size)))
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(NonFinite):
+            state_core.validate_state([bad] + [0.0] * 7)
+    off = 1.0 + 3.0 * state_core.TOL_NORM
+    with pytest.raises(NotNormalized):
+        state_core.validate_state([off] + [0.0] * 7)
+    near = state_core.validate_state([1.0 + 0.5 * state_core.TOL_NORM] + [0.0] * 7)
+    assert near.amps[0] == 1.0
+    state = PureState3(vec)
+    assert state.amplitudes is state.amplitudes
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 0.0
+    with pytest.raises(ValueError):
+        state.tensor()[0, 0, 0] = 0.0
 
 
 def test_state_from_schmidt_slots():
@@ -54,6 +84,7 @@ def _round_trip(state):
     """Decompose, check the local maps are unitary and rebuild the normal form."""
     coeffs, us = state_core.schmidt_decompose(state)
     for u in us:
+        assert isinstance(u, np.ndarray) and u.shape == (2, 2) and u.dtype == complex
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
     rebuilt = state_core.apply_local_unitaries(state, *us)
     target = state_core.state_from_schmidt(coeffs)
@@ -218,6 +249,19 @@ def test_profile_calls_no_lapack(monkeypatch):
         assert (got.c, got.q_e, got.state_class) == (prof.c, prof.q_e, prof.state_class)
 
 
+def test_local_unitaries_match_einsum():
+    # the scalar mode products against the tensor contraction they replace
+    rng = np.random.default_rng(48)
+    worst = 0.0
+    for i in range(200):
+        state = state_core.random_state(RANDOM_KINDS[i % 7], 4000 + i)
+        us = [state_core.haar_unitary(rng) for _ in range(3)]
+        want = np.einsum("ai,bj,ck,ijk->abc", *us, state.tensor()).reshape(8)
+        got = state_core.apply_local_unitaries(state, *us).amplitudes
+        worst = max(worst, np.max(np.abs(got - want)))
+    assert worst <= 1e-15
+
+
 def test_permute_matches_tensor_reorder():
     state = state_core.random_state("haar", 77)
     t = state.amplitudes.reshape(2, 2, 2)
@@ -272,6 +316,19 @@ def test_gram_params_round_trip():
         np.testing.assert_allclose(g.matrix(), want, atol=1e-12)
         comp = g.complement()
         np.testing.assert_allclose(comp.matrix(), np.eye(2) - want, atol=1e-12)
+
+
+def test_gram_params_single_off_diagonal():
+    # k e^{i theta} is the lower entry of m^dag m, the conjugate of
+    # s = conj(m00) m01 + conj(m10) m11, formed once
+    for seed in range(1000):
+        for m in state_core.random_measurement(seed, qubit="A").operators():
+            (m00, m01), (m10, m11) = m.tolist()
+            s = m00.conjugate() * m01 + m10.conjugate() * m11
+            g = state_core.gram_params(m)
+            assert g.k == abs(s)
+            assert g.theta == cmath.phase(s.conjugate()) % (2 * math.pi)
+            assert np.array_equal(g.matrix(), g.matrix().conj().T)
 
 
 def test_gram_params_rejects_non_psd():
