@@ -60,8 +60,8 @@ from .state_core import (
     validate_measurement,
     validate_state,
 )
-# transfer needs numpy for its array formulas, so it is imported on first
-# use of any of its names (PEP 562) and the scalar commands never load it
+# transfer works on ndarray measurements and unitaries, so it is imported on
+# first use of any of its names (PEP 562) and the scalar commands never load it
 _TRANSFER_NAMES = (
     "DegenerateInput",
     "OutcomePrediction",

@@ -201,13 +201,18 @@ def _classify(c, der):
     return StateClass(kind, pair, ep_definite, zeta_tilde_definite)
 
 
-def profile(state):
-    """Decompose once and compute every invariant of the state."""
-    coeffs, _ = _decompose(state)
+def coeffs_profile(coeffs):
+    """Every invariant of the state with normal form coeffs (what profile
+    returns, for a caller that has decomposed the state already)."""
     c, q = _coeff_invariants(coeffs)
     k = k_params(c)
     der = derived(k)
     return StateProfile(coeffs, c, k, der, q, _classify(c, der))
+
+
+def profile(state):
+    """Decompose once and compute every invariant of the state."""
+    return coeffs_profile(_decompose(state)[0])
 
 
 def classify(state):

@@ -10,6 +10,7 @@ independent oracle for tangled sources, phrased in the canonical two-term
 ("stretched GHZ") coordinates, is implemented alongside for verification.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -97,27 +98,38 @@ class LoccVerdict:
 # canonical two-term coordinates
 
 
+def two_term(co):
+    """Two-term form of a tangled normal form: (e0, z).
+
+    The BC slices S0, S1 of the normal form span the pencil
+    det(S0 + lam S1) = lam (l0 l4 + lam w), w = l1 l4 e^{i phi} - l2 l3, whose
+    roots 0 and -l0 l4 / w split the state into two product terms,
+    N0 |e0>|0>|0> + N1 |1>|b1>|c1> with b1 ~ (l2, l4) and c1 ~ (l3, l4).
+    e0 = (l0 l4, w) / |(l0 l4, w)| is the unit A-vector of the first term in
+    the normal-form basis (its overlap with |1> is e0[1]), and z is the
+    weight N1 / N0 carrying the phase of w (none when w vanishes).  Needs
+    l0 l4 > 0, which a tangled state has.
+    """
+    w = co.l1 * co.l4 * cmath.exp(1j * co.phi) - co.l2 * co.l3
+    n0 = math.hypot(co.l0 * co.l4, abs(w))
+    mag = math.sqrt((co.l2**2 + co.l4**2) * (co.l3**2 + co.l4**2)) / n0
+    return (co.l0 * co.l4 / n0, w / n0), (mag * w / abs(w) if w else complex(mag))
+
+
 def ghz_canonical(state):
     """Canonical two-term coordinates (raises NotGhzType when tangle is 0)."""
     p = profile(state)
     tz = state_core.TOL_ZERO
     if p.c.tau <= tz:
         raise NotGhzType("state has no tangle")
-    co = p.coeffs
     ca = p.c.c_bc / math.sqrt(p.k.k_bc)
     cb = p.c.c_ac / math.sqrt(p.k.k_ac)
     cc = p.c.c_ab / math.sqrt(p.k.k_ab)
-    mag = math.sqrt(p.k.k_ab * p.k.k_ac) / (2.0 * co.l0**2 * math.sqrt(p.k.k_bc))
-    if p.state_class.ep_definite:
-        w = co.l1 * co.l4 * complex(math.cos(co.phi), math.sin(co.phi)) - co.l2 * co.l3
-        z = mag * w / abs(w)
-        if abs(z) < 1.0:
-            z = 1.0 / z
-        abs_z = abs(z)
-    else:
-        z = None
-        abs_z = mag if mag >= 1.0 else 1.0 / mag
-    return GhzCanonical(ca, cb, cc, abs_z, z, p.state_class.zeta_tilde_definite)
+    z = two_term(p.coeffs)[1]
+    if abs(z) < 1.0:
+        z = 1.0 / z
+    return GhzCanonical(ca, cb, cc, abs(z), z if p.state_class.ep_definite else None,
+                        p.state_class.zeta_tilde_definite)
 
 
 def ns_params(g):
@@ -248,7 +260,11 @@ def dlocc_feasible(src, dst):
     contraction factors (per-qubit factors clamped to [0, 1]) and
     min_measurements the measurement count.
     """
-    ps, pd = profile(src), profile(dst)
+    return dlocc_feasible_profiles(profile(src), profile(dst))
+
+
+def dlocc_feasible_profiles(ps, pd):
+    """dlocc_feasible on the profiles of source and destination."""
     tz, te = state_core.TOL_ZERO, state_core.TOL_EQ
     case = _case_label(ps, pd)
 

@@ -158,10 +158,8 @@ class GramParams:
 
 def _snap_det(det, scale):
     """det clamped at zero, and snapped to zero below 1e-14 of scale, the
-    size of the terms whose difference it is.  Broadcasts."""
-    import numpy as np
-    det = np.maximum(det, 0.0)
-    return np.where(det <= 1e-14 * scale, 0.0, det)
+    size of the terms whose difference it is."""
+    return 0.0 if det <= 1e-14 * scale else det
 
 
 def _gram_det(a, b, k):
@@ -169,7 +167,7 @@ def _gram_det(a, b, k):
 
     A rank-1 gram has ab = k^2 exactly; the float difference is then a few
     ulps that a square root would inflate to ~1e-8, so anything below 1e-14
-    of the term scale counts as zero.  Broadcasts.
+    of the term scale counts as zero.
     """
     return _snap_det(a * b - k**2, a * b + k**2)
 
@@ -181,7 +179,6 @@ def _complement_det(a, b, k):
     the complement's size, so the snap scale also counts (1 - a) + (1 - b):
     a rank-1 complement's residue goes to zero, while a small full-rank
     complement (1 - a = 1 - b = 1e-8, det 1e-16) keeps its determinant.
-    Broadcasts.
     """
     ca, cb = 1.0 - a, 1.0 - b
     return _snap_det(ca * cb - k**2, ca * cb + k**2 + ca + cb)
@@ -189,9 +186,8 @@ def _complement_det(a, b, k):
 
 def _max_k(a, b):
     """Largest k for which both the Gram and its complement are positive
-    semidefinite: sqrt(min(ab, (1 - a)(1 - b))).  Broadcasts."""
-    import numpy as np
-    return np.sqrt(np.minimum(a * b, (1.0 - a) * (1.0 - b)))
+    semidefinite: sqrt(min(ab, (1 - a)(1 - b)))."""
+    return math.sqrt(min(a * b, (1.0 - a) * (1.0 - b)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,21 +5,35 @@ tangle by a common per-outcome factor alpha, while the spectator pair picks
 up a share of the released tangle.  This module predicts the per-outcome
 invariants in closed form from the Gram parameters of the measurement
 operator (expressed in the normal-form basis), verifies the prediction
-against direct simulation, synthesizes the measurement that splits off the
-spectator pair deterministically, and searches for measurements realizing a
-requested deterministic transformation.
+against direct simulation, and constructs the measurements on A that carry
+out a deterministic transformation in one step.
+
+search_deterministic_measurement decides on the two profiles: the verdict
+of locc.dlocc_feasible_profiles, its witness read as the step's transfer
+parameters (transfer_rule), and one closed-form measurement per case:
+
+- target LU-equivalent to the source: the uniform Gram I/2;
+- tangled to tangled with zeta_b = zeta_c = 1: the Gram that moves the
+  source's two-term form (locc.two_term) onto the target's on both outcomes;
+- tangled to its split-off BC pair: synth_bisep_measurement;
+- W-type to W-type with zeta_b = zeta_c = 1: the excitation slot l0 scaled
+  by sqrt(zeta_a) on both outcomes;
+- a lone AB or AC pair to a weaker pair or a product: Nielsen's
+  two-outcome construction in A's Schmidt basis.
+
+Every other target (infeasible, or needing a measurement on B or C, or two
+or more steps) gives None without simulating, and a constructed measurement
+is returned only after simulation confirms both outcomes.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import state_core
-from .invariants import CParams, invariant_kernel, lu_equivalent_profiles, profile
-from .state_core import (GramParams, Measurement2, _complement_det, _gram_det,
-                         _max_k)
+from . import locc, state_core
+from .invariants import (CParams, coeffs_profile, invariant_kernel,
+                         lu_equivalent_profiles, profile)
+from .state_core import GramParams, Measurement2, _complement_det, _gram_det
 
 
 class ZeroProbability(RuntimeError):
@@ -50,9 +64,12 @@ class TransferParams:
 
 
 def transfer_rule(c, t):
-    """Invariants after an outcome with transfer parameters t, measuring A.
+    """Invariants after one deterministic step with transfer parameters t,
+    measuring A.
 
-    The dissipated tangle is (1 - beta) * (1 - alpha^2) * tau.
+    The dissipated tangle is (1 - beta) * (1 - alpha^2) * tau.  Only the
+    outcomes of a deterministic step obey it: a generic outcome keeps the
+    scaling of c_ab, c_ac and tau but not that of j5.
     """
     a2 = t.alpha**2
     return CParams(
@@ -68,27 +85,23 @@ def transfer_rule(c, t):
 # closed-form outcome prediction
 
 
-def _raw_update(co, a, b, k, theta, det):
-    """Unnormalized-phase update of the normal-form coefficients.
+def _raw_update(co, g, det):
+    """Unnormalized-phase update of the normal-form coefficients co under
+    the Gram g, whose snapped determinant ab - k^2 is det.
 
-    det is the snapped Gram determinant ab - k^2.  Broadcasts over
-    array-valued Gram parameters.  Returns
-    (p, l0, l1c, l2, l3, l4) where l1c is the complex slot whose magnitude
-    and phase are the updated l1 and phi; the other coefficients stay real
-    nonnegative.  Meaningless where p or b vanish; callers must branch.
+    Returns (p, l0, l1c, l2, l3, l4) where l1c is the complex slot whose
+    magnitude and phase are the updated l1 and phi; the other coefficients
+    stay real nonnegative.  Meaningless where p or b vanish; callers must
+    branch.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    k = np.asarray(k, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    p = (co.l0**2 * a + (1.0 - co.l0**2) * b
-         + 2.0 * k * co.l0 * co.l1 * np.cos(theta - co.phi))
+    p = (co.l0**2 * g.a + (1.0 - co.l0**2) * g.b
+         + 2.0 * g.k * co.l0 * co.l1 * math.cos(g.theta - co.phi))
     # clamp so an all-zero gram divides cleanly; callers discard those slots
-    root_pb = np.maximum(np.sqrt(np.maximum(p, 1e-300) * np.maximum(b, 1e-300)),
-                         1e-300)
-    l0 = co.l0 * np.sqrt(det) / root_pb
-    l1c = (co.l0 * k * np.exp(1j * theta) + co.l1 * cmath.exp(1j * co.phi) * b) / root_pb
-    scale = np.sqrt(np.maximum(b, 0.0) / np.maximum(p, 1e-300))
+    root_pb = max(math.sqrt(max(p, 1e-300) * max(g.b, 1e-300)), 1e-300)
+    l0 = co.l0 * math.sqrt(det) / root_pb
+    l1c = (co.l0 * g.k * cmath.exp(1j * g.theta)
+           + co.l1 * cmath.exp(1j * co.phi) * g.b) / root_pb
+    scale = math.sqrt(max(g.b, 0.0) / max(p, 1e-300))
     return p, l0, l1c, co.l2 * scale, co.l3 * scale, co.l4 * scale
 
 
@@ -109,16 +122,15 @@ class OutcomePrediction:
 def _predict_one(co, g, det):
     """Prediction for the Gram g, whose snapped determinant is det."""
     tz = state_core.TOL_ZERO
-    p, l0, l1c, l2, l3, l4 = _raw_update(co, g.a, g.b, g.k, g.theta, det)
-    p = float(p)
+    p, l0, l1c, l2, l3, l4 = _raw_update(co, g, det)
     if p <= tz:
         return OutcomePrediction(p, None, None, None)
     if g.b <= tz:
         # the measured side loses its |1> range: a pure product remains
         return OutcomePrediction(p, 0.0, CParams(0.0, 0.0, 0.0, 0.0, 0.0), 0)
-    cab, cac, cbc, tau, j5, q = (x.item() for x in invariant_kernel(l0, l1c, l2, l3, l4))
+    cab, cac, cbc, tau, j5, q = invariant_kernel(l0, l1c, l2, l3, l4)
     c = CParams(min(cab, 1.0), min(cac, 1.0), min(cbc, 1.0), min(tau, 1.0), j5)
-    return OutcomePrediction(p, math.sqrt(float(det)) / p, c, int(q))
+    return OutcomePrediction(p, math.sqrt(det) / p, c, int(q))
 
 
 def predict_update(coeffs, gram):
@@ -255,8 +267,7 @@ def _outcome_terms(state, meas):
         if sim_state is None:
             continue
         g = state_core.gram_params(m)
-        det = float(_gram_det(g.a, g.b, g.k))
-        terms.append((p, math.sqrt(det) / p, sim_state))
+        terms.append((p, math.sqrt(_gram_det(g.a, g.b, g.k)) / p, sim_state))
     return front, terms
 
 
@@ -292,124 +303,185 @@ def lemma4_check(state, meas):
     return avg, math.sqrt(profile(front).k.k_bc)
 
 
+
+
 # ---------------------------------------------------------------------------
-# measurement search
+# one-step measurement synthesis
 
 
-def _objective_arrays(co, a, b, k, theta, tvec, tq):
-    """Worst-outcome invariant distance to the target, broadcast over grids."""
-    dev = None
-    for aa, bb, th, det in ((a, b, theta, _gram_det),
-                            (1.0 - a, 1.0 - b, theta + math.pi, _complement_det)):
-        p, *lams = _raw_update(co, aa, bb, k, th, det(a, b, k))
-        inv = invariant_kernel(*lams)
-        d = np.zeros_like(p)
-        for got, want in zip(inv[:5], tvec):
-            d = np.maximum(d, np.abs(got - want))
-        d = d + np.where(inv[5] == tq, 0.0, 1.0)
-        d = np.where((p > 1e-9) & (np.asarray(bb) > 1e-9), d, np.inf)
-        dev = d if dev is None else np.maximum(dev, d)
-    return dev
+def _step_params(ps, w):
+    """Transfer parameters of the one deterministic step on A that the
+    verdict's witness w describes for the source profile ps.
 
-
-def _nelder_mead(f, x0, xatol, fatol, maxiter):
-    """Minimize f from x0 by the non-adaptive Nelder-Mead simplex method.
-
-    The initial simplex scales each coordinate of x0 in turn by 1.05 (or sets
-    it to 0.00025 where it is zero).  Reflection 1, expansion 2, contraction
-    and shrink 1/2; the vertices are re-sorted by value after every
-    iteration.  Stops once the simplex spans at most xatol and its values at
-    most fatol, or after maxiter - 1 iterations.  Returns (x, fx).
+    alpha^2 is the contraction zeta zeta_a zeta_x of A's pair residue with
+    partner x.  A step on A leaves the partner's factor at 1, except that
+    the witness of a lone AB or AC pair splits the pair's contraction evenly
+    over both of its qubits and gives the absent qubit 0, so zeta_x is the
+    larger of zeta_b and zeta_c.  beta is the share of the released tangle
+    that C_BC^2 gains; 0 when no tangle is released.
     """
-    rho, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
-    n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for j in range(n):
-        y = np.array(x0, dtype=float)
-        y[j] = 1.05 * y[j] if y[j] != 0 else 0.00025
-        sim[j + 1] = y
-    fsim = np.array([f(v) for v in sim])
-    order = np.argsort(fsim)
-    sim, fsim = sim[order], fsim[order]
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return sim[0], np.min(fsim)
+    a2 = min(w.zeta * w.zeta_a * max(w.zeta_b, w.zeta_c), 1.0)
+    released = (1.0 - a2) * ps.c.tau
+    gain = w.zeta * ps.k.k_bc - a2 * ps.c.tau - ps.c.c_bc**2
+    beta = min(max(gain / released, 0.0), 1.0) if released > state_core.TOL_ZERO else 0.0
+    return TransferParams(math.sqrt(a2), beta)
 
 
-def _grid_axes():
-    a = np.linspace(0.03, 0.97, 21)
-    kf = np.linspace(0.0, 1.0, 13)
-    th = np.linspace(0.0, 2.0 * math.pi, 25, endpoint=False)
-    return a, kf, th
+def _gram_from_entries(a, b, off):
+    """GramParams of [[a, conj(off)], [off, b]]."""
+    return GramParams(a, b, abs(off), cmath.phase(off))
+
+
+def _circle_point(c, r0, r1):
+    """A point h with |h| = r0 and |c - h| = r1, and by how much the two
+    circles miss each other (0 when they meet)."""
+    d = abs(c)
+    miss = max(abs(r0 - r1) - d, d - r0 - r1, 0.0)
+    if d == 0.0:
+        return complex(r0), miss
+    p = (r0**2 - r1**2 + d**2) / (2.0 * d)
+    return c / d * complex(p, math.sqrt(max(r0**2 - p**2, 0.0))), miss
+
+
+def _two_term_gram(ps, pd):
+    """Gram of the step between two tangled states with the same B and C
+    overlaps, or None.
+
+    In the source's two-term form (locc.two_term), with E = [e0, |1>], a Gram
+    G acts through H = E^dag G E: the outcome keeps the B and C terms and
+    has A-overlap |H10| / sqrt(H00 H11) and weight
+    |z| sqrt(H11 / H00) e^{i arg H10}.  Outcome i takes a weight z_i that
+    the target admits (z', 1/z', and their conjugates when the target is
+    chargeless), so with r_i = |z_i / z|^2 outcome 0 has H11 = r_0 H00 and
+    H10 = x0 v0, v_i = c_a' z_i / |z|, where x0 = H00.  H(G0) + H(G1) = H(I)
+    then reads x0 r0 + (1 - x0) r1 = 1 on the diagonal and
+    x0 v0 + (1 - x0) v1 = e0[1] off it; the pairing that solves both is
+    taken.  When c_ab or c_ac vanishes, a B or C overlap is zero and the
+    weights' phases are free: only the moduli of the off-diagonal terms
+    must fit.
+    """
+    (e00, e10), z = locc.two_term(ps.coeffs)
+    (_, t10), zt = locc.two_term(pd.coeffs)
+    ca_t, mod = abs(t10), abs(z)
+    free = min(ps.c.c_ab, ps.c.c_ac) <= state_core.TOL_ZERO
+    weights = [zt, 1.0 / zt]
+    if pd.q_e == 0 and not free:
+        weights += [x.conjugate() for x in weights]
+    best = None
+    for z0 in weights:
+        for z1 in weights:
+            r0, r1 = (abs(x / z)**2 for x in (z0, z1))
+            v0, v1 = ca_t * z0 / mod, ca_t * z1 / mod
+            if free:
+                x0 = (1.0 - r1) / (r0 - r1) if abs(r0 - r1) > state_core.TOL_EQ else 0.5
+                h0, res = _circle_point(e10, abs(v0) * x0, abs(v1) * (1.0 - x0))
+                res += abs(x0 * r0 + (1.0 - x0) * r1 - 1.0)
+            else:
+                # x0 solves both rows in least squares: near |z| = 1 the
+                # diagonal row alone is a ratio of two small numbers
+                rows = ((r0 - r1, 1.0 - r1), ((v0 - v1).real, (e10 - v1).real),
+                        ((v0 - v1).imag, (e10 - v1).imag))
+                norm = sum(a * a for a, _ in rows)
+                x0 = sum(a * b for a, b in rows) / norm if norm > 1e-300 else 0.5
+                res = math.hypot(*(a * x0 - b for a, b in rows))
+                # split the off-diagonal residual evenly between the outcomes
+                h0 = 0.5 * (e10 + x0 * v0 - (1.0 - x0) * v1)
+            if best is None or res < best[0]:
+                best = (res, x0, r0, r1, h0)
+    res, x0, r0, r1, h0 = best
+    # split the diagonal residual evenly between the outcomes
+    y0 = r0 * x0 - 0.5 * (x0 * r0 + (1.0 - x0) * r1 - 1.0)
+    if res > math.sqrt(state_core.TOL_EQ) or not (0.0 <= x0 <= 1.0 and 0.0 <= y0 <= 1.0):
+        return None
+    # G0 = F^dag H0 F with F = E^-1 = [[f, 0], [g, 1]]
+    f, g = 1.0 / e00, -e10 / e00
+    a = f * f * x0 + 2.0 * f * (h0 * g.conjugate()).real + abs(g)**2 * y0
+    return _gram_from_entries(a, y0, h0 * f + y0 * g)
+
+
+def _pair_gram(co, c_target):
+    """Gram of Nielsen's two-outcome step that takes the source's lone AB or
+    AC pair to concurrence c_target, or None.
+
+    In A's Schmidt basis (Schmidt weights lam0 >= lam1) outcome 0 scales the
+    weights by g_i = p mu_i / lam_i towards the target's (mu0, mu1), and
+    outcome 1 reaches the target with its weights swapped;
+    p = (lam0 - mu1) / (mu0 - mu1).
+    """
+    # the rows of A = 0 and A = 1 of the normal form, with the part of row 1
+    # orthogonal to row 0 folded into one entry, share A's reduced state
+    s0, s1, u0, u1, _, _ = state_core._svd2(
+        co.l0, 0.0, co.l1 * cmath.exp(1j * co.phi), math.hypot(co.l2, co.l3, co.l4))
+    spread = math.sqrt(max(1.0 - c_target**2, 0.0))
+    if spread <= state_core.TOL_ZERO or s1 <= state_core.TOL_ZERO:
+        return None
+    mu0, mu1 = 0.5 * (1.0 + spread), 0.5 * (1.0 - spread)
+    p = (s0**2 - mu1) / spread
+    g0, g1 = p * mu0 / s0**2, p * mu1 / s1**2
+    return _gram_from_entries(
+        g0 * abs(u0[0])**2 + g1 * abs(u1[0])**2,
+        g0 * abs(u0[1])**2 + g1 * abs(u1[1])**2,
+        g0 * u0[1] * u0[0].conjugate() + g1 * u1[1] * u1[0].conjugate())
+
+
+def _w_measurement(co, za):
+    """The W-type step: l4 = 0 makes l0 the excitation slot, which both
+    outcomes scale by sqrt(za) while moving the rest into the l1 slot."""
+    s = math.sqrt(za / 2.0)
+    t = 1j * cmath.exp(1j * co.phi) * math.sqrt((1.0 - za) / 2.0)
+    r = math.sqrt(0.5)
+    return Measurement2("A", [[s, 0.0], [t, r]], [[s, 0.0], [-t, r]])
+
+
+def _step_measurement(ps, pd, w):
+    """Normal-form measurement on A for one deterministic step from ps to
+    pd under the witness w, or None when no single step on A does it."""
+    if lu_equivalent_profiles(ps, pd):
+        return state_core.measurement_from_grams(GramParams(0.5, 0.5, 0.0, 0.0))
+    kind_s, kind_d = ps.state_class.kind, pd.state_class.kind
+    pair_s, pair_d = ps.state_class.pair, pd.state_class.pair
+    if kind_s == "biseparable":
+        if pair_s == "BC" or not (kind_d == "full_separable" or pair_d == pair_s):
+            return None
+        g = _pair_gram(ps.coeffs, pd.c.c_ab if pair_s == "AB" else pd.c.c_ac)
+        return None if g is None else state_core.measurement_from_grams(g)
+    if min(w.zeta_b, w.zeta_c) < 1.0 - state_core.TOL_EQ:
+        return None
+    if kind_s == "ghz_type" and kind_d == "ghz_type":
+        g = _two_term_gram(ps, pd)
+        return None if g is None else state_core.measurement_from_grams(g)
+    if kind_s == "ghz_type" and pair_d == "BC":
+        return synth_bisep_measurement(ps.coeffs)
+    if kind_s == "w_type" and kind_d == "w_type":
+        return _w_measurement(ps.coeffs, w.zeta_a)
+    return None
 
 
 def search_deterministic_measurement(state, target):
-    """Search for a single measurement on A sending state to target on both
-    outcomes.
+    """A measurement on A sending state to target on both outcomes, or None.
 
-    Coarse grid over Gram parameters, then a deterministic simplex refine;
-    the winner is kept only if simulation confirms both outcomes are locally
-    equivalent to the target.  Returns the lab-frame measurement, or None.
+    Decides on the two profiles: the verdict and its witness, the witness's
+    transfer parameters as the step's specification (transfer_rule must
+    reproduce the target within TOL_EQ), then the closed-form measurement of
+    the single step on A for the case at hand (see the module docstring).
+    Returns None without simulating when the transformation is infeasible
+    or needs a measurement on another qubit or more than one step.  A
+    constructed measurement is rotated into the lab frame of state and
+    returned only when both simulated outcomes are LU-equivalent to target.
     """
     coeffs, (ua, _, _) = state_core.schmidt_decompose(state)
-    tprof = profile(target)
-    tvec = np.array(tprof.c.as_tuple())
-    tq = tprof.q_e
-
-    av, kfv, thv = _grid_axes()
-    ag, bg, kfg, thg = np.meshgrid(av, av, kfv, thv, indexing="ij")
-    ag, bg, kfg, thg = (x.ravel() for x in (ag, bg, kfg, thg))
-    devs = _objective_arrays(coeffs, ag, bg, kfg * _max_k(ag, bg), thg, tvec, tq)
-    best = int(np.argmin(devs))
-
-    def unpack(x):
-        a = min(max(x[0], 1e-3), 1.0 - 1e-3)
-        b = min(max(x[1], 1e-3), 1.0 - 1e-3)
-        kf = min(max(x[2], 0.0), 1.0)
-        return a, b, kf * _max_k(a, b), x[3] % (2.0 * math.pi)
-
-    def f(x):
-        a, b, k, th = unpack(x)
-        return float(_objective_arrays(coeffs, a, b, k, th, tvec, tq))
-
-    x0 = np.array([ag[best], bg[best], kfg[best], thg[best]])
-    x, fx = _nelder_mead(f, x0, xatol=1e-10, fatol=1e-12, maxiter=2000)
-    x = x if fx <= f(x0) else x0
-    a, b, k, th = unpack(x)
-    base = state_core.measurement_from_grams(GramParams(a, b, k, th))
+    ps, pd = coeffs_profile(coeffs), profile(target)
+    verdict = locc.dlocc_feasible_profiles(ps, pd)
+    if not verdict.feasible:
+        return None
+    step = _step_params(ps, verdict.witness)
+    if transfer_rule(ps.c, step).max_deviation(pd.c) > state_core.TOL_EQ:
+        return None
+    base = _step_measurement(ps, pd, verdict.witness)
+    if base is None:
+        return None
     meas = Measurement2("A", base.m0 @ ua, base.m1 @ ua)
     for sim_state, _ in state_core.measure(state, meas):
-        if sim_state is None or not lu_equivalent_profiles(profile(sim_state), tprof):
+        if sim_state is None or not lu_equivalent_profiles(profile(sim_state), pd):
             return None
     return meas

@@ -3,12 +3,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from triloc import invariants, locc, state_core
+from triloc import invariants, locc, state_core, transfer
 from triloc.cli import main
 from triloc.state_core import SchmidtCoeffs
+
+import samplers
 
 R2 = 1.0 / math.sqrt(2.0)
 GHZ = state_core.state_from_schmidt(SchmidtCoeffs(R2, 0, 0, 0, R2, 0.0))
@@ -27,6 +30,7 @@ def decompositions(monkeypatch):
     # profile decomposes through the internal step that keeps its unitaries
     # as Python numbers; the public schmidt_decompose wraps the same step
     monkeypatch.setattr(invariants, "_decompose", counting)
+    monkeypatch.setattr(state_core, "_decompose", counting)
     return calls
 
 
@@ -61,3 +65,18 @@ def test_cli_lu_equiv(decompositions, state_files):
     res = CliRunner().invoke(main, ["lu-equiv", *state_files])
     assert res.exit_code == 1
     assert len(decompositions) == 2
+
+
+@pytest.mark.parametrize("make_pair", [
+    lambda rng: (GHZ, GHZ),
+    lambda rng: (GHZ, BELL_BC),
+    lambda rng: samplers.one_step_pair(rng, "zt_definite")[:2],
+    lambda rng: samplers.one_step_pair(rng, "w_type")[:2],
+], ids=["self", "split_off", "ghz_type", "w_type"])
+def test_search(decompositions, make_pair):
+    # the source once (keeping its frame), the target once and each
+    # simulated outcome once
+    src, dst = make_pair(np.random.default_rng(74))
+    decompositions.clear()
+    assert transfer.search_deterministic_measurement(src, dst) is not None
+    assert len(decompositions) == 4

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from triloc import state_core, transfer
-from triloc.invariants import CParams, lu_equivalent, profile
+from triloc import locc, state_core, transfer
+from triloc.invariants import CParams, lu_equivalent, lu_equivalent_profiles, profile
 from triloc.state_core import GramParams, SchmidtCoeffs
 from triloc.transfer import (
     DegenerateInput,
@@ -18,6 +18,8 @@ from triloc.transfer import (
     transfer_rule,
     verify_update,
 )
+
+import samplers
 
 R2 = 1.0 / math.sqrt(2.0)
 GHZ_CO = SchmidtCoeffs(R2, 0, 0, 0, R2, 0.0)
@@ -273,51 +275,79 @@ def test_search_rejects_unreachable():
     assert search_deterministic_measurement(stronger, ghz) is None
 
 
-def _rosenbrock(x):
-    return float(100.0 * (x[1] - x[0]**2)**2 + (1.0 - x[0])**2)
+# ---------------------------------------------------------------------------
+# one-step synthesis
+
+ONE_STEP_DRAWS = {"zt_definite": 200, "real_weight": 100, "w_type": 100, "pair": 100}
 
 
-def test_nelder_mead_converges():
-    center = np.array([0.3, -1.7, 2.5, 0.0])
-    x, fx = transfer._nelder_mead(lambda x: float(np.sum((x - center)**2)),
-                                  np.zeros(4), xatol=1e-10, fatol=1e-12,
-                                  maxiter=2000)
-    np.testing.assert_allclose(x, center, atol=1e-9)
-    assert fx < 1e-18
-    x, fx = transfer._nelder_mead(_rosenbrock, np.array([-1.2, 1.0]),
-                                  xatol=1e-10, fatol=1e-12, maxiter=2000)
-    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-9)
-    assert fx < 1e-18
+@pytest.mark.parametrize("kind", samplers.ONE_STEP_KINDS)
+def test_search_one_step_pairs(kind):
+    rng = np.random.default_rng([70, samplers.ONE_STEP_KINDS.index(kind)])
+    for i in range(ONE_STEP_DRAWS[kind]):
+        src, dst, step = samplers.one_step_pair(rng, kind)
+        meas = search_deterministic_measurement(src, dst)
+        assert meas is not None, (kind, i)
+        pd = profile(dst)
+        for out, _ in state_core.measure(src, meas):
+            assert lu_equivalent_profiles(profile(out), pd), (kind, i)
+        assert verify_update(src, meas)["pass"], (kind, i)
+        # both outcomes, in closed form, obey the step's transfer rule; the
+        # simulated W-type outcomes carry up to ~1.4e-9 of decomposition
+        # noise at their double root, so they are held to TOL_EQ above
+        coeffs, (ua, _, _) = state_core.schmidt_decompose(src)
+        rule = transfer_rule(profile(src).c, step)
+        preds = predict_update(coeffs, state_core.gram_params(meas.m0 @ ua.conj().T))
+        for pred in preds:
+            assert pred.c.max_deviation(rule) < 1e-9, (kind, i)
 
 
-def test_nelder_mead_matches_scipy(monkeypatch):
-    optimize = pytest.importorskip("scipy.optimize")
+@pytest.mark.parametrize("zero_slot", [1, 2])
+def test_search_one_step_with_a_vanishing_overlap(zero_slot):
+    # c_ac = 0 or c_ab = 0: a B or C overlap vanishes, so the weights'
+    # phases are free and only the moduli of the two-term equation must fit
+    rng = np.random.default_rng([76, zero_slot])
+    for i in range(50):
+        src, dst = samplers.free_phase_pair(rng, zero_slot)
+        meas = search_deterministic_measurement(src, dst)
+        assert meas is not None, i
+        pd = profile(dst)
+        for out, _ in state_core.measure(src, meas):
+            assert lu_equivalent_profiles(profile(out), pd), i
 
-    def scipy_nm(f, x0, xatol, fatol, maxiter):
-        res = optimize.minimize(f, x0, method="Nelder-Mead",
-                                options={"xatol": xatol, "fatol": fatol,
-                                         "maxiter": maxiter})
-        return res.x, res.fun
 
-    # maxiter 1, 2 and 50 stop Rosenbrock early; 2000 lets it converge
-    for maxiter in (1, 2, 50, 2000):
-        x0 = np.array([-1.2, 1.0])
-        x, fx = transfer._nelder_mead(_rosenbrock, x0, 1e-10, 1e-12, maxiter)
-        sx, sfx = scipy_nm(_rosenbrock, x0, 1e-10, 1e-12, maxiter)
-        assert np.array_equal(x, sx) and np.array_equal(fx, sfx)
+def test_search_two_step_targets_return_none_unsimulated(monkeypatch):
+    rng = np.random.default_rng(71)
+    ghz, prof = samplers.ep_definite_ghz(rng)
+    w = state_core.random_state("w_type", 72)
+    c_bc = profile(w).c.c_bc
+    bc_pair = samplers.chargeless_state(CParams(0.0, 0.0, 0.5 * c_bc, 0.0, 0.0), rng)
+    weaker = None
+    while weaker is None:
+        weaker = samplers.feasible_from(prof, rng, lo=0.6, hi=0.9)
+    pairs = [(ghz, state_core.random_state("full_separable", 73)), (w, bc_pair),
+             (ghz, weaker)]
+    for src, dst in pairs:
+        assert locc.dlocc_feasible(src, dst).feasible
+    assert locc.dlocc_feasible(ghz, weaker).witness.zeta_b < 0.9
 
-    own = transfer._nelder_mead
-    runs = []
+    def simulate(*_):
+        raise AssertionError("a target that needs two steps was simulated")
 
-    def both(f, x0, xatol, fatol, maxiter):
-        x, fx = own(f, x0, xatol, fatol, maxiter)
-        runs.append((x.copy(), fx) + scipy_nm(f, x0, xatol, fatol, maxiter))
-        return x, fx
+    monkeypatch.setattr(state_core, "measure", simulate)
+    for src, dst in pairs:
+        assert search_deterministic_measurement(src, dst) is None
 
-    monkeypatch.setattr(transfer, "_nelder_mead", both)
-    for seed in range(10):
-        st = state_core.random_state("ghz_type", 700 + seed)
-        search_deterministic_measurement(st, st)
-    assert len(runs) == 10
-    for x, fx, sx, sfx in runs:
-        assert np.array_equal(x, sx) and np.array_equal(fx, sfx)
+
+def test_search_answers_the_defect_questions():
+    # the split-off pair is found, a random tangled target is not, and the
+    # splitting measurement passes its own verification
+    rng = np.random.default_rng([1, 3])
+    for _ in range(50):
+        src = state_core.random_state("ghz_type", int(rng.integers(0, 2**62)))
+        split_meas = synth_bisep_measurement(src)
+        split = samplers.scrambled(state_core.measure(src, split_meas)[0][0], rng)
+        assert search_deterministic_measurement(src, split) is not None
+        far = state_core.random_state("ghz_type", int(rng.integers(0, 2**62)))
+        assert search_deterministic_measurement(src, far) is None
+        assert verify_update(src, split_meas)["pass"]
