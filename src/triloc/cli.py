@@ -6,31 +6,13 @@ verdict or successful computation, 1 for a negative verdict, 2 for malformed
 input or numerical failure.
 """
 
-import functools
+import argparse
 import json
 import math
 import sys
 
-import click
-
-from . import locc, state_core
+from . import locc, state_core, transfer
 from .invariants import ep_phase, lu_equivalent_profiles, profile
-
-
-def _fail(msg):
-    click.echo(f"error: {msg}", err=True)
-    sys.exit(2)
-
-
-def _guard(fn):
-    """Map library errors onto exit status 2."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValueError, RuntimeError, ArithmeticError) as exc:
-            _fail(str(exc))
-    return wrapper
 
 
 def _read_json(path):
@@ -40,7 +22,7 @@ def _read_json(path):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        _fail(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_state(path):
@@ -54,12 +36,6 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, complex):
         return [x.real, x.imag]
-    # numpy scalars can only occur once a command has loaded numpy
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(x, np.integer):
-        return int(x)
-    if np is not None and isinstance(x, np.floating):
-        x = float(x)
     if isinstance(x, float) and not math.isfinite(x):
         # infinities are meaningful (the shape parameter s), JSON has no
         # literal for them
@@ -67,51 +43,16 @@ def _jsonable(x):
     return x
 
 
-def _positive_tolerance(ctx, param, value):
-    if value is not None and not (math.isfinite(value) and value > 0.0):
-        raise click.BadParameter(f"must be finite and > 0, got {value}")
-    return value
+def _emit(args, data):
+    print(json.dumps(_jsonable(data), indent=2 if args.pretty else None))
 
 
-@click.group()
-@click.option("--tol-zero", type=float, default=None, callback=_positive_tolerance,
-              help="Threshold below which an invariant counts as zero.")
-@click.option("--tol-norm", type=float, default=None, callback=_positive_tolerance,
-              help="Normalization / completeness tolerance.")
-@click.option("--tol-eq", type=float, default=None, callback=_positive_tolerance,
-              help="Tolerance for equality of invariants between states.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for commands that sample.")
-@click.option("--pretty", is_flag=True, help="Indent JSON output.")
-@click.pass_context
-def main(ctx, tol_zero, tol_norm, tol_eq, seed, pretty):
-    """Decide local-unitary equivalence and deterministic LOCC
-    transformability of three-qubit pure states, and verify the
-    entanglement-transfer laws by simulation."""
-    if tol_zero is not None:
-        state_core.TOL_ZERO = tol_zero
-    if tol_norm is not None:
-        state_core.TOL_NORM = tol_norm
-    if tol_eq is not None:
-        state_core.TOL_EQ = tol_eq
-    ctx.obj = {"seed": seed, "pretty": pretty}
-
-
-def _emit(ctx, data):
-    indent = 2 if ctx.obj["pretty"] else None
-    click.echo(json.dumps(_jsonable(data), indent=indent))
-
-
-@main.command()
-@click.argument("state_path")
-@click.pass_context
-@_guard
-def invariants(ctx, state_path):
+def invariants(args):
     """Entanglement invariants and class of STATE_PATH."""
-    p = profile(_load_state(state_path))
+    p = profile(_load_state(args.state_path))
     cls = p.state_class
     kind = cls.kind if cls.pair is None else f"{cls.kind}_{cls.pair.lower()}"
-    _emit(ctx, {
+    _emit(args, {
         "c_params": {"c_ab": p.c.c_ab, "c_ac": p.c.c_ac, "c_bc": p.c.c_bc,
                      "tau": p.c.tau, "j5": p.c.j5},
         "k_params": {"k_ab": p.k.k_ab, "k_ac": p.k.k_ac, "k_bc": p.k.k_bc},
@@ -125,28 +66,20 @@ def invariants(ctx, state_path):
     })
 
 
-@main.command(name="lu-equiv")
-@click.argument("state_a")
-@click.argument("state_b")
-@click.pass_context
-@_guard
-def lu_equiv(ctx, state_a, state_b):
+def lu_equiv(args):
     """Decide local-unitary equivalence of two states (exit 0 / 1)."""
-    pa, pb = profile(_load_state(state_a)), profile(_load_state(state_b))
+    pa, pb = profile(_load_state(args.state_a)), profile(_load_state(args.state_b))
     same = lu_equivalent_profiles(pa, pb)
-    _emit(ctx, {"equivalent": same, "max_c_deviation": pa.c.max_deviation(pb.c),
-                "charges": [pa.q_e, pb.q_e]})
-    sys.exit(0 if same else 1)
+    _emit(args, {"equivalent": same, "max_c_deviation": pa.c.max_deviation(pb.c),
+                 "charges": [pa.q_e, pb.q_e]})
+    return 0 if same else 1
 
 
-@main.command(name="locc-check")
-@click.argument("src_path")
-@click.argument("dst_path")
-@click.pass_context
-@_guard
-def locc_check(ctx, src_path, dst_path):
-    """Decide deterministic transformability of SRC into DST (exit 0 / 1)."""
-    src, dst = _load_state(src_path), _load_state(dst_path)
+def locc_check(args):
+    """Decide deterministic transformability of SRC_PATH into DST_PATH
+    (exit 0 / 1).  min_measurements is the count for the hardest target of
+    the two states' classes, not for DST_PATH itself."""
+    src, dst = _load_state(args.src_path), _load_state(args.dst_path)
     verdict = locc.dlocc_feasible(src, dst)
     witness = None
     if verdict.feasible:
@@ -154,36 +87,23 @@ def locc_check(ctx, src_path, dst_path):
         witness = {"zeta": w.zeta, "zeta_a": w.zeta_a, "zeta_b": w.zeta_b,
                    "zeta_c": w.zeta_c, "zeta_lower": w.zeta_lower,
                    "zeta_tilde": w.zeta_tilde}
-    _emit(ctx, {"feasible": verdict.feasible, "case": verdict.case,
-                "witness": witness, "violated": verdict.violated,
-                "min_measurements": verdict.min_measurements})
-    sys.exit(0 if verdict.feasible else 1)
+    _emit(args, {"feasible": verdict.feasible, "case": verdict.case,
+                 "witness": witness, "violated": verdict.violated,
+                 "min_measurements": verdict.min_measurements})
+    return 0 if verdict.feasible else 1
 
 
-@main.command()
-@click.option("--kind", type=click.Choice(state_core.RANDOM_KINDS),
-              default="haar", show_default=True)
-@click.option("--count", type=int, default=1, show_default=True)
-@click.pass_context
-@_guard
-def random(ctx, kind, count):
+def random(args):
     """Sample reproducible random states (one JSON object per line)."""
-    base = ctx.obj["seed"]
-    for i in range(count):
-        st = state_core.random_state(kind, base * 4096 + i)
-        _emit(ctx, state_core.state_to_dict(st))
+    for i in range(args.count):
+        st = state_core.random_state(args.kind, args.seed * 4096 + i)
+        _emit(args, state_core.state_to_dict(st))
 
 
-@main.command()
-@click.argument("state_path")
-@click.argument("measurement_path")
-@click.pass_context
-@_guard
-def measure(ctx, state_path, measurement_path):
+def measure(args):
     """Apply a measurement and check the closed-form outcome prediction."""
-    from . import transfer
-    st = _load_state(state_path)
-    mdata = _read_json(measurement_path)
+    st = _load_state(args.state_path)
+    mdata = _read_json(args.measurement_path)
     if isinstance(mdata, dict) and "measurement" in mdata:
         mdata = mdata["measurement"]  # accept synth-bisep output directly
     meas = state_core.measurement_from_dict(mdata)
@@ -192,57 +112,42 @@ def measure(ctx, state_path, measurement_path):
     for out, p in state_core.measure(st, meas):
         outcomes.append({"probability": p,
                          "state": None if out is None else state_core.state_to_dict(out)})
-    _emit(ctx, {"outcomes": outcomes, "report": report})
-    sys.exit(0 if report["pass"] else 1)
+    _emit(args, {"outcomes": outcomes, "report": report})
+    return 0 if report["pass"] else 1
 
 
-@main.command(name="synth-bisep")
-@click.argument("state_path")
-@click.pass_context
-@_guard
-def synth_bisep(ctx, state_path):
+def synth_bisep(args):
     """Measurement that deterministically splits off the unmeasured pair."""
-    from . import transfer
-    st = _load_state(state_path)
+    st = _load_state(args.state_path)
     prof = profile(st)
     try:
         meas = transfer.synth_bisep_measurement(st)
     except transfer.DegenerateInput as exc:
-        _emit(ctx, {"degenerate": True, "reason": str(exc)})
-        sys.exit(1)
-    _emit(ctx, {"measurement": state_core.measurement_to_dict(meas),
-                "outcome_c_bc": math.sqrt(prof.k.k_bc)})
+        _emit(args, {"degenerate": True, "reason": str(exc)})
+        return 1
+    _emit(args, {"measurement": state_core.measurement_to_dict(meas),
+                 "outcome_c_bc": math.sqrt(prof.k.k_bc)})
 
 
-@main.command(name="ghz-canonical")
-@click.argument("state_path")
-@click.pass_context
-@_guard
-def ghz_canonical(ctx, state_path):
+def ghz_canonical(args):
     """Canonical two-term coordinates of a tangled state (exit 1 if none)."""
-    st = _load_state(state_path)
+    st = _load_state(args.state_path)
     try:
         g = locc.ghz_canonical(st)
     except locc.NotGhzType as exc:
-        _emit(ctx, {"is_ghz_type": False, "reason": str(exc)})
-        sys.exit(1)
+        _emit(args, {"is_ghz_type": False, "reason": str(exc)})
+        return 1
     n, s = locc.ns_params(g)
-    _emit(ctx, {"is_ghz_type": True, "c_a": g.c_a, "c_b": g.c_b, "c_c": g.c_c,
-                "abs_z": g.abs_z, "z": g.z, "n": n, "s": s,
-                "zeta_tilde_definite": g.zeta_tilde_definite})
+    _emit(args, {"is_ghz_type": True, "c_a": g.c_a, "c_b": g.c_b, "c_c": g.c_c,
+                 "abs_z": g.abs_z, "z": g.z, "n": n, "s": s,
+                 "zeta_tilde_definite": g.zeta_tilde_definite})
 
 
-@main.command(name="verify-lemmas")
-@click.option("--samples", type=int, default=200, show_default=True)
-@click.pass_context
-@_guard
-def verify_lemmas(ctx, samples):
+def verify_lemmas(args):
     """Fuzz the transfer laws on random states and measurements."""
-    from . import transfer
-    base = ctx.obj["seed"]
     worst = {"lemma1": 0.0, "lemma2": 0.0, "lemma4": 0.0, "alpha_sum": 0.0}
-    for i in range(samples):
-        seed = base * 4096 + 4 * i
+    for i in range(args.samples):
+        seed = args.seed * 4096 + 4 * i
         # exactness of the closed-form update on generic states
         st = state_core.random_state("haar", seed)
         meas = state_core.random_measurement(seed + 1, qubit="A")
@@ -261,9 +166,73 @@ def verify_lemmas(ctx, samples):
         asum = transfer.alpha_average(stk, measa)
         worst["alpha_sum"] = max(worst["alpha_sum"], asum - 1.0, -asum)
     max_dev = max(worst.values())
-    _emit(ctx, {"samples": samples, "max_deviation": max_dev,
-                "pass": bool(max_dev <= 1e-9), "components": worst})
-    sys.exit(0 if max_dev <= 1e-9 else 1)
+    _emit(args, {"samples": args.samples, "max_deviation": max_dev,
+                 "pass": bool(max_dev <= 1e-9), "components": worst})
+    return 0 if max_dev <= 1e-9 else 1
+
+
+def tolerance(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
+def _parser():
+    parser = argparse.ArgumentParser(
+        prog="triloc",
+        description="Decide local-unitary equivalence and deterministic LOCC "
+                    "transformability of three-qubit pure states, and verify "
+                    "the entanglement-transfer laws by simulation.")
+    # the defaults are the current module values, so an absent flag keeps them
+    parser.add_argument("--tol-zero", type=tolerance, default=state_core.TOL_ZERO,
+                        help="Threshold below which an invariant counts as zero.")
+    parser.add_argument("--tol-norm", type=tolerance, default=state_core.TOL_NORM,
+                        help="Normalization / completeness tolerance.")
+    parser.add_argument("--tol-eq", type=tolerance, default=state_core.TOL_EQ,
+                        help="Tolerance for equality of invariants between states.")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="Seed for commands that sample (default: 0).")
+    parser.add_argument("--pretty", action="store_true", help="Indent JSON output.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, *positionals):
+        sub = commands.add_parser(run.__name__.replace("_", "-"),
+                                  help=run.__doc__, description=run.__doc__)
+        for name in positionals:
+            sub.add_argument(name, metavar=name.upper())
+        sub.set_defaults(run=run)
+        return sub
+
+    command(invariants, "state_path")
+    command(lu_equiv, "state_a", "state_b")
+    command(locc_check, "src_path", "dst_path")
+    sub = command(random)
+    sub.add_argument("--kind", choices=state_core.RANDOM_KINDS, default="haar",
+                     help="(default: %(default)s)")
+    sub.add_argument("--count", type=int, default=1, help="(default: %(default)s)")
+    command(measure, "state_path", "measurement_path")
+    command(synth_bisep, "state_path")
+    command(ghz_canonical, "state_path")
+    command(verify_lemmas).add_argument("--samples", type=int, default=200,
+                                        help="(default: %(default)s)")
+    return parser
+
+
+def main(argv=None):
+    """Run one command and exit the process with its status."""
+    args = _parser().parse_args(argv)
+    saved = state_core.TOL_ZERO, state_core.TOL_NORM, state_core.TOL_EQ
+    try:
+        state_core.TOL_ZERO, state_core.TOL_NORM, state_core.TOL_EQ = (
+            args.tol_zero, args.tol_norm, args.tol_eq)
+        status = args.run(args)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        status = 2
+    finally:
+        state_core.TOL_ZERO, state_core.TOL_NORM, state_core.TOL_EQ = saved
+    sys.exit(status)
 
 
 if __name__ == "__main__":

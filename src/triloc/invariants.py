@@ -246,6 +246,15 @@ def _split_pair(value):
     return hi, lo
 
 
+def _w_coords(c):
+    """(l0, l3, l2) of a tangle-free state with all three concurrences
+    nonzero: the normal form l0|000> + l1|100> + l2|101> + l3|110> has
+    c_ab = 2 l0 l3, c_ac = 2 l0 l2 and c_bc = 2 l2 l3."""
+    return (math.sqrt(c.c_ab * c.c_ac / (2.0 * c.c_bc)),
+            math.sqrt(c.c_ab * c.c_bc / (2.0 * c.c_ac)),
+            math.sqrt(c.c_ac * c.c_bc / (2.0 * c.c_ab)))
+
+
 def _normalized(lams):
     n = math.hypot(*lams)
     return [x / n for x in lams]
@@ -292,9 +301,7 @@ def coeffs_from_invariants(c, q):
             raise Inconsistent("charge requires tangle")
         alive = [c.c_ab > tz, c.c_ac > tz, c.c_bc > tz]
         if all(alive):
-            l0 = math.sqrt(c.c_ab * c.c_ac / (2.0 * c.c_bc))
-            l2 = math.sqrt(c.c_ac * c.c_bc / (2.0 * c.c_ab))
-            l3 = math.sqrt(c.c_ab * c.c_bc / (2.0 * c.c_ac))
+            l0, l3, l2 = _w_coords(c)
             l1sq = 1.0 - l0**2 - l2**2 - l3**2
             if l1sq < -1e-6:
                 raise Inconsistent("zero-tangle coordinates break normalization")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import state_core
 from .invariants import (CParams, Inconsistent, NegativeDiscriminant,
-                         coeffs_from_invariants, profile)
+                         _w_coords, coeffs_from_invariants, profile)
 
 
 class NotGhzType(ValueError):
@@ -83,8 +83,10 @@ class LoccVerdict:
     definite, "B" target indefinite, "C" source indefinite, "D" source
     without tangle.  violated is one of cond1_no_solution,
     zeta_out_of_range, charge_mismatch, zeta_not_tilde, charge_magnitude.
-    min_measurements, present exactly when feasible, is the minimum number
-    of local measurements realizing the transformation.
+    min_measurements, present exactly when feasible, is the number of local
+    measurements that suffices for the hardest target of the source and
+    target class pair (tri-, pair- or un-entangled), not the minimum for
+    this target: GHZ -> GHZ reads 3 although it needs none.
     """
 
     feasible: bool
@@ -159,10 +161,7 @@ def w_coords(c):
         raise NotWType("state carries tangle")
     if min(c.c_ab, c.c_ac, c.c_bc) <= tz:
         raise NotWType("some pair concurrence vanishes")
-    x1 = math.sqrt(c.c_ab * c.c_ac / (2.0 * c.c_bc))
-    x2 = math.sqrt(c.c_ab * c.c_bc / (2.0 * c.c_ac))
-    x3 = math.sqrt(c.c_ac * c.c_bc / (2.0 * c.c_ab))
-    return WCoords(x1, x2, x3)
+    return WCoords(*_w_coords(c))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +257,8 @@ def dlocc_feasible(src, dst):
 
     Returns a LoccVerdict; when feasible, the witness holds the unique
     contraction factors (per-qubit factors clamped to [0, 1]) and
-    min_measurements the measurement count.
+    min_measurements the measurement count of the hardest target of the
+    class pair (see LoccVerdict).
     """
     return dlocc_feasible_profiles(profile(src), profile(dst))
 
@@ -391,7 +391,9 @@ def ghz_oracle(src, dst):
 
 
 def min_measurements(src, dst):
-    """Minimum number of local measurements realizing the transformation.
+    """Number of local measurements that suffices for the hardest target of
+    the class pair of src and dst (LoccVerdict.min_measurements), an upper
+    bound on the count this transformation needs.
 
     Raises NotFeasible when dst is not reachable from src deterministically.
     """

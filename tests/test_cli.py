@@ -6,8 +6,8 @@ import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
+import cli_runner
 import triloc
 from triloc import state_core
 from triloc.cli import main
@@ -17,17 +17,9 @@ R2 = 1.0 / math.sqrt(2.0)
 R3 = 1.0 / math.sqrt(3.0)
 
 
-@pytest.fixture(autouse=True)
-def restore_tolerances():
-    # the group command mutates module tolerances; keep tests isolated
-    saved = (state_core.TOL_ZERO, state_core.TOL_NORM, state_core.TOL_EQ)
-    yield
-    state_core.TOL_ZERO, state_core.TOL_NORM, state_core.TOL_EQ = saved
-
-
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return cli_runner
 
 
 def write_state(path, *coeffs):
@@ -237,6 +229,15 @@ def test_tolerance_flag_applies(runner, tmp_path):
                          ).exit_code == 0
 
 
+def test_tolerance_flags_last_one_call(runner, ghz, w):
+    saved = (state_core.TOL_ZERO, state_core.TOL_NORM, state_core.TOL_EQ)
+    res = runner.invoke(main, ["--tol-zero", "1e-3", "--tol-norm", "1e-3",
+                               "--tol-eq", "0.5", "lu-equiv", ghz, w])
+    assert res.exit_code == 1
+    assert (state_core.TOL_ZERO, state_core.TOL_NORM, state_core.TOL_EQ) == saved
+    assert state_core.TOL_EQ == 1e-8
+
+
 @pytest.mark.parametrize("flag", ["--tol-zero", "--tol-norm", "--tol-eq"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
 def test_bad_tolerance_flag_is_usage_error(runner, ghz, flag, value):
@@ -256,6 +257,28 @@ def test_error_message_prints_plain_floats(runner, tmp_path):
     assert "np.float64" not in res.stderr
 
 
+COMMANDS = ("invariants", "lu-equiv", "locc-check", "random", "measure",
+            "synth-bisep", "ghz-canonical", "verify-lemmas")
+
+
+def test_help_names_every_command(runner):
+    res = runner.invoke(main, ["--help"])
+    assert res.exit_code == 0
+    for cmd in COMMANDS:
+        assert cmd in res.output
+        assert runner.invoke(main, [cmd, "--help"]).exit_code == 0, cmd
+
+
+@pytest.mark.parametrize("args", [["bogus"], [], ["invariants"],
+                                  ["locc-check", "a.json"],
+                                  ["random", "--kind", "bogus"],
+                                  ["--seed", "x", "random"]])
+def test_usage_errors_exit_2(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.output == ""
+
+
 def _run_python(*args):
     """Run a fresh interpreter that imports this checkout's triloc."""
     src_dir = os.path.dirname(os.path.dirname(triloc.__file__))
@@ -273,7 +296,7 @@ def test_module_entry_point(ghz):
     assert abs(data["c_params"]["tau"] - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("package", ["scipy", "numpy"])
+@pytest.mark.parametrize("package", ["scipy", "numpy", "click"])
 def test_import_loads_no(package):
     res = _run_python("-c", "import sys, triloc, triloc.cli; print(sorted("
                       f"m for m in sys.modules if m.split('.')[0] == {package!r}))")

@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from triloc import invariants, locc, state_core, transfer
 from triloc.cli import main
 from triloc.state_core import SchmidtCoeffs
 
 import samplers
+from cli_runner import invoke
 
 R2 = 1.0 / math.sqrt(2.0)
 GHZ = state_core.state_from_schmidt(SchmidtCoeffs(R2, 0, 0, 0, R2, 0.0))
@@ -55,14 +55,14 @@ def test_min_measurements(decompositions):
 
 
 def test_cli_locc_check_feasible_pair(decompositions, state_files):
-    res = CliRunner().invoke(main, ["locc-check", *state_files])
+    res = invoke(main, ["locc-check", *state_files])
     assert res.exit_code == 0
     assert json.loads(res.output)["min_measurements"] == 2
     assert len(decompositions) == 2
 
 
 def test_cli_lu_equiv(decompositions, state_files):
-    res = CliRunner().invoke(main, ["lu-equiv", *state_files])
+    res = invoke(main, ["lu-equiv", *state_files])
     assert res.exit_code == 1
     assert len(decompositions) == 2
 
