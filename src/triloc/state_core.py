@@ -184,6 +184,12 @@ def _complement_det(a, b, k):
     return _snap_det(ca * cb - k**2, ca * cb + k**2 + ca + cb)
 
 
+def _gram_from_entries(a, b, off):
+    """GramParams of the Gram [[a, conj(off)], [off, b]]: the one conversion
+    from Gram entries, for a measured operator and a constructed step alike."""
+    return GramParams(a, b, abs(off), cmath.phase(off))
+
+
 def _max_k(a, b):
     """Largest k for which both the Gram and its complement are positive
     semidefinite: sqrt(min(ab, (1 - a)(1 - b)))."""
@@ -317,12 +323,9 @@ def gram_params(matrix):
     """
     import numpy as np
     (m00, m01), (m10, m11) = np.asarray(matrix, dtype=complex).reshape(2, 2).tolist()
-    a = (m00.conjugate() * m00 + m10.conjugate() * m10).real
-    b = (m01.conjugate() * m01 + m11.conjugate() * m11).real
-    off = m01.conjugate() * m00 + m11.conjugate() * m10
-    k = abs(off)
-    theta = cmath.phase(off) % (2 * math.pi) if k > 1e-300 else 0.0
-    return GramParams(a, b, k, theta)
+    return _gram_from_entries((m00.conjugate() * m00 + m10.conjugate() * m10).real,
+                              (m01.conjugate() * m01 + m11.conjugate() * m11).real,
+                              m01.conjugate() * m00 + m11.conjugate() * m10)
 
 
 def validate_measurement(meas):
@@ -358,18 +361,16 @@ def measure(state, meas):
 def measurement_from_grams(g0, qubit="A"):
     """Build the measurement whose outcome-0 Gram matrix has parameters g0.
 
-    Outcome 1 takes the complementary Gram; both operators are the principal
-    square roots (G + sqrt(det) I) / sqrt(tr G + 2 sqrt(det)), which fixes
-    the (physically irrelevant) unitary freedom.  det is the snapped
-    determinant, so a rank-1 Gram gives the rank-1 operator G / sqrt(tr G).
+    Outcome 1 takes the complementary Gram (ValueError unless it is positive
+    semidefinite); both operators are the principal square roots
+    (G + sqrt(det) I) / sqrt(tr G + 2 sqrt(det)), which fixes the
+    (physically irrelevant) unitary freedom.  det is the snapped determinant,
+    so a rank-1 Gram gives the rank-1 operator G / sqrt(tr G).
     """
     import numpy as np
-    g1 = g0.complement()
-    if g1.a * g1.b - g1.k**2 < -TOL_ZERO:
-        raise ValueError("complementary gram not positive semidefinite")
     ops = []
     for g, det in ((g0, _gram_det(g0.a, g0.b, g0.k)),
-                   (g1, _complement_det(g0.a, g0.b, g0.k))):
+                   (g0.complement(), _complement_det(g0.a, g0.b, g0.k))):
         s = math.sqrt(det)
         t2 = g.a + g.b + 2.0 * s
         ops.append((g.matrix() + s * np.eye(2)) / math.sqrt(t2) if t2 > 0.0
@@ -524,8 +525,14 @@ def _decompose(state):
         root_pairs[0] = (1.0, 0.0)
     if root_pairs[1] == (0, 0):
         root_pairs[1] = (0.0, 1.0)
+    # at a double root disc2 is rounding noise: relative to the size of its
+    # terms, or, at x = 0 or infinity (an A slice of rank 1, as in a W-type
+    # state whose A is in its normal-form basis), ~1e-16 of the pencil's
+    # coefficients, unless those are all noise (both slices of rank 1)
     scale = abs(m) ** 2 + 4.0 * abs(d0) * abs(d1)
-    double_root = abs(disc2) <= 1e-12 * scale
+    floor = abs(d0) + abs(m) + abs(d1)
+    double_root = (abs(disc2) <= 1e-12 * scale
+                   or floor > 1e-14 and abs(disc2) <= 1e-14 * floor)
     if double_root:
         # the discriminant is cancellation noise and its square root would
         # shift both roots by ~1e-8; the midpoint direction is exact for a

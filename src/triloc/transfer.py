@@ -10,14 +10,15 @@ out a deterministic transformation in one step.
 
 search_deterministic_measurement decides on the two profiles: the verdict
 of locc.dlocc_feasible_profiles, its witness read as the step's transfer
-parameters (transfer_rule), and one closed-form measurement per case:
+parameters (transfer_rule), and one closed-form normal-frame Gram of the
+step's outcome 0 per case, built by state_core.measurement_from_grams:
 
 - target LU-equivalent to the source: the uniform Gram I/2;
 - tangled to tangled with zeta_b = zeta_c = 1: the Gram that moves the
   source's two-term form (locc.two_term) onto the target's on both outcomes;
 - tangled to its split-off BC pair: synth_bisep_measurement;
-- W-type to W-type with zeta_b = zeta_c = 1: the excitation slot l0 scaled
-  by sqrt(zeta_a) on both outcomes;
+- W-type to W-type with zeta_b = zeta_c = 1: the Gram that scales the
+  excitation slot l0 by sqrt(zeta_a) on both outcomes;
 - a lone AB or AC pair to a weaker pair or a product: Nielsen's
   two-outcome construction in A's Schmidt basis.
 
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 from . import locc, state_core
 from .invariants import (CParams, coeffs_profile, invariant_kernel,
                          lu_equivalent_profiles, profile)
-from .state_core import GramParams, Measurement2, _complement_det, _gram_det
+from .state_core import (GramParams, Measurement2, _complement_det,
+                         _gram_det, _gram_from_entries)
 
 
 class ZeroProbability(RuntimeError):
@@ -85,26 +87,6 @@ def transfer_rule(c, t):
 # closed-form outcome prediction
 
 
-def _raw_update(co, g, det):
-    """Unnormalized-phase update of the normal-form coefficients co under
-    the Gram g, whose snapped determinant ab - k^2 is det.
-
-    Returns (p, l0, l1c, l2, l3, l4) where l1c is the complex slot whose
-    magnitude and phase are the updated l1 and phi; the other coefficients
-    stay real nonnegative.  Meaningless where p or b vanish; callers must
-    branch.
-    """
-    p = (co.l0**2 * g.a + (1.0 - co.l0**2) * g.b
-         + 2.0 * g.k * co.l0 * co.l1 * math.cos(g.theta - co.phi))
-    # clamp so an all-zero gram divides cleanly; callers discard those slots
-    root_pb = max(math.sqrt(max(p, 1e-300) * max(g.b, 1e-300)), 1e-300)
-    l0 = co.l0 * math.sqrt(det) / root_pb
-    l1c = (co.l0 * g.k * cmath.exp(1j * g.theta)
-           + co.l1 * cmath.exp(1j * co.phi) * g.b) / root_pb
-    scale = math.sqrt(max(g.b, 0.0) / max(p, 1e-300))
-    return p, l0, l1c, co.l2 * scale, co.l3 * scale, co.l4 * scale
-
-
 @dataclass(frozen=True)
 class OutcomePrediction:
     """Predicted data of one measurement outcome.
@@ -120,15 +102,25 @@ class OutcomePrediction:
 
 
 def _predict_one(co, g, det):
-    """Prediction for the Gram g, whose snapped determinant is det."""
+    """Prediction for the Gram g, whose snapped determinant ab - k^2 is det:
+    the outcome's normal form is l0 sqrt(det / (p b)), the complex slot
+    (l0 k e^{i theta} + l1 e^{i phi} b) / sqrt(p b), and sqrt(b / p) l2, l3, l4.
+    """
     tz = state_core.TOL_ZERO
-    p, l0, l1c, l2, l3, l4 = _raw_update(co, g, det)
+    p = (co.l0**2 * g.a + (1.0 - co.l0**2) * g.b
+         + 2.0 * g.k * co.l0 * co.l1 * math.cos(g.theta - co.phi))
     if p <= tz:
         return OutcomePrediction(p, None, None, None)
     if g.b <= tz:
         # the measured side loses its |1> range: a pure product remains
         return OutcomePrediction(p, 0.0, CParams(0.0, 0.0, 0.0, 0.0, 0.0), 0)
-    cab, cac, cbc, tau, j5, q = invariant_kernel(l0, l1c, l2, l3, l4)
+    root_pb = math.sqrt(p * g.b)
+    l1c = (co.l0 * g.k * cmath.exp(1j * g.theta)
+           + co.l1 * cmath.exp(1j * co.phi) * g.b) / root_pb
+    scale = math.sqrt(g.b / p)
+    cab, cac, cbc, tau, j5, q = invariant_kernel(
+        co.l0 * math.sqrt(det) / root_pb, l1c, co.l2 * scale, co.l3 * scale,
+        co.l4 * scale)
     c = CParams(min(cab, 1.0), min(cac, 1.0), min(cbc, 1.0), min(tau, 1.0), j5)
     return OutcomePrediction(p, math.sqrt(det) / p, c, int(q))
 
@@ -229,25 +221,33 @@ def synth_bisep_measurement(target):
     Both outcomes annihilate the measured qubit's entanglement and push the
     full shifted pair residue onto the spectators: the outcome states carry
     C_BC'^2 equal to the source's C_BC^2 + tau, and are locally equivalent
-    to each other.  The two operators are rank-1 projectors built from the
-    normal-form coefficients.
+    to each other.  The two operators are rank-1 projectors, built from the
+    splitting Gram by measurement_from_grams.
 
     Accepts SchmidtCoeffs (operators in the normal-form basis) or a
     PureState3 (operators rotated into the lab frame of that state).
     """
     if isinstance(target, state_core.PureState3):
         coeffs, (ua, _, _) = state_core.schmidt_decompose(target)
-        base = synth_bisep_measurement(coeffs)
-        return Measurement2("A", base.m0 @ ua, base.m1 @ ua)
-    co = target
+        return _lab_measurement(_split_gram(coeffs), ua)
+    return state_core.measurement_from_grams(_split_gram(target))
+
+
+def _split_gram(co):
+    """Outcome-0 Gram of the splitting measurement: a + b = 1 and ab = k^2
+    make it and its complement rank-1 projectors."""
     h = math.hypot(co.l1 * math.sin(co.phi), co.l0)
     if h <= state_core.TOL_ZERO:
         raise DegenerateInput("no weight on the measured side of the normal form")
     shift = co.l1 * math.sin(co.phi) / (2.0 * h)
-    g0 = GramParams(0.5 - shift, 0.5 + shift, co.l0 / (2.0 * h), math.pi / 2.0)
-    # a + b = 1 and ab = k^2 make both Grams rank-1 projectors, so the Grams
-    # themselves are valid (and complete) measurement operators
-    return Measurement2("A", g0.matrix(), g0.complement().matrix())
+    return GramParams(0.5 - shift, 0.5 + shift, co.l0 / (2.0 * h), math.pi / 2.0)
+
+
+def _lab_measurement(g, ua):
+    """The measurement on A with outcome-0 Gram g in the normal frame of a
+    state decomposed with A's local unitary ua, in that state's lab frame."""
+    base = state_core.measurement_from_grams(g)
+    return Measurement2("A", base.m0 @ ua, base.m1 @ ua)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +325,6 @@ def _step_params(ps, w):
     gain = w.zeta * ps.k.k_bc - a2 * ps.c.tau - ps.c.c_bc**2
     beta = min(max(gain / released, 0.0), 1.0) if released > state_core.TOL_ZERO else 0.0
     return TransferParams(math.sqrt(a2), beta)
-
-
-def _gram_from_entries(a, b, off):
-    """GramParams of [[a, conj(off)], [off, b]]."""
-    return GramParams(a, b, abs(off), cmath.phase(off))
 
 
 def _circle_point(c, r0, r1):
@@ -424,36 +419,32 @@ def _pair_gram(co, c_target):
         g0 * u0[1] * u0[0].conjugate() + g1 * u1[1] * u1[0].conjugate())
 
 
-def _w_measurement(co, za):
-    """The W-type step: l4 = 0 makes l0 the excitation slot, which both
-    outcomes scale by sqrt(za) while moving the rest into the l1 slot."""
-    s = math.sqrt(za / 2.0)
-    t = 1j * cmath.exp(1j * co.phi) * math.sqrt((1.0 - za) / 2.0)
-    r = math.sqrt(0.5)
-    return Measurement2("A", [[s, 0.0], [t, r]], [[s, 0.0], [-t, r]])
+def _w_gram(co, za):
+    """Gram of the W-type step, with lower entry 0.5j e^{i phi} sqrt(1 - za):
+    l4 = 0 makes l0 the excitation slot, which both outcomes scale by
+    sqrt(za) while moving the rest into the l1 slot."""
+    return GramParams(0.5, 0.5, 0.5 * math.sqrt(1.0 - za), co.phi + math.pi / 2.0)
 
 
-def _step_measurement(ps, pd, w):
-    """Normal-form measurement on A for one deterministic step from ps to
+def _step_gram(ps, pd, w):
+    """Normal-frame outcome-0 Gram of one deterministic step on A from ps to
     pd under the witness w, or None when no single step on A does it."""
     if lu_equivalent_profiles(ps, pd):
-        return state_core.measurement_from_grams(GramParams(0.5, 0.5, 0.0, 0.0))
+        return GramParams(0.5, 0.5, 0.0, 0.0)
     kind_s, kind_d = ps.state_class.kind, pd.state_class.kind
     pair_s, pair_d = ps.state_class.pair, pd.state_class.pair
     if kind_s == "biseparable":
         if pair_s == "BC" or not (kind_d == "full_separable" or pair_d == pair_s):
             return None
-        g = _pair_gram(ps.coeffs, pd.c.c_ab if pair_s == "AB" else pd.c.c_ac)
-        return None if g is None else state_core.measurement_from_grams(g)
+        return _pair_gram(ps.coeffs, pd.c.c_ab if pair_s == "AB" else pd.c.c_ac)
     if min(w.zeta_b, w.zeta_c) < 1.0 - state_core.TOL_EQ:
         return None
     if kind_s == "ghz_type" and kind_d == "ghz_type":
-        g = _two_term_gram(ps, pd)
-        return None if g is None else state_core.measurement_from_grams(g)
+        return _two_term_gram(ps, pd)
     if kind_s == "ghz_type" and pair_d == "BC":
-        return synth_bisep_measurement(ps.coeffs)
+        return _split_gram(ps.coeffs)
     if kind_s == "w_type" and kind_d == "w_type":
-        return _w_measurement(ps.coeffs, w.zeta_a)
+        return _w_gram(ps.coeffs, w.zeta_a)
     return None
 
 
@@ -477,10 +468,10 @@ def search_deterministic_measurement(state, target):
     step = _step_params(ps, verdict.witness)
     if transfer_rule(ps.c, step).max_deviation(pd.c) > state_core.TOL_EQ:
         return None
-    base = _step_measurement(ps, pd, verdict.witness)
-    if base is None:
+    g = _step_gram(ps, pd, verdict.witness)
+    if g is None:
         return None
-    meas = Measurement2("A", base.m0 @ ua, base.m1 @ ua)
+    meas = _lab_measurement(g, ua)
     for sim_state, _ in state_core.measure(state, meas):
         if sim_state is None or not lu_equivalent_profiles(profile(sim_state), pd):
             return None

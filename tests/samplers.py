@@ -122,7 +122,7 @@ def chargeless_state(c, rng):
     return scrambled(state_core.state_from_schmidt(coeffs), rng)
 
 
-ONE_STEP_KINDS = ("zt_definite", "real_weight", "w_type", "pair")
+ONE_STEP_KINDS = ("zt_definite", "real_weight", "w_type", "pair", "chargeless")
 
 
 def one_step_pair(rng, kind, lo=0.3, hi=0.95):
@@ -131,9 +131,12 @@ def one_step_pair(rng, kind, lo=0.3, hi=0.95):
 
     Tangled kinds scale the residues like feasible_from with zeta_b =
     zeta_c = 1 ("zt_definite": zeta-tilde-definite source, "real_weight":
-    real_weight_ghz source).  "w_type" scales the excitation coordinate x1
-    of a W-type state, "pair" the concurrence of an AB or AC pair (to zero
-    on one draw in ten, a product target).
+    real_weight_ghz source, "chargeless": the same source scaled to an end
+    of its zeta range, zeta = 1 or zeta_lower, where the target has charge
+    0 and the step's two-term Gram also tries the conjugate weights).
+    "w_type" scales the excitation coordinate x1 of a W-type state, "pair"
+    the concurrence of an AB or AC pair (to zero on one draw in ten, a
+    product target).
     """
     while True:
         za = rng.uniform(lo, hi)
@@ -162,7 +165,10 @@ def one_step_pair(rng, kind, lo=0.3, hi=0.95):
             src, prof = real_weight_ghz(rng, sign=int(rng.choice([-1, 1])))
             src = scrambled(src, rng)
             zl = max(locc.zeta_lower(prof, za, 1.0, 1.0), 0.0)
-            z, q = rng.uniform(zl + 0.1 * (1.0 - zl), 1.0), int(rng.choice([-1, 1]))
+            if kind == "chargeless":
+                z, q = (1.0, zl)[int(rng.integers(2))], 0
+            else:
+                z, q = rng.uniform(zl + 0.1 * (1.0 - zl), 1.0), int(rng.choice([-1, 1]))
         if z is None or not 0.0 < z <= 1.0:
             continue
         dst = locc.scaled_destination(prof, za, 1.0, 1.0, z, q)

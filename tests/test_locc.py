@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -223,6 +224,52 @@ def test_random_pairs_match_oracle():
         src, _ = samplers.ep_definite_ghz(rng)
         dst, _ = samplers.ep_definite_ghz(rng)
         assert dlocc_feasible(src, dst).feasible == ghz_oracle(src, dst)
+
+
+def _threshold_targets(rng, prof, zb=None):
+    """(on, conjugate, off) for the source profile prof: on sits on the
+    feasibility surface (zeta = 1, zeta_lower, or an interior value with
+    unit charge), off scales A's residue by zeta_a = 1.001.  None on a bad
+    draw."""
+    za, zc = rng.uniform(0.6, 0.95, 2)
+    zb = rng.uniform(0.6, 0.95) if zb is None else zb
+    zl = max(locc.zeta_lower(prof, za, zb, zc), 0.0)
+    pick = int(rng.integers(3))
+    z = (1.0, zl, zl + rng.uniform(0.2, 0.8) * (1.0 - zl))[pick]
+    q = int(rng.choice([-1, 1])) if pick == 2 and prof.state_class.ep_definite else 0
+    on = locc.scaled_destination(prof, za, zb, zc, z, q)
+    off = locc.scaled_destination(prof, 1.001, zb, zc, z, q)
+    if on is None or off is None or z <= 0.0:
+        return None
+    on = samplers.scrambled(on, rng)
+    return on, state_core.complex_conjugate(on), samplers.scrambled(off, rng)
+
+
+def test_threshold_sources_match_oracle():
+    # real-weight sources (z = +-1, case A) leave the oracle's s-law
+    # undefined; c-indefinite sources (B overlap 0, so c_ac = 0, case C)
+    # and their targets, scaled with zeta_b = 1 so that c_ac stays 0, have
+    # no canonical phase at all
+    rng = np.random.default_rng(27)
+    pairs = []
+    while len(pairs) < 150:
+        src, prof = samplers.real_weight_ghz(rng, sign=int(rng.choice([-1, 1])))
+        trio = _threshold_targets(rng, prof)
+        if trio is not None:
+            pairs += [(samplers.scrambled(src, rng), dst, i < 2, "A")
+                      for i, dst in enumerate(trio)]
+    while len(pairs) < 300:
+        ca, cc = rng.uniform(0.2, 0.8, 2)
+        z = cmath.rect(rng.uniform(0.3, 3.0), rng.uniform(0.0, 2.0 * math.pi))
+        src = samplers.two_term_state([ca, 0.0, cc], z)
+        trio = _threshold_targets(rng, profile(src), zb=1.0)
+        if trio is not None:
+            pairs += [(samplers.scrambled(src, rng), dst, i < 2, "C")
+                      for i, dst in enumerate(trio)]
+    for src, dst, reachable, case in pairs:
+        v = dlocc_feasible(src, dst)
+        assert (v.case, v.feasible) == (case, reachable)
+        assert ghz_oracle(src, dst) == reachable
 
 
 def test_expanding_row_is_out_of_range():

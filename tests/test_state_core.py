@@ -168,6 +168,25 @@ def test_decompose_round_trip_double_root():
         done += 1
 
 
+def test_decompose_w_type_aligned_on_a():
+    # the A = 0 slice of a W-type normal form has rank 1, so with A left in
+    # its normal-form basis the pencil's double root sits at x = 0, where
+    # d0, m and the discriminant's relative scale are all rounding noise;
+    # read as two distinct roots, that noise shifts them by its square
+    # root, ~1e-8 in l4
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        lams = np.abs(rng.normal(size=4))
+        want = SchmidtCoeffs(*(lams / np.linalg.norm(lams)), 0.0, 0.0)
+        state = state_core.apply_local_unitaries(
+            state_core.state_from_schmidt(want), np.eye(2),
+            state_core.haar_unitary(rng), state_core.haar_unitary(rng))
+        coeffs = _round_trip(state)
+        assert coeffs.l4 < 1e-14
+        got = invariants.c_params(coeffs)
+        assert got.max_deviation(invariants.c_params(want)) < 1e-14
+
+
 def test_decompose_round_trip_near_product():
     for i, eps in enumerate((1e-2, 1e-3, 1e-4, 1e-5) * 5):
         prod = state_core.random_state("full_separable", 500 + i).amplitudes

@@ -278,7 +278,8 @@ def test_search_rejects_unreachable():
 # ---------------------------------------------------------------------------
 # one-step synthesis
 
-ONE_STEP_DRAWS = {"zt_definite": 200, "real_weight": 100, "w_type": 100, "pair": 100}
+ONE_STEP_DRAWS = {"zt_definite": 200, "real_weight": 100, "w_type": 100, "pair": 100,
+                  "chargeless": 200}
 
 
 @pytest.mark.parametrize("kind", samplers.ONE_STEP_KINDS)
@@ -289,14 +290,15 @@ def test_search_one_step_pairs(kind):
         meas = search_deterministic_measurement(src, dst)
         assert meas is not None, (kind, i)
         pd = profile(dst)
-        for out, _ in state_core.measure(src, meas):
-            assert lu_equivalent_profiles(profile(out), pd), (kind, i)
-        assert verify_update(src, meas)["pass"], (kind, i)
-        # both outcomes, in closed form, obey the step's transfer rule; the
-        # simulated W-type outcomes carry up to ~1.4e-9 of decomposition
-        # noise at their double root, so they are held to TOL_EQ above
-        coeffs, (ua, _, _) = state_core.schmidt_decompose(src)
         rule = transfer_rule(profile(src).c, step)
+        # both outcomes, simulated and in closed form, obey the step's
+        # transfer rule
+        for out, _ in state_core.measure(src, meas):
+            sim = profile(out)
+            assert lu_equivalent_profiles(sim, pd), (kind, i)
+            assert sim.c.max_deviation(rule) < 1e-9, (kind, i)
+        assert verify_update(src, meas)["pass"], (kind, i)
+        coeffs, (ua, _, _) = state_core.schmidt_decompose(src)
         preds = predict_update(coeffs, state_core.gram_params(meas.m0 @ ua.conj().T))
         for pred in preds:
             assert pred.c.max_deviation(rule) < 1e-9, (kind, i)
