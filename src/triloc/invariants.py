@@ -93,11 +93,10 @@ class StateProfile:
 def invariant_kernel(l0, l1c, l2, l3, l4):
     """Continuous invariants and charge of a normal-form coefficient set.
 
-    l1c = l1 e^{i phi} carries the phase.  Broadcasts over array-valued
-    coefficients and also accepts the non-positive sets of the measurement
-    update: the charge only needs the signs of Im(l1c) and of the weight
-    bracket, both of which are representation independent.  Returns
-    (c_ab, c_ac, c_bc, tau, j5, q_e).
+    l1c = l1 e^{i phi} carries the phase.  Also accepts the non-positive
+    sets of the measurement update: the charge only needs the signs of
+    Im(l1c) and of the weight bracket, both of which are representation
+    independent.  Returns (c_ab, c_ac, c_bc, tau, j5, q_e).
     """
     tz = state_core.TOL_ZERO
     w = l1c * l4 - l2 * l3
@@ -110,9 +109,6 @@ def invariant_kernel(l0, l1c, l2, l3, l4):
     k5 = tau + j5
     delta = k5**2 - (c_ab**2 + tau) * (c_ac**2 + tau) * k_bc
     gap = (c_ab * c_ac * c_bc) ** 2 - j5**2
-    # the offset only keeps a vanishing k_bc from dividing by zero; the zero
-    # test below masks the charge there anyway
-    bracket = l0**2 - k5 / (2.0 * k_bc + 1e-300)
     # the physically meaningful phase weight is the imaginary amplitude
     # l1 sin(phi), which is what survives decomposition noise
     imw = l1c.imag
@@ -120,18 +116,20 @@ def invariant_kernel(l0, l1c, l2, l3, l4):
     # float residue must not set the sign), on the double-root surface and
     # on the real-phase surface.  A vanishing coefficient lands on one of
     # these: l0 or l4 zeroes tau, l2 or l3 closes the gap, l1 zeroes imw
-    zero = ((k_bc <= tz) | (tau <= tz) | (delta <= tz) | (gap <= tz)
-            | (abs(imw) <= tz) | (abs(bracket) <= tz))
+    if min(k_bc, tau, delta, gap, abs(imw)) <= tz:
+        return c_ab, c_ac, c_bc, tau, j5, 0
+    bracket = l0**2 - k5 / (2.0 * k_bc)
+    if abs(bracket) <= tz:
+        return c_ab, c_ac, c_bc, tau, j5, 0
     # +1 where Im(l1c) and the bracket share their sign, -1 where they differ
-    q = (1 - zero) * (2 * ((imw > 0) == (bracket > 0)) - 1)
-    return c_ab, c_ac, c_bc, tau, j5, q
+    return c_ab, c_ac, c_bc, tau, j5, 1 if (imw > 0) == (bracket > 0) else -1
 
 
 def _coeff_invariants(coeffs):
     """(CParams, charge) of a SchmidtCoeffs, through the kernel."""
     *c, q = invariant_kernel(coeffs.l0, coeffs.l1 * cmath.exp(1j * coeffs.phi),
                              coeffs.l2, coeffs.l3, coeffs.l4)
-    return CParams(*c), int(q)
+    return CParams(*c), q
 
 
 def c_params(coeffs):

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 from . import state_core
-from .invariants import (CParams, Inconsistent, NegativeDiscriminant,
-                         _w_coords, coeffs_from_invariants, profile)
+from .invariants import (CParams, Inconsistent, _w_coords,
+                         coeffs_from_invariants, profile)
 
 
 class NotGhzType(ValueError):
@@ -216,7 +216,7 @@ def scaled_destination(p, za, zb, zc, z, q):
                  tau_p, j5_p)
     try:
         cands = coeffs_from_invariants(cp, q)
-    except (Inconsistent, NegativeDiscriminant):
+    except Inconsistent:
         return None
     return state_core.state_from_schmidt(cands[0])
 

@@ -358,8 +358,8 @@ def measure(state, meas):
     return results
 
 
-def measurement_from_grams(g0, qubit="A"):
-    """Build the measurement whose outcome-0 Gram matrix has parameters g0.
+def measurement_from_grams(g0):
+    """Build the measurement on A whose outcome-0 Gram has parameters g0.
 
     Outcome 1 takes the complementary Gram (ValueError unless it is positive
     semidefinite); both operators are the principal square roots
@@ -375,7 +375,7 @@ def measurement_from_grams(g0, qubit="A"):
         t2 = g.a + g.b + 2.0 * s
         ops.append((g.matrix() + s * np.eye(2)) / math.sqrt(t2) if t2 > 0.0
                    else np.zeros((2, 2)))
-    return Measurement2(qubit, *ops)
+    return Measurement2("A", *ops)
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +585,10 @@ RANDOM_KINDS = ("haar", "ghz_type", "w_type", "biseparable_ab",
                 "biseparable_ac", "biseparable_bc", "full_separable")
 
 
-def haar_unitary(rng, n=2):
-    """Haar-random n x n unitary (QR of a complex Gaussian matrix)."""
+def haar_unitary(rng):
+    """Haar-random 2 x 2 unitary (QR of a complex Gaussian matrix)."""
     import numpy as np
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -656,7 +656,7 @@ def random_measurement(seed, qubit="A"):
     b = rng.uniform(0.05, 0.95)
     k = rng.uniform(0.0, 1.0) * _max_k(a, b)
     theta = rng.uniform(0.0, 2 * math.pi)
-    base = measurement_from_grams(GramParams(a, b, k, theta), qubit)
+    base = measurement_from_grams(GramParams(a, b, k, theta))
     return Measurement2(qubit, haar_unitary(rng) @ base.m0, haar_unitary(rng) @ base.m1)
 
 

@@ -8,15 +8,16 @@ operator (expressed in the normal-form basis), verifies the prediction
 against direct simulation, and constructs the measurements on A that carry
 out a deterministic transformation in one step.
 
-search_deterministic_measurement decides on the two profiles: the verdict
-of locc.dlocc_feasible_profiles, its witness read as the step's transfer
-parameters (transfer_rule), and one closed-form normal-frame Gram of the
-step's outcome 0 per case, built by state_core.measurement_from_grams:
+search_deterministic_measurement decides once, on the two profiles: the
+verdict of locc.dlocc_feasible_profiles and its witness pick the case, and
+each case has one closed-form normal-frame Gram of the step's outcome 0,
+built by state_core.measurement_from_grams:
 
 - target LU-equivalent to the source: the uniform Gram I/2;
 - tangled to tangled with zeta_b = zeta_c = 1: the Gram that moves the
   source's two-term form (locc.two_term) onto the target's on both outcomes;
-- tangled to its split-off BC pair: synth_bisep_measurement;
+- tangled to its split-off BC pair: the splitting Gram of
+  synth_bisep_measurement;
 - W-type to W-type with zeta_b = zeta_c = 1: the Gram that scales the
   excitation slot l0 by sqrt(zeta_a) on both outcomes;
 - a lone AB or AC pair to a weaker pair or a product: Nielsen's
@@ -24,7 +25,9 @@ step's outcome 0 per case, built by state_core.measurement_from_grams:
 
 Every other target (infeasible, or needing a measurement on B or C, or two
 or more steps) gives None without simulating, and a constructed measurement
-is returned only after simulation confirms both outcomes.
+is returned only after simulation confirms both outcomes.  transfer_rule is
+the specification of such a step: the tests hold both simulated outcomes to
+it.
 """
 
 import cmath
@@ -122,7 +125,7 @@ def _predict_one(co, g, det):
         co.l0 * math.sqrt(det) / root_pb, l1c, co.l2 * scale, co.l3 * scale,
         co.l4 * scale)
     c = CParams(min(cab, 1.0), min(cac, 1.0), min(cbc, 1.0), min(tau, 1.0), j5)
-    return OutcomePrediction(p, math.sqrt(det) / p, c, int(q))
+    return OutcomePrediction(p, math.sqrt(det) / p, c, q)
 
 
 def predict_update(coeffs, gram):
@@ -215,22 +218,18 @@ def verify_update(state, meas):
 # deterministic splitting measurement
 
 
-def synth_bisep_measurement(target):
-    """Measurement on A that splits off the BC pair deterministically.
+def synth_bisep_measurement(state):
+    """Measurement on A that splits off the BC pair of state deterministically.
 
     Both outcomes annihilate the measured qubit's entanglement and push the
     full shifted pair residue onto the spectators: the outcome states carry
     C_BC'^2 equal to the source's C_BC^2 + tau, and are locally equivalent
     to each other.  The two operators are rank-1 projectors, built from the
-    splitting Gram by measurement_from_grams.
-
-    Accepts SchmidtCoeffs (operators in the normal-form basis) or a
-    PureState3 (operators rotated into the lab frame of that state).
+    splitting Gram by measurement_from_grams and rotated into the lab frame
+    of state.
     """
-    if isinstance(target, state_core.PureState3):
-        coeffs, (ua, _, _) = state_core.schmidt_decompose(target)
-        return _lab_measurement(_split_gram(coeffs), ua)
-    return state_core.measurement_from_grams(_split_gram(target))
+    coeffs, (ua, _, _) = state_core.schmidt_decompose(state)
+    return _lab_measurement(_split_gram(coeffs), ua)
 
 
 def _split_gram(co):
@@ -303,28 +302,8 @@ def lemma4_check(state, meas):
     return avg, math.sqrt(profile(front).k.k_bc)
 
 
-
-
 # ---------------------------------------------------------------------------
 # one-step measurement synthesis
-
-
-def _step_params(ps, w):
-    """Transfer parameters of the one deterministic step on A that the
-    verdict's witness w describes for the source profile ps.
-
-    alpha^2 is the contraction zeta zeta_a zeta_x of A's pair residue with
-    partner x.  A step on A leaves the partner's factor at 1, except that
-    the witness of a lone AB or AC pair splits the pair's contraction evenly
-    over both of its qubits and gives the absent qubit 0, so zeta_x is the
-    larger of zeta_b and zeta_c.  beta is the share of the released tangle
-    that C_BC^2 gains; 0 when no tangle is released.
-    """
-    a2 = min(w.zeta * w.zeta_a * max(w.zeta_b, w.zeta_c), 1.0)
-    released = (1.0 - a2) * ps.c.tau
-    gain = w.zeta * ps.k.k_bc - a2 * ps.c.tau - ps.c.c_bc**2
-    beta = min(max(gain / released, 0.0), 1.0) if released > state_core.TOL_ZERO else 0.0
-    return TransferParams(math.sqrt(a2), beta)
 
 
 def _circle_point(c, r0, r1):
@@ -346,22 +325,19 @@ def _two_term_gram(ps, pd):
     G acts through H = E^dag G E: the outcome keeps the B and C terms and
     has A-overlap |H10| / sqrt(H00 H11) and weight
     |z| sqrt(H11 / H00) e^{i arg H10}.  Outcome i takes a weight z_i that
-    the target admits (z', 1/z', and their conjugates when the target is
-    chargeless), so with r_i = |z_i / z|^2 outcome 0 has H11 = r_0 H00 and
-    H10 = x0 v0, v_i = c_a' z_i / |z|, where x0 = H00.  H(G0) + H(G1) = H(I)
-    then reads x0 r0 + (1 - x0) r1 = 1 on the diagonal and
-    x0 v0 + (1 - x0) v1 = e0[1] off it; the pairing that solves both is
-    taken.  When c_ab or c_ac vanishes, a B or C overlap is zero and the
-    weights' phases are free: only the moduli of the off-diagonal terms
-    must fit.
+    the target admits (z' or 1/z'), so with r_i = |z_i / z|^2 outcome 0 has
+    H11 = r_0 H00 and H10 = x0 v0, v_i = c_a' z_i / |z|, where x0 = H00.
+    H(G0) + H(G1) = H(I) then reads x0 r0 + (1 - x0) r1 = 1 on the diagonal
+    and x0 v0 + (1 - x0) v1 = e0[1] off it; of the pairings whose H00 and
+    H11 lie in [0, 1], the one that solves both best is taken.  When c_ab or
+    c_ac vanishes, a B or C overlap is zero and the weights' phases are
+    free: only the moduli of the off-diagonal terms must fit.
     """
     (e00, e10), z = locc.two_term(ps.coeffs)
     (_, t10), zt = locc.two_term(pd.coeffs)
     ca_t, mod = abs(t10), abs(z)
     free = min(ps.c.c_ab, ps.c.c_ac) <= state_core.TOL_ZERO
-    weights = [zt, 1.0 / zt]
-    if pd.q_e == 0 and not free:
-        weights += [x.conjugate() for x in weights]
+    weights = (zt, 1.0 / zt)
     best = None
     for z0 in weights:
         for z1 in weights:
@@ -381,13 +357,17 @@ def _two_term_gram(ps, pd):
                 res = math.hypot(*(a * x0 - b for a, b in rows))
                 # split the off-diagonal residual evenly between the outcomes
                 h0 = 0.5 * (e10 + x0 * v0 - (1.0 - x0) * v1)
+            # split the diagonal residual evenly between the outcomes
+            y0 = r0 * x0 - 0.5 * (x0 * r0 + (1.0 - x0) * r1 - 1.0)
+            # a near-singular pairing can fit with a smaller residual than an
+            # admissible one, so only admissible pairings compete
+            if not (0.0 <= x0 <= 1.0 and 0.0 <= y0 <= 1.0):
+                continue
             if best is None or res < best[0]:
-                best = (res, x0, r0, r1, h0)
-    res, x0, r0, r1, h0 = best
-    # split the diagonal residual evenly between the outcomes
-    y0 = r0 * x0 - 0.5 * (x0 * r0 + (1.0 - x0) * r1 - 1.0)
-    if res > math.sqrt(state_core.TOL_EQ) or not (0.0 <= x0 <= 1.0 and 0.0 <= y0 <= 1.0):
+                best = (res, x0, y0, h0)
+    if best is None or best[0] > math.sqrt(state_core.TOL_EQ):
         return None
+    _, x0, y0, h0 = best
     # G0 = F^dag H0 F with F = E^-1 = [[f, 0], [g, 1]]
     f, g = 1.0 / e00, -e10 / e00
     a = f * f * x0 + 2.0 * f * (h0 * g.conjugate()).real + abs(g)**2 * y0
@@ -451,24 +431,18 @@ def _step_gram(ps, pd, w):
 def search_deterministic_measurement(state, target):
     """A measurement on A sending state to target on both outcomes, or None.
 
-    Decides on the two profiles: the verdict and its witness, the witness's
-    transfer parameters as the step's specification (transfer_rule must
-    reproduce the target within TOL_EQ), then the closed-form measurement of
-    the single step on A for the case at hand (see the module docstring).
-    Returns None without simulating when the transformation is infeasible
-    or needs a measurement on another qubit or more than one step.  A
-    constructed measurement is rotated into the lab frame of state and
-    returned only when both simulated outcomes are LU-equivalent to target.
+    Decides once, on the two profiles: the verdict and its witness pick the
+    closed-form normal-frame Gram of the single step on A (_step_gram; see
+    the module docstring).  Returns None without simulating exactly where
+    the verdict is infeasible or _step_gram gives None, as for a target that
+    needs a measurement on another qubit or more than one step.  Otherwise
+    the measurement is rotated into the lab frame of state and returned only
+    when both simulated outcomes are LU-equivalent to target.
     """
     coeffs, (ua, _, _) = state_core.schmidt_decompose(state)
     ps, pd = coeffs_profile(coeffs), profile(target)
     verdict = locc.dlocc_feasible_profiles(ps, pd)
-    if not verdict.feasible:
-        return None
-    step = _step_params(ps, verdict.witness)
-    if transfer_rule(ps.c, step).max_deviation(pd.c) > state_core.TOL_EQ:
-        return None
-    g = _step_gram(ps, pd, verdict.witness)
+    g = _step_gram(ps, pd, verdict.witness) if verdict.feasible else None
     if g is None:
         return None
     meas = _lab_measurement(g, ua)

@@ -133,7 +133,7 @@ def one_step_pair(rng, kind, lo=0.3, hi=0.95):
     zeta_c = 1 ("zt_definite": zeta-tilde-definite source, "real_weight":
     real_weight_ghz source, "chargeless": the same source scaled to an end
     of its zeta range, zeta = 1 or zeta_lower, where the target has charge
-    0 and the step's two-term Gram also tries the conjugate weights).
+    0 and its two-term weight z' is real or unimodular).
     "w_type" scales the excitation coordinate x1 of a W-type state, "pair"
     the concurrence of an AB or AC pair (to zero on one draw in ten, a
     product target).

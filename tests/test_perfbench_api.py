@@ -1,10 +1,12 @@
 """The benchmark in perfbench/ is kept fixed while the library changes, so
-every library name it reads must keep existing.  These checks read the
-perfbench sources; they run none of its workloads."""
+every library name it reads must keep existing, and every call it makes must
+still fit the callee's signature.  These checks read the perfbench sources;
+they run none of its workloads."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import triloc
@@ -33,17 +35,34 @@ def _chain(node):
     return [node.id] + parts[::-1]
 
 
+def _sources():
+    """(file name, root objects by name, syntax tree) of every perfbench
+    source."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        yield (path.name, {"triloc": triloc, **ALIASES.get(path.name, {})},
+               ast.parse(path.read_text()))
+
+
 def _library_reads():
     """(file, dotted name, root object) for every attribute chain that a
     perfbench source reads off triloc or one of its module aliases."""
     reads = []
-    for path in sorted(PERFBENCH.glob("*.py")):
-        roots = {"triloc": triloc, **ALIASES.get(path.name, {})}
-        for node in ast.walk(ast.parse(path.read_text())):
+    for file, roots, tree in _sources():
+        for node in ast.walk(tree):
             chain = _chain(node) if isinstance(node, ast.Attribute) else None
             if chain and chain[0] in roots:
-                reads.append((path.name, ".".join(chain), roots[chain[0]]))
+                reads.append((file, ".".join(chain), roots[chain[0]]))
     return reads
+
+
+def _resolve(chain, obj):
+    """The object an attribute chain reads off its root obj, or None when
+    an attribute is missing."""
+    for attr in chain[1:]:
+        if not hasattr(obj, attr):
+            return None
+        obj = getattr(obj, attr)
+    return obj
 
 
 def test_tracer_wrapped_names_exist():
@@ -63,11 +82,36 @@ def test_perfbench_library_reads_exist():
     # the alias reads are found too, not only the triloc.<name> ones
     assert {"triloc.random_measurement", "inv.profile",
             "transfer.verify_update", "locc.dlocc_feasible"} <= names
-    missing = []
-    for file, name, obj in reads:
-        for attr in name.split(".")[1:]:
-            if not hasattr(obj, attr):
-                missing.append(f"{file}: {name}")
-                break
-            obj = getattr(obj, attr)
+    missing = [f"{file}: {name}" for file, name, obj in reads
+               if _resolve(name.split("."), obj) is None]
     assert not missing, missing
+
+
+def test_perfbench_calls_bind_to_signatures():
+    # each argument's syntax node stands in for its value, so the binding
+    # checks the positional count and the keyword names.  A call with *args
+    # or **kwargs cannot be checked that way and is skipped; a missing name
+    # is the finding of the test above
+    bound, skipped, bad = 0, 0, []
+    for file, roots, tree in _sources():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            chain = _chain(node.func)
+            if not chain or chain[0] not in roots:
+                continue
+            obj = _resolve(chain, roots[chain[0]])
+            if not callable(obj):
+                continue
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                skipped += 1
+                continue
+            try:
+                inspect.signature(obj).bind(*node.args,
+                                            **{k.arg: k.value for k in node.keywords})
+            except TypeError as exc:
+                bad.append(f"{file}:{node.lineno}: {'.'.join(chain)}: {exc}")
+            bound += 1
+    assert bound > skipped
+    assert not bad, bad

@@ -100,12 +100,13 @@ def test_verify_update_report_shape():
 
 
 def test_synth_bisep_on_ghz():
-    meas = synth_bisep_measurement(GHZ_CO)
-    g = state_core.gram_params(meas.m0)
+    st = state_core.state_from_schmidt(GHZ_CO)
+    meas = synth_bisep_measurement(st)
+    _, (ua, _, _) = state_core.schmidt_decompose(st)
+    g = state_core.gram_params(meas.m0 @ ua.conj().T)
     assert abs(g.a - 0.5) < 1e-12 and abs(g.b - 0.5) < 1e-12
     assert abs(g.k - 0.5) < 1e-12
     assert abs(g.theta - math.pi / 2) < 1e-12
-    st = state_core.state_from_schmidt(GHZ_CO)
     for out, p in state_core.measure(st, meas):
         assert abs(p - 0.5) < 1e-12
         oc = profile(out).c
@@ -202,8 +203,10 @@ def test_predict_update_small_full_rank_complement(eps):
 
 
 def test_synth_bisep_degenerate():
+    # A times a Bell pair on BC: no weight on the measured side
+    bell_bc = state_core.state_from_schmidt(SchmidtCoeffs(0.0, R2, 0.0, 0.0, R2, 0.0))
     with pytest.raises(DegenerateInput):
-        synth_bisep_measurement(SchmidtCoeffs(0.0, R2, 0.0, 0.0, R2, 0.0))
+        synth_bisep_measurement(bell_bc)
 
 
 def test_transfer_inequalities_fuzz():
@@ -302,6 +305,26 @@ def test_search_one_step_pairs(kind):
         preds = predict_update(coeffs, state_core.gram_params(meas.m0 @ ua.conj().T))
         for pred in preds:
             assert pred.c.max_deviation(rule) < 1e-9, (kind, i)
+
+
+@pytest.mark.parametrize("seed, draw", [((906, 4), 180), ((907, 4), 157), ((90, 4), 185)],
+                         ids=["906-4-180", "907-4-157", "90-4-185"])
+def test_search_chargeless_unimodular_targets(seed, draw):
+    # z = -1 sources with zeta = 1 chargeless targets: z' and 1/z' agree up
+    # to rounding, so pairing them gives near-singular rows whose least
+    # squares x0 ~ 7e15 fits with a smaller residual than the admissible
+    # pairing; it must not be chosen
+    rng = np.random.default_rng(seed)
+    for _ in range(draw + 1):
+        src, dst, step = samplers.one_step_pair(rng, "chargeless")
+    meas = search_deterministic_measurement(src, dst)
+    assert meas is not None
+    pd = profile(dst)
+    rule = transfer_rule(profile(src).c, step)
+    for out, _ in state_core.measure(src, meas):
+        sim = profile(out)
+        assert lu_equivalent_profiles(sim, pd)
+        assert sim.c.max_deviation(rule) < 1e-9
 
 
 @pytest.mark.parametrize("zero_slot", [1, 2])
