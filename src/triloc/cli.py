@@ -178,6 +178,13 @@ def tolerance(text):
     return value
 
 
+def count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="triloc",
@@ -210,11 +217,11 @@ def _parser():
     sub = command(random)
     sub.add_argument("--kind", choices=state_core.RANDOM_KINDS, default="haar",
                      help="(default: %(default)s)")
-    sub.add_argument("--count", type=int, default=1, help="(default: %(default)s)")
+    sub.add_argument("--count", type=count, default=1, help="(default: %(default)s)")
     command(measure, "state_path", "measurement_path")
     command(synth_bisep, "state_path")
     command(ghz_canonical, "state_path")
-    command(verify_lemmas).add_argument("--samples", type=int, default=200,
+    command(verify_lemmas).add_argument("--samples", type=count, default=200,
                                         help="(default: %(default)s)")
     return parser
 

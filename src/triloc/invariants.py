@@ -11,7 +11,6 @@ they get their own container.
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import astuple, dataclass
 
 from . import state_core
 from .state_core import SchmidtCoeffs, _decompose, state_from_schmidt
@@ -25,40 +24,30 @@ class Inconsistent(ValueError):
     """The requested invariant combination is realized by no pure state."""
 
 
-@dataclass(frozen=True)
-class CParams:
+class CParams(namedtuple("CParams", "c_ab c_ac c_bc tau j5")):
     """Concurrences, tangle and the fifth invariant."""
 
-    c_ab: float
-    c_ac: float
-    c_bc: float
-    tau: float
-    j5: float
+    __slots__ = ()
 
     def as_tuple(self):
-        return (self.c_ab, self.c_ac, self.c_bc, self.tau, self.j5)
+        return tuple(self)
 
     def max_deviation(self, other):
         """Largest per-component difference from another CParams."""
-        return max(abs(x - y) for x, y in zip(self.as_tuple(), other.as_tuple()))
+        return max(abs(x - y) for x, y in zip(self, other))
 
 
-@dataclass(frozen=True)
-class KParams:
+class KParams(namedtuple("KParams", "k_ab k_ac k_bc tau j5")):
     """Shifted pair quantities k_xy = c_xy^2 + tau."""
 
-    k_ab: float
-    k_ac: float
-    k_bc: float
-    tau: float
-    j5: float
+    __slots__ = ()
 
 
 Derived = namedtuple("Derived", ["j_ap", "k_ap", "k5", "delta_j"])
 
 
-@dataclass(frozen=True)
-class StateClass:
+class StateClass(namedtuple("StateClass",
+                             "kind pair ep_definite zeta_tilde_definite")):
     """Entanglement class of a state.
 
     kind: "full_separable", "biseparable", "w_type" or "ghz_type";
@@ -68,22 +57,14 @@ class StateClass:
     ratio singled out by the transformation laws is well defined.
     """
 
-    kind: str
-    pair: str | None
-    ep_definite: bool
-    zeta_tilde_definite: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StateProfile:
-    """All invariant data of one state, computed in a single decomposition."""
+class StateProfile(namedtuple("StateProfile", "coeffs c k derived q_e state_class")):
+    """All invariant data of one state, computed in a single decomposition:
+    SchmidtCoeffs, CParams, KParams, Derived, the charge and the StateClass."""
 
-    coeffs: SchmidtCoeffs
-    c: CParams
-    k: KParams
-    derived: Derived
-    q_e: int
-    state_class: StateClass
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +332,6 @@ def coeffs_from_invariants(c, q):
         except ValueError:
             continue
     # a double root yields the same set twice
-    if len(cands) == 2 and max(abs(x - y) for x, y in
-                               zip(astuple(cands[0]), astuple(cands[1]))) <= tz:
+    if len(cands) == 2 and max(abs(x - y) for x, y in zip(*cands)) <= tz:
         cands = cands[:1]
     return _verified(cands, c, q)

@@ -12,7 +12,7 @@ independent oracle for tangled sources, phrased in the canonical two-term
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import state_core
 from .invariants import (CParams, Inconsistent, _w_coords,
@@ -31,8 +31,8 @@ class NotFeasible(ValueError):
     """The requested deterministic transformation is impossible."""
 
 
-@dataclass(frozen=True)
-class GhzCanonical:
+class GhzCanonical(namedtuple("GhzCanonical",
+                               "c_a c_b c_c abs_z z zeta_tilde_definite")):
     """Canonical two-term coordinates of a tangled state.
 
     c_a, c_b, c_c are the local basis overlaps; z is the complex stretching
@@ -42,40 +42,29 @@ class GhzCanonical:
     z = +-1 degeneracy without comparing floats against exact points.
     """
 
-    c_a: float
-    c_b: float
-    c_c: float
-    abs_z: float
-    z: complex | None
-    zeta_tilde_definite: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WCoords:
+class WCoords(namedtuple("WCoords", "x1 x2 x3")):
     """Per-qubit coordinates of a zero-tangle, fully pair-entangled state."""
 
-    x1: float
-    x2: float
-    x3: float
+    __slots__ = ()
 
     def as_tuple(self):
-        return (self.x1, self.x2, self.x3)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class ZetaWitness:
-    """Contraction factors certifying a feasible transformation."""
+class ZetaWitness(namedtuple("ZetaWitness",
+                             "zeta zeta_a zeta_b zeta_c zeta_lower zeta_tilde")):
+    """Contraction factors certifying a feasible transformation; zeta_tilde
+    is None where it is indefinite."""
 
-    zeta: float
-    zeta_a: float
-    zeta_b: float
-    zeta_c: float
-    zeta_lower: float
-    zeta_tilde: float | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LoccVerdict:
+class LoccVerdict(namedtuple("LoccVerdict",
+                             "feasible case witness violated min_measurements",
+                             defaults=(None,))):
     """Outcome of the feasibility decision.
 
     feasible holds exactly when witness is present and violated is absent.
@@ -89,11 +78,7 @@ class LoccVerdict:
     this target: GHZ -> GHZ reads 3 although it needs none.
     """
 
-    feasible: bool
-    case: str
-    witness: ZetaWitness | None
-    violated: str | None
-    min_measurements: int | None = None
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +326,7 @@ def dlocc_feasible_profiles(ps, pd):
         return feasible(1.0, za, zb, zc, 1.0 if kind_s == "w_type" else 0.0, None)
     if kind_s == "w_type":
         if kind_d == "w_type":
-            xs = w_coords(ps.c).as_tuple()
-            xd = w_coords(pd.c).as_tuple()
+            xs, xd = w_coords(ps.c), w_coords(pd.c)
             if any(d > s + te for s, d in zip(xs, xd)):
                 return infeasible("cond1_no_solution")
             za, zb, zc = (min((d / s) ** 2, 1.0) for s, d in zip(xs, xd))

@@ -16,14 +16,14 @@ onto a single set for states of nonzero charge.
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 # numpy is imported inside the functions that build or read arrays, so the
 # scalar path (validation, decomposition, permutation) runs without it.
 
 # Zero/normalization thresholds.  Classification of nearly-zero invariants is
-# discontinuous, so these are module globals that the CLI can override for a
-# whole process; library code reads them at call time.
+# discontinuous, so these are module globals that the CLI can override for
+# one call; library code reads them at call time.
 TOL_NORM = 1e-9   # state / measurement completeness
 TOL_ZERO = 1e-9   # "this invariant is zero" decisions
 TOL_RECON = 1e-8  # reconstruction / round-trip error budget
@@ -66,21 +66,35 @@ def _amplitude_tuple(raw):
     return tuple(np.asarray(raw, dtype=complex).ravel().tolist())
 
 
-@dataclass(frozen=True, eq=False)
+def _immutable(self, name, *value):
+    """__setattr__ and __delattr__ of a value whose fields are set once."""
+    raise AttributeError(f"cannot change field {name!r} of {type(self).__name__}")
+
+
+def _reduce_unchecked(self):
+    """Copy and pickle rebuild the tuple as it is: __new__'s checks read the
+    TOL_* values of the moment, and theta % 2pi maps a stored 2pi to 0."""
+    return tuple.__new__, (type(self), tuple(self))
+
+
 class PureState3:
     """Normalized three-qubit pure state, amplitudes indexed by 4a+2b+c.
 
     amps holds the eight amplitudes as Python complex numbers; amplitudes is
-    the same vector as a read-only complex ndarray, built on first use.
+    the same vector as a read-only complex ndarray, built on first use.  A
+    state is immutable and compares by identity.
     """
 
-    amps: tuple
-
-    def __post_init__(self):
-        amps = _amplitude_tuple(self.amps)
+    def __init__(self, amps):
+        amps = _amplitude_tuple(amps)
         if len(amps) != 8:
             raise ValueError("a three-qubit state needs exactly 8 amplitudes")
         object.__setattr__(self, "amps", amps)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self):
+        return f"PureState3(amps={self.amps!r})"
 
     @functools.cached_property
     def amplitudes(self):
@@ -94,57 +108,52 @@ class PureState3:
         return self.amplitudes.reshape(2, 2, 2)
 
 
-@dataclass(frozen=True)
-class SchmidtCoeffs:
+class SchmidtCoeffs(namedtuple("SchmidtCoeffs", "l0 l1 l2 l3 l4 phi")):
     """Coefficients of the five-term normal form (positive convention)."""
 
-    l0: float
-    l1: float
-    l2: float
-    l3: float
-    l4: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        lams = (self.l0, self.l1, self.l2, self.l3, self.l4)
-        if not all(math.isfinite(l) for l in lams) or not math.isfinite(self.phi):
+    def __new__(cls, l0, l1, l2, l3, l4, phi):
+        lams = (l0, l1, l2, l3, l4)
+        if not all(math.isfinite(l) for l in lams) or not math.isfinite(phi):
             raise NonFinite("non-finite Schmidt coefficient")
         if min(lams) < -1e-12:
             raise ValueError("negative Schmidt coefficient")
         norm2 = sum(l * l for l in lams)
         if abs(norm2 - 1.0) > TOL_NORM * 10:
             raise NotNormalized(f"coefficient norm^2 = {norm2}")
-        if not -1e-12 <= self.phi <= math.pi + 1e-12:
+        if not -1e-12 <= phi <= math.pi + 1e-12:
             raise ValueError("phase outside [0, pi]")
-        if min(lams) < TOL_ZERO and self.phi > TOL_ZERO:
+        if min(lams) < TOL_ZERO and phi > TOL_ZERO:
             # the phase is removable (hence defined as 0) once a coefficient vanishes
             raise ValueError("phi must be 0 when some coefficient vanishes")
+        return tuple.__new__(cls, (l0, l1, l2, l3, l4, phi))
+
+    __reduce__ = _reduce_unchecked
 
     def as_array(self):
         import numpy as np
         return np.array([self.l0, self.l1, self.l2, self.l3, self.l4])
 
 
-@dataclass(frozen=True)
-class GramParams:
+class GramParams(namedtuple("GramParams", "a b k theta")):
     """Parameters (a, b, k, theta) of a Gram matrix M^dag M =
-    [[a, k e^{-i theta}], [k e^{i theta}, b]] in the normal-form basis."""
+    [[a, k e^{-i theta}], [k e^{i theta}, b]] in the normal-form basis;
+    theta is stored mod 2pi."""
 
-    a: float
-    b: float
-    k: float
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "k"):
-            v = getattr(self, name)
+    def __new__(cls, a, b, k, theta):
+        for name, v in (("a", a), ("b", b), ("k", k)):
             if not math.isfinite(v):
                 raise NonFinite(f"non-finite gram parameter {name}")
             if v < -1e-12:
                 raise ValueError(f"gram parameter {name} must be >= 0")
-        if self.a * self.b - self.k**2 < -TOL_ZERO:
+        if a * b - k**2 < -TOL_ZERO:
             raise ValueError("gram matrix not positive semidefinite (ab < k^2)")
-        object.__setattr__(self, "theta", float(self.theta) % (2 * math.pi))
+        return tuple.__new__(cls, (a, b, k, float(theta) % (2 * math.pi)))
+
+    __reduce__ = _reduce_unchecked
 
     def matrix(self):
         import numpy as np
@@ -196,23 +205,28 @@ def _max_k(a, b):
     return math.sqrt(min(a * b, (1.0 - a) * (1.0 - b)))
 
 
-@dataclass(frozen=True, eq=False)
 class Measurement2:
-    """Two-outcome generalized measurement {m0, m1} on one named qubit."""
+    """Two-outcome generalized measurement {m0, m1} on one named qubit.
 
-    qubit: str
-    m0: "np.ndarray"
-    m1: "np.ndarray"
+    m0 and m1 are (2, 2) complex ndarrays.  A measurement is immutable and
+    compares by identity.
+    """
 
-    def __post_init__(self):
+    def __init__(self, qubit, m0, m1):
         import numpy as np
-        if self.qubit not in QUBITS:
+        if qubit not in QUBITS:
             raise ValueError(f"qubit must be one of {QUBITS}")
-        for name in ("m0", "m1"):
-            m = np.asarray(getattr(self, name), dtype=complex).reshape(2, 2).copy()
+        object.__setattr__(self, "qubit", qubit)
+        for name, m in (("m0", m0), ("m1", m1)):
+            m = np.asarray(m, dtype=complex).reshape(2, 2).copy()
             if not np.all(np.isfinite(m.view(float))):
                 raise NonFinite(f"non-finite entry in {name}")
             object.__setattr__(self, name, m)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self):
+        return f"Measurement2(qubit={self.qubit!r}, m0={self.m0!r}, m1={self.m1!r})"
 
     def operators(self):
         return (self.m0, self.m1)

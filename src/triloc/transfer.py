@@ -32,7 +32,7 @@ it.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import locc, state_core
 from .invariants import (CParams, coeffs_profile, invariant_kernel,
@@ -49,8 +49,7 @@ class DegenerateInput(ValueError):
     """The state has no weight on the measured side of the normal form."""
 
 
-@dataclass(frozen=True)
-class TransferParams:
+class TransferParams(namedtuple("TransferParams", "alpha beta")):
     """Attenuation alpha and transfer share beta of one measurement outcome.
 
     alpha scales the measured qubit's concurrences and sqrt(tangle); beta is
@@ -58,14 +57,13 @@ class TransferParams:
     rest dissipates).
     """
 
-    alpha: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
+    def __new__(cls, alpha, beta):
+        for name, v in (("alpha", alpha), ("beta", beta)):
             if not math.isfinite(v) or not -1e-12 <= v <= 1.0 + 1e-12:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        return tuple.__new__(cls, (alpha, beta))
 
 
 def transfer_rule(c, t):
@@ -90,18 +88,15 @@ def transfer_rule(c, t):
 # closed-form outcome prediction
 
 
-@dataclass(frozen=True)
-class OutcomePrediction:
-    """Predicted data of one measurement outcome.
+class OutcomePrediction(namedtuple("OutcomePrediction", "probability alpha c q_e")):
+    """Predicted data of one measurement outcome: its probability, the
+    attenuation alpha, the CParams and the charge.
 
     A degenerate outcome (probability below TOL_ZERO) carries None in every
     other field.
     """
 
-    probability: float
-    alpha: float | None
-    c: CParams | None
-    q_e: int | None
+    __slots__ = ()
 
 
 def _predict_one(co, g, det):

@@ -272,7 +272,10 @@ def test_help_names_every_command(runner):
 @pytest.mark.parametrize("args", [["bogus"], [], ["invariants"],
                                   ["locc-check", "a.json"],
                                   ["random", "--kind", "bogus"],
-                                  ["--seed", "x", "random"]])
+                                  ["--seed", "x", "random"],
+                                  ["verify-lemmas", "--samples", "0"],
+                                  ["verify-lemmas", "--samples", "-5"],
+                                  ["random", "--count", "0"]])
 def test_usage_errors_exit_2(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2
@@ -296,7 +299,7 @@ def test_module_entry_point(ghz):
     assert abs(data["c_params"]["tau"] - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("package", ["scipy", "numpy", "click"])
+@pytest.mark.parametrize("package", ["scipy", "numpy", "click", "dataclasses", "inspect"])
 def test_import_loads_no(package):
     res = _run_python("-c", "import sys, triloc, triloc.cli; print(sorted("
                       f"m for m in sys.modules if m.split('.')[0] == {package!r}))")
