@@ -438,34 +438,21 @@ def _phase_gauge(raw):
     a1, a1 + c1, a1 + b1 and a1 + b1 + c1.  Slots 5, 6, 7 must end up real
     nonnegative; slot 4 keeps the gauge-invariant leftover phase unless some
     other slot is negligible, in which case the leftover can be dumped there
-    and slot 4 gets zero phase too.  With fewer than three anchors the
-    minimum-norm solution is returned.
+    and slot 4 gets zero phase too.  A negligible slot 4 counts as phase 0.
     """
     tz = TOL_ZERO
     r4, r5, r6, r7 = (-cmath.phase(z) for z in raw)
     on5, on6, on7 = (abs(z) >= tz for z in raw[1:])
     if on5 and on6 and on7:
         return r5 + r6 - r7, r7 - r5, r7 - r6
-    if abs(raw[0]) >= tz:
-        # slot 4 fixes a1 and slots 5, 6 fix c1, b1; slot 7 fixes whichever
-        # of them is still free, or splits evenly between both
-        s5, s6, s7 = r5 - r4, r6 - r4, r7 - r4
-        b1 = s6 if on6 else (s7 - (s5 if on5 else 0.5 * s7) if on7 else 0.0)
-        c1 = s5 if on5 else (s7 - (s6 if on6 else 0.5 * s7) if on7 else 0.0)
-        return r4, b1, c1
-    if on5 and on6:
-        return (r5 + r6) / 3.0, (2.0 * r6 - r5) / 3.0, (2.0 * r5 - r6) / 3.0
-    if on5 and on7:
-        return 0.5 * r5, r7 - r5, 0.5 * r5
-    if on6 and on7:
-        return 0.5 * r6, 0.5 * r6, r7 - r6
-    if on5:
-        return 0.5 * r5, 0.0, 0.5 * r5
-    if on6:
-        return 0.5 * r6, 0.5 * r6, 0.0
-    if on7:
-        return r7 / 3.0, r7 / 3.0, r7 / 3.0
-    return 0.0, 0.0, 0.0
+    if abs(raw[0]) < tz:
+        r4 = 0.0
+    # slot 4 fixes a1 and slots 5, 6 fix c1, b1; slot 7 fixes whichever of
+    # them is still free, or splits evenly between both
+    s5, s6, s7 = r5 - r4, r6 - r4, r7 - r4
+    b1 = s6 if on6 else (s7 - (s5 if on5 else 0.5 * s7) if on7 else 0.0)
+    c1 = s5 if on5 else (s7 - (s6 if on6 else 0.5 * s7) if on7 else 0.0)
+    return r4, b1, c1
 
 
 def _candidate_decomposition(num, den, t0, t1):
@@ -528,17 +515,9 @@ def _decompose(state):
     d0 = t0[0] * t0[3] - t0[1] * t0[2]
     d1 = t1[0] * t1[3] - t1[1] * t1[2]
     m = t0[0] * t1[3] + t1[0] * t0[3] - t0[1] * t1[2] - t1[1] * t0[2]
+    # candidate directions are projective roots (num, den) of det(t0 + x t1)
+    # in x = num/den
     disc2 = m * m - 4.0 * d0 * d1
-    disc = cmath.sqrt(disc2)
-    # q-trick: pick the sign that avoids cancellation
-    q = -0.5 * (m + disc) if abs(m + disc) >= abs(m - disc) else -0.5 * (m - disc)
-    # projective roots of det(t0 + x t1) in x = num/den; a degenerate (0, 0)
-    # pair means the pencil is singular everywhere, so any direction works
-    root_pairs = [(q, d1), (d0, q)]
-    if root_pairs[0] == (0, 0):
-        root_pairs[0] = (1.0, 0.0)
-    if root_pairs[1] == (0, 0):
-        root_pairs[1] = (0.0, 1.0)
     # at a double root disc2 is rounding noise: relative to the size of its
     # terms, or, at x = 0 or infinity (an A slice of rank 1, as in a W-type
     # state whose A is in its normal-form basis), ~1e-16 of the pencil's
@@ -548,32 +527,31 @@ def _decompose(state):
     double_root = (abs(disc2) <= 1e-12 * scale
                    or floor > 1e-14 and abs(disc2) <= 1e-14 * floor)
     if double_root:
-        # the discriminant is cancellation noise and its square root would
-        # shift both roots by ~1e-8; the midpoint direction is exact for a
-        # double root, so try it first
-        for pair in ((-0.5 * m, d1), (d0, -0.5 * m)):
-            if pair != (0, 0):
-                root_pairs.insert(0, pair)
-
-    candidates = []
-    for num, den in root_pairs:
-        cand = _candidate_decomposition(num, den, t0, t1)
-        if cand is not None:
-            candidates.append(cand)
-    if not candidates:
-        raise DecompositionFailed("no positive decomposition found")
+        # the midpoint direction is exact, where the square root of the noise
+        # would shift the root by ~1e-8; a pencil singular everywhere has no
+        # midpoint, and any direction works
+        pairs = ([p for p in ((d0, -0.5 * m), (-0.5 * m, d1)) if p != (0, 0)]
+                 or [(1.0, 0.0), (0.0, 1.0)])
+    else:
+        disc = cmath.sqrt(disc2)
+        # q-trick: pick the sign that avoids cancellation
+        q = -0.5 * (m + disc) if abs(m + disc) >= abs(m - disc) else -0.5 * (m - disc)
+        pairs = [(q, d1), (d0, q)]
+    # built lazily; None is a negative decomposition, the other root is positive
+    candidates = filter(None, (_candidate_decomposition(num, den, t0, t1)
+                               for num, den in pairs))
     if not double_root:
-        # two genuinely distinct admissible sets only arise away from the
-        # double root; there the larger-l0 one is the convention.  At the
-        # double root the sort would promote a noise-shifted copy over the
-        # exact midpoint, so keep insertion order instead.
-        candidates.sort(key=lambda cu: -cu[0].l0)
+        # two admissible sets only arise at distinct roots; there the
+        # larger-l0 one is the convention
+        candidates = sorted(candidates, key=lambda cu: -cu[0].l0)
+    err = None
     for coeffs, us in candidates:
         out = _local_product(amps, *us)
-        target = _normal_form_amps(coeffs)
-        err = _norm([x - y for x, y in zip(out, target)])
+        err = _norm([x - y for x, y in zip(out, _normal_form_amps(coeffs))])
         if err <= TOL_RECON:
             return coeffs, us
+    if err is None:
+        raise DecompositionFailed("no positive decomposition found")
     raise DecompositionFailed(f"reconstruction error {err:.3e} exceeds budget")
 
 
@@ -697,6 +675,8 @@ def _matrix_to_rows(m):
 
 def _matrix_from_rows(rows):
     import numpy as np
+    if len(rows) != 2 or any(len(row) != 2 for row in rows):
+        raise ValueError("an operator must be 2 rows of 2 [re, im] pairs")
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 

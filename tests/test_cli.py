@@ -199,7 +199,7 @@ def test_verify_lemmas(runner):
                                        "alpha_sum"}
 
 
-def test_malformed_inputs_exit_2(runner, tmp_path):
+def test_malformed_inputs_exit_2(runner, tmp_path, ghz):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert runner.invoke(main, ["invariants", str(bad)]).exit_code == 2
@@ -210,6 +210,15 @@ def test_malformed_inputs_exit_2(runner, tmp_path):
 
     assert runner.invoke(main, ["invariants", str(tmp_path / "gone.json")]
                          ).exit_code == 2
+
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    for name, op in (("tall.json", [[[1.0, 0.0]], [[0.0, 0.0]]]),
+                     ("ragged.json", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]])):
+        path = tmp_path / name
+        path.write_text(json.dumps({"qubit": "A", "operators": [op, zero]}))
+        res = runner.invoke(main, ["measure", ghz, str(path)])
+        assert res.exit_code == 2
+        assert "malformed measurement object: an operator must be 2 rows" in res.stderr
 
 
 def test_pretty_flag(runner, ghz):

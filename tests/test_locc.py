@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -10,15 +11,19 @@ from triloc.locc import (
     GhzCanonical,
     NotFeasible,
     NotGhzType,
+    NotWType,
     dlocc_feasible,
     ghz_canonical,
     ghz_oracle,
     min_measurements,
     ns_params,
+    w_coords,
 )
+from triloc.cli import main
 from triloc.state_core import SchmidtCoeffs
 
 import samplers
+from cli_runner import invoke
 
 R2 = 1.0 / math.sqrt(2.0)
 R3 = 1.0 / math.sqrt(3.0)
@@ -104,6 +109,45 @@ def test_w_orders():
     # pair target below the source AB concurrence of 0.64
     assert dlocc_feasible(src, S(0.95, 0, 0, math.sqrt(0.0975), 0, 0.0)).feasible
     assert not dlocc_feasible(src, BELL_AB).feasible
+
+
+def test_tangled_source_cannot_grow_a_pair():
+    # PINNED's BC residue k_bc = 0.55 is below the full Bell pair's 1
+    v = dlocc_feasible(PINNED, BELL_BC)
+    assert not v.feasible and v.case == "B"
+    assert v.violated == "cond1_no_solution"
+
+
+@pytest.mark.parametrize("target", [BELL_AB, W], ids=["pair", "w"])
+def test_product_source_reaches_no_entangled_target(target):
+    v = dlocc_feasible(SEP, target)
+    assert not v.feasible and v.case == "D"
+    assert v.violated == "cond1_no_solution"
+
+
+def test_w_coords_needs_a_w_state():
+    with pytest.raises(NotWType, match="tangle"):
+        w_coords(profile(PINNED).c)
+    with pytest.raises(NotWType, match="pair concurrence"):
+        w_coords(profile(BELL_BC).c)
+
+
+def test_charge_magnitude_at_a_wide_tolerance(tmp_path):
+    # the target sits 5e-4 inside the row of an indefinite source and carries
+    # unit charge: interior at the default TOL_EQ, on the boundary (which
+    # needs zero charge) once TOL_EQ exceeds its distance
+    src, p = samplers.real_weight_ghz(np.random.default_rng(25), sign=1)
+    zl = locc.zeta_lower(p, 0.9, 0.95, 0.85)
+    dst = locc.scaled_destination(p, 0.9, 0.95, 0.85, zl + 5e-4, 1)
+    paths = []
+    for name, st in (("src.json", src), ("dst.json", dst)):
+        path = tmp_path / name
+        path.write_text(json.dumps(state_core.state_to_dict(st)))
+        paths.append(str(path))
+    assert invoke(main, ["locc-check", *paths]).exit_code == 0
+    res = invoke(main, ["--tol-eq", "1e-3", "locc-check", *paths])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["violated"] == "charge_magnitude"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import cmath
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triloc import invariants, state_core
+from triloc import invariants, state_core, transfer
+from triloc.cli import main
 from triloc.state_core import (
     GramParams,
     IncompleteMeasurement,
@@ -19,6 +22,7 @@ from triloc.state_core import (
 )
 
 import oracles
+from cli_runner import invoke
 
 
 def test_validate_rejects_unnormalized():
@@ -207,6 +211,51 @@ def test_decompose_biseparable_bc_takes_the_fallback():
         assert abs(coeffs.l1 - want.l1) < 1e-12 and abs(coeffs.l4 - want.l4) < 1e-12
 
 
+def _candidates_built(monkeypatch, state):
+    calls = []
+    original = state_core._candidate_decomposition
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(state_core, "_candidate_decomposition", counting)
+    state_core.schmidt_decompose(state)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_candidates_built_per_state(monkeypatch):
+    # a tangle-free state has a double root, whose midpoint direction is
+    # exact: one candidate; a tangled state builds both roots to pick l0
+    ghz = state_core.random_state("ghz_type", 11)
+    split = state_core.measure(ghz, transfer.synth_bisep_measurement(ghz))[0][0]
+    r2 = 1.0 / math.sqrt(2.0)
+    bell_bc = state_core.state_from_schmidt(SchmidtCoeffs(0, r2, 0, 0, r2, 0.0))
+    for state in (state_core.random_state("w_type", 5), bell_bc, split):
+        assert _candidates_built(monkeypatch, state) == 1
+    assert _candidates_built(monkeypatch, ghz) == 2
+
+
+@pytest.mark.parametrize("patch, message", [
+    (lambda mp: mp.setattr(state_core, "TOL_RECON", 0.0),
+     "reconstruction error .* exceeds budget"),
+    (lambda mp: mp.setattr(state_core, "_candidate_decomposition",
+                           lambda *args: None),
+     "no positive decomposition found"),
+], ids=["reconstruction", "no_candidate"])
+def test_decomposition_failed(monkeypatch, tmp_path, patch, message):
+    state = state_core.random_state("ghz_type", 12)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_core.state_to_dict(state)))
+    patch(monkeypatch)
+    with pytest.raises(state_core.DecompositionFailed, match=message):
+        state_core.schmidt_decompose(state)
+    res = invoke(main, ["invariants", str(path)])
+    assert res.exit_code == 2
+    assert re.search(message, res.stderr)
+
+
 def _svd_cases(rng):
     def gauss(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -243,14 +292,21 @@ def test_phase_gauge_matches_lstsq():
     for pattern in range(16):
         raw = [complex(*rng.standard_normal(2)) * (pattern >> j & 1) for j in range(4)]
         anchors = [i for i in (5, 6, 7) if raw[i - 4] != 0]
-        if raw[0] != 0 and len(anchors) < 3:
+        gauge = state_core._phase_gauge(raw)
+        if raw[0] == 0 and len(anchors) < 3:
+            # a negligible slot 4 counts as phase 0, so a1 = 0 and the
+            # remaining anchors are made real
+            assert gauge[0] == 0.0
+            for i in anchors:
+                rest = cmath.exp(1j * (np.angle(raw[i - 4]) + np.dot(rows[i], gauge)))
+                assert abs(rest - 1.0) <= 1e-12
+            continue
+        if len(anchors) < 3:
             anchors.append(4)
-        want = np.zeros(3)
-        if anchors:
-            lhs = np.array([rows[i] for i in anchors], dtype=float)
-            rhs = [-np.angle(raw[i - 4]) for i in anchors]
-            want = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-        np.testing.assert_allclose(state_core._phase_gauge(raw), want, atol=1e-12)
+        lhs = np.array([rows[i] for i in anchors], dtype=float)
+        rhs = [-np.angle(raw[i - 4]) for i in anchors]
+        want = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        np.testing.assert_allclose(gauge, want, atol=1e-12)
 
 
 def test_profile_calls_no_lapack(monkeypatch):
