@@ -72,24 +72,19 @@ class StateProfile(namedtuple("StateProfile", "coeffs c k derived q_e state_clas
 
 
 def invariant_kernel(l0, l1c, l2, l3, l4):
-    """Continuous invariants and charge of a normal-form coefficient set.
+    """Invariants and charge of a normal-form coefficient set.
 
     l1c = l1 e^{i phi} carries the phase.  Also accepts the non-positive
     sets of the measurement update: the charge only needs the signs of
     Im(l1c) and of the weight bracket, both of which are representation
-    independent.  Returns (c_ab, c_ac, c_bc, tau, j5, q_e).
+    independent.  Returns (CParams, KParams, Derived, q_e).
     """
     tz = state_core.TOL_ZERO
     w = l1c * l4 - l2 * l3
-    c_ab = 2.0 * l0 * l3
-    c_ac = 2.0 * l0 * l2
-    c_bc = 2.0 * abs(w)
-    tau = 4.0 * l0**2 * l4**2
-    j5 = 4.0 * l0**2 * (abs(w) ** 2 + (l2 * l3) ** 2 - (abs(l1c) * l4) ** 2)
-    k_bc = c_bc**2 + tau
-    k5 = tau + j5
-    delta = k5**2 - (c_ab**2 + tau) * (c_ac**2 + tau) * k_bc
-    gap = (c_ab * c_ac * c_bc) ** 2 - j5**2
+    c = CParams(2.0 * l0 * l3, 2.0 * l0 * l2, 2.0 * abs(w), 4.0 * l0**2 * l4**2,
+                4.0 * l0**2 * (abs(w) ** 2 + (l2 * l3) ** 2 - (abs(l1c) * l4) ** 2))
+    k = k_params(c)
+    der = derived(k)
     # the physically meaningful phase weight is the imaginary amplitude
     # l1 sin(phi), which is what survives decomposition noise
     imw = l1c.imag
@@ -97,20 +92,19 @@ def invariant_kernel(l0, l1c, l2, l3, l4):
     # float residue must not set the sign), on the double-root surface and
     # on the real-phase surface.  A vanishing coefficient lands on one of
     # these: l0 or l4 zeroes tau, l2 or l3 closes the gap, l1 zeroes imw
-    if min(k_bc, tau, delta, gap, abs(imw)) <= tz:
-        return c_ab, c_ac, c_bc, tau, j5, 0
-    bracket = l0**2 - k5 / (2.0 * k_bc)
+    if min(k.k_bc, c.tau, der.delta_j, der.j_ap - c.j5**2, abs(imw)) <= tz:
+        return c, k, der, 0
+    bracket = l0**2 - der.k5 / (2.0 * k.k_bc)
     if abs(bracket) <= tz:
-        return c_ab, c_ac, c_bc, tau, j5, 0
+        return c, k, der, 0
     # +1 where Im(l1c) and the bracket share their sign, -1 where they differ
-    return c_ab, c_ac, c_bc, tau, j5, 1 if (imw > 0) == (bracket > 0) else -1
+    return c, k, der, 1 if (imw > 0) == (bracket > 0) else -1
 
 
 def _coeff_invariants(coeffs):
-    """(CParams, charge) of a SchmidtCoeffs, through the kernel."""
-    *c, q = invariant_kernel(coeffs.l0, coeffs.l1 * cmath.exp(1j * coeffs.phi),
-                             coeffs.l2, coeffs.l3, coeffs.l4)
-    return CParams(*c), q
+    """invariant_kernel of a SchmidtCoeffs."""
+    return invariant_kernel(coeffs.l0, coeffs.l1 * cmath.exp(1j * coeffs.phi),
+                            coeffs.l2, coeffs.l3, coeffs.l4)
 
 
 def c_params(coeffs):
@@ -120,7 +114,7 @@ def c_params(coeffs):
 
 def q_e(coeffs):
     """Charge of the state: the sign that flips under complex conjugation."""
-    return _coeff_invariants(coeffs)[1]
+    return _coeff_invariants(coeffs)[3]
 
 
 def k_params(c):
@@ -159,6 +153,8 @@ def ep_phase(c):
 
 
 def _classify(c, der):
+    """StateClass of the invariants c with derived quantities der; raises
+    Inconsistent for two pair entanglements without tangle."""
     tz = state_core.TOL_ZERO
     ep_definite = bool(min(c.c_ab, c.c_ac, c.c_bc) > tz)
     j5sq_gap = der.j_ap - c.j5**2
@@ -176,16 +172,17 @@ def _classify(c, der):
             kind, pair = "full_separable", None
         else:
             # no pure state has exactly two pairwise entanglements and no tangle
-            raise ValueError("invalid invariant combination: two bare concurrences")
+            raise Inconsistent(
+                f"two bare pair entanglements cannot coexist: c_ab = {c.c_ab}, "
+                f"c_ac = {c.c_ac}, c_bc = {c.c_bc}, tau = {c.tau} "
+                f"(TOL_ZERO = {tz})")
     return StateClass(kind, pair, ep_definite, zeta_tilde_definite)
 
 
 def coeffs_profile(coeffs):
     """Every invariant of the state with normal form coeffs (what profile
     returns, for a caller that has decomposed the state already)."""
-    c, q = _coeff_invariants(coeffs)
-    k = k_params(c)
-    der = derived(k)
+    c, k, der, q = _coeff_invariants(coeffs)
     return StateProfile(coeffs, c, k, der, q, _classify(c, der))
 
 
@@ -242,7 +239,7 @@ def _normalized(lams):
 def _verified(cand_list, c, q):
     good = []
     for cand in cand_list:
-        back, q_back = _coeff_invariants(cand)
+        back, _, _, q_back = _coeff_invariants(cand)
         if back.max_deviation(c) <= state_core.TOL_RECON and q_back == q:
             good.append(cand)
     if not good:
@@ -273,25 +270,23 @@ def coeffs_from_invariants(c, q):
     if j_ap_gap < -1e-8:
         raise Inconsistent("j5^2 exceeds the concurrence product")
 
-    if c.tau <= tz:
+    cls = _classify(c, der)
+    if cls.kind != "ghz_type":
         # the tangle-free sector is chargeless and the generic root formulas
         # degenerate on it, but the coordinates follow from the concurrences
         if q != 0:
             raise Inconsistent("charge requires tangle")
-        alive = [c.c_ab > tz, c.c_ac > tz, c.c_bc > tz]
-        if all(alive):
+        if cls.kind == "w_type":
             l0, l3, l2 = _w_coords(c)
             l1sq = 1.0 - l0**2 - l2**2 - l3**2
             if l1sq < -1e-6:
                 raise Inconsistent("zero-tangle coordinates break normalization")
             lams = _normalized([l0, math.sqrt(max(l1sq, 0.0)), l2, l3, 0.0])
             return _verified([SchmidtCoeffs(*lams, 0.0)], c, q)
-        if sum(alive) == 2:
-            raise Inconsistent("two bare pair entanglements cannot coexist")
-        if sum(alive) == 0:
+        if cls.kind == "full_separable":
             return _verified([SchmidtCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)], c, q)
-        slots = {0: (0, 3), 1: (0, 2), 2: (1, 4)}[alive.index(True)]
-        hi, lo = _split_pair((c.c_ab, c.c_ac, c.c_bc)[alive.index(True)])
+        slots = {"AB": (0, 3), "AC": (0, 2), "BC": (1, 4)}[cls.pair]
+        hi, lo = _split_pair(getattr(c, "c_" + cls.pair.lower()))
         cands = []
         for x, y in ((hi, lo), (lo, hi)):
             lams = [0.0] * 5

@@ -106,8 +106,7 @@ def two_term(co):
 def ghz_canonical(state):
     """Canonical two-term coordinates (raises NotGhzType when tangle is 0)."""
     p = profile(state)
-    tz = state_core.TOL_ZERO
-    if p.c.tau <= tz:
+    if p.state_class.kind != "ghz_type":
         raise NotGhzType("state has no tangle")
     ca = p.c.c_bc / math.sqrt(p.k.k_bc)
     cb = p.c.c_ac / math.sqrt(p.k.k_ac)
@@ -161,12 +160,15 @@ def _contracted_product(p, za, zb, zc):
 
 def zeta_lower(p, za, zb, zc):
     """Lower end of the admissible collective factor for given per-qubit
-    factors.  Defined as 0 when the concurrence product vanishes (the 0/0
-    boundary only matters for targets where the charge condition is skipped).
+    factors.  Defined as 0 when some concurrence vanishes (the 0/0 boundary
+    only matters for targets where the charge condition is skipped).
     """
-    if p.derived.j_ap <= state_core.TOL_ZERO:
+    if not p.state_class.ep_definite:
         return 0.0
-    return p.derived.j_ap / _contracted_product(p, za, zb, zc)
+    # a concurrence below ~1e-8 can drop out of k - tau in float, and then
+    # j_ap and the contracted product both read 0
+    ktil = _contracted_product(p, za, zb, zc)
+    return p.derived.j_ap / ktil if ktil > 0.0 else 0.0
 
 
 def zeta_tilde(p, za, zb, zc):
@@ -217,8 +219,7 @@ def _pair_zetas(pair, r):
 
 
 def _case_label(ps, pd):
-    tz = state_core.TOL_ZERO
-    if ps.c.tau <= tz:
+    if ps.state_class.kind != "ghz_type":
         return "D"
     if not ps.state_class.ep_definite:
         return "C"
@@ -250,7 +251,7 @@ def dlocc_feasible(src, dst):
 
 def dlocc_feasible_profiles(ps, pd):
     """dlocc_feasible on the profiles of source and destination."""
-    tz, te = state_core.TOL_ZERO, state_core.TOL_EQ
+    te = state_core.TOL_EQ
     case = _case_label(ps, pd)
 
     def infeasible(tag):
@@ -270,8 +271,8 @@ def dlocc_feasible_profiles(ps, pd):
         v_src, v_dst = (getattr(getattr(p, field), name) for p in (ps, pd))
         return None if v_dst > v_src + te else min(v_dst / v_src, 1.0)
 
-    if ps.c.tau > tz:
-        if pd.c.tau > tz:
+    if ps.state_class.kind == "ghz_type":
+        if pd.state_class.kind == "ghz_type":
             # tangled -> tangled: the witness is unique
             za = ps.k.k_bc * pd.c.tau / (pd.k.k_bc * ps.c.tau)
             zb = ps.k.k_ac * pd.c.tau / (pd.k.k_ac * ps.c.tau)
@@ -326,7 +327,7 @@ def dlocc_feasible_profiles(ps, pd):
         return feasible(1.0, za, zb, zc, 1.0 if kind_s == "w_type" else 0.0, None)
     if kind_s == "w_type":
         if kind_d == "w_type":
-            xs, xd = w_coords(ps.c), w_coords(pd.c)
+            xs, xd = _w_coords(ps.c), _w_coords(pd.c)
             if any(d > s + te for s, d in zip(xs, xd)):
                 return infeasible("cond1_no_solution")
             za, zb, zc = (min((d / s) ** 2, 1.0) for s, d in zip(xs, xd))

@@ -689,6 +689,8 @@ def measurement_from_dict(data):
     try:
         qubit = data["qubit"]
         ops = data["operators"]
+        if len(ops) != 2:
+            raise ValueError("a measurement must have 2 operators")
         m0, m1 = (_matrix_from_rows(rows) for rows in ops)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement object: {exc}") from exc

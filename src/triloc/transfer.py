@@ -116,10 +116,10 @@ def _predict_one(co, g, det):
     l1c = (co.l0 * g.k * cmath.exp(1j * g.theta)
            + co.l1 * cmath.exp(1j * co.phi) * g.b) / root_pb
     scale = math.sqrt(g.b / p)
-    cab, cac, cbc, tau, j5, q = invariant_kernel(
+    c, _, _, q = invariant_kernel(
         co.l0 * math.sqrt(det) / root_pb, l1c, co.l2 * scale, co.l3 * scale,
         co.l4 * scale)
-    c = CParams(min(cab, 1.0), min(cac, 1.0), min(cbc, 1.0), min(tau, 1.0), j5)
+    c = CParams(min(c.c_ab, 1.0), min(c.c_ac, 1.0), min(c.c_bc, 1.0), min(c.tau, 1.0), c.j5)
     return OutcomePrediction(p, math.sqrt(det) / p, c, q)
 
 

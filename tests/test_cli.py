@@ -220,6 +220,27 @@ def test_malformed_inputs_exit_2(runner, tmp_path, ghz):
         assert res.exit_code == 2
         assert "malformed measurement object: an operator must be 2 rows" in res.stderr
 
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    for name, ops in (("one.json", [eye]), ("three.json", [eye, zero, zero])):
+        path = tmp_path / name
+        path.write_text(json.dumps({"qubit": "A", "operators": ops}))
+        res = runner.invoke(main, ["measure", ghz, str(path)])
+        assert res.exit_code == 2
+        assert "malformed measurement object: a measurement must have 2 operators" in res.stderr
+
+
+def test_two_bare_pairs_error_names_the_values(runner, tmp_path):
+    # l0 = 2e-9 puts c_ab = 7.2e-10 just below TOL_ZERO and c_ac = 2.9e-9
+    # just above it, with tau ~ 4e-18: the class rule refuses this valid
+    # state, so its message shows the values it decided on
+    path = write_state(tmp_path / "two_pairs.json", 2e-9, 0.42, 0.72, 0.18,
+                       math.sqrt(0.2728), 0.0)
+    res = runner.invoke(main, ["invariants", path])
+    assert res.exit_code == 2
+    assert "two bare pair entanglements cannot coexist" in res.stderr
+    for text in ("c_ab = 7.2e-10", "c_ac = ", "c_bc = ", "tau = ", "TOL_ZERO = 1e-09"):
+        assert text in res.stderr
+
 
 def test_pretty_flag(runner, ghz):
     plain = runner.invoke(main, ["invariants", ghz]).output

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from triloc import invariants, state_core
+from triloc import invariants, locc, state_core
 from triloc.invariants import (
     CParams,
     Inconsistent,
@@ -195,8 +196,33 @@ def test_inversion_rejects_bad_charge():
 @pytest.mark.parametrize("make_error", [
     lambda: derived(invariants.KParams(*np.float64([0.1, 0.1, 0.1, 0.0, 0.0]))),
     lambda: coeffs_from_invariants(CParams(*np.float64([1.5, 0.0, 0.0, 0.0, 0.0])), 0),
+    lambda: coeffs_from_invariants(CParams(*np.float64([0.5, 0.5, 0.0, 0.0, 0.0])), 0),
 ])
 def test_error_messages_print_plain_floats(make_error):
     with pytest.raises(ValueError) as info:
         make_error()
     assert "np.float64" not in str(info.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(0.1, 1.0), min_size=5, max_size=5),
+       st.integers(0, 4), st.floats(-12.0, -6.0),
+       st.one_of(st.just(0.0), st.just(math.pi), st.floats(0.01, math.pi - 0.01)))
+def test_class_agrees_with_its_values_near_a_vanishing_coefficient(lams, slot, exp, phi):
+    # one coefficient in 1e-12..1e-6 puts a concurrence or the tangle in the
+    # band around TOL_ZERO, where the class is decided once, on the profile
+    lams[slot] *= 10.0**exp
+    norm = math.sqrt(sum(x * x for x in lams))
+    lams = [x / norm for x in lams]
+    if min(lams) < state_core.TOL_ZERO:
+        phi = 0.0  # the phase is removable once a coefficient vanishes
+    s = state_core.state_from_schmidt(SchmidtCoeffs(*lams, phi))
+    try:
+        p = profile(s)
+    except Inconsistent:
+        return
+    kind = p.state_class.kind
+    assert (kind == "ghz_type") == (p.c.tau > state_core.TOL_ZERO)
+    if kind == "w_type":
+        assert p.state_class.ep_definite
+    assert (locc.dlocc_feasible(s, s).case == "D") == (kind != "ghz_type")

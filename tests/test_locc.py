@@ -150,6 +150,28 @@ def test_charge_magnitude_at_a_wide_tolerance(tmp_path):
     assert json.loads(res.output)["violated"] == "charge_magnitude"
 
 
+def test_zeta_lower_of_small_concurrences():
+    # concurrences ~0.03 make j_ap = (c_ab c_ac c_bc)^2 ~ 7e-10, below
+    # TOL_ZERO: a degree-6 product must not be read against a threshold for
+    # single concurrences, so zeta_lower stays j_ap / ktil = 1 here
+    src = samplers.two_term_state((0.03, 0.033, 0.027), 1.0)
+    p = profile(src)
+    assert p.state_class.ep_definite and p.derived.j_ap < state_core.TOL_ZERO
+    verdict = dlocc_feasible(src, src)
+    assert verdict.feasible
+    assert verdict.witness.zeta_lower == pytest.approx(1.0, abs=1e-12)
+
+
+def test_zeta_lower_where_a_concurrence_drops_out_of_k():
+    # c_ac = 5e-9 is above TOL_ZERO, but c_ac^2 is lost in k_ac = c_ac^2 + tau,
+    # so j_ap and the contracted product both read 0: no division by zero
+    s = S(0.5, 0.5, 5e-9, 0.5, 0.5, 0.0)
+    p = profile(s)
+    assert p.state_class.ep_definite and p.derived.j_ap == 0.0
+    verdict = dlocc_feasible(s, s)
+    assert verdict.feasible and verdict.witness.zeta_lower == 0.0
+
+
 # ---------------------------------------------------------------------------
 # canonical two-term coordinates
 

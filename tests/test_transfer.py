@@ -310,10 +310,8 @@ def test_search_one_step_pairs(kind):
 @pytest.mark.parametrize("seed, draw", [((906, 4), 180), ((907, 4), 157), ((90, 4), 185)],
                          ids=["906-4-180", "907-4-157", "90-4-185"])
 def test_search_chargeless_unimodular_targets(seed, draw):
-    # z = -1 sources with zeta = 1 chargeless targets: z' and 1/z' agree up
-    # to rounding, so pairing them gives near-singular rows whose least
-    # squares x0 ~ 7e15 fits with a smaller residual than the admissible
-    # pairing; it must not be chosen
+    # z = -1 sources with zeta = 1 chargeless targets: the target's weight z'
+    # is unimodular, and both outcomes of the found step follow transfer_rule
     rng = np.random.default_rng(seed)
     for _ in range(draw + 1):
         src, dst, step = samplers.one_step_pair(rng, "chargeless")
@@ -325,6 +323,20 @@ def test_search_chargeless_unimodular_targets(seed, draw):
         sim = profile(out)
         assert lu_equivalent_profiles(sim, pd)
         assert sim.c.max_deviation(rule) < 1e-9
+
+
+@pytest.mark.parametrize("eta", [3e-8, -1e-7, 1e-6])
+def test_two_term_gram_skips_inadmissible_pairings(eta):
+    # a z = -1 source and a target with the same weight z' = -1 whose A
+    # overlap is off by the factor 1 + eta: z' and 1/z' agree to rounding, so
+    # the mixed pairings give near-singular rows whose least-squares x0
+    # (1e5 to 1e9) fits with a smaller residual than the admissible x0 = 1/2;
+    # it must not be chosen
+    ps = profile(samplers.two_term_state((0.5, 0.6, 0.4), -1.0))
+    pd = profile(samplers.two_term_state((0.5 * (1.0 + eta), 0.6, 0.4), -1.0))
+    g = transfer._two_term_gram(ps, pd)
+    assert 0.0 <= g.a <= 1.0 and 0.0 <= g.b <= 1.0
+    assert g.k <= state_core._max_k(g.a, g.b) + 1e-12
 
 
 @pytest.mark.parametrize("zero_slot", [1, 2])
