@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import locc, state_core, transfer
-from .invariants import ep_phase, lu_equivalent_profiles, profile
+from .invariants import coeffs_profile, ep_phase, lu_equivalent_profiles, profile
 
 
 def _read_json(path):
@@ -110,15 +110,16 @@ def measure(args):
 
 def synth_bisep(args):
     """Measurement that deterministically splits off the unmeasured pair."""
-    st = _load_state(args.state_path)
-    prof = profile(st)
+    # transfer.synth_bisep_measurement, keeping its one decomposition for
+    # the outcomes' pair concurrence
+    coeffs, (ua, _, _) = state_core.schmidt_decompose(_load_state(args.state_path))
     try:
-        meas = transfer.synth_bisep_measurement(st)
+        meas = transfer._lab_measurement(transfer._split_gram(coeffs), ua)
     except transfer.DegenerateInput as exc:
         _emit(args, {"degenerate": True, "reason": str(exc)})
         return 1
     _emit(args, {"measurement": state_core.measurement_to_dict(meas),
-                 "outcome_c_bc": math.sqrt(prof.k.k_bc)})
+                 "outcome_c_bc": math.sqrt(coeffs_profile(coeffs).k.k_bc)})
 
 
 def ghz_canonical(args):

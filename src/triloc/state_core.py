@@ -328,25 +328,31 @@ def apply_local_unitaries(state, ua, ub, uc):
 # measurements
 
 
-def gram_params(matrix):
-    """Gram parameters (a, b, k, theta) of a single 2x2 operator m.
+def _gram_entries(rows):
+    """Entries (a, b, off) of m^dag m = [[a, conj(off)], [off, b]] for the
+    operator m given as two rows of Python complex numbers.
 
-    The entries of m^dag m are formed once each from the entries of m, so the
-    off-diagonal pair is exactly conjugate: k e^{i theta} is the lower entry
-    conj(m01) m00 + conj(m11) m10.
+    Each entry is formed once from the entries of m, so the off-diagonal
+    pair is exactly conjugate: off is the lower entry conj(m01) m00 +
+    conj(m11) m10.
     """
+    (m00, m01), (m10, m11) = rows
+    return ((m00.conjugate() * m00 + m10.conjugate() * m10).real,
+            (m01.conjugate() * m01 + m11.conjugate() * m11).real,
+            m01.conjugate() * m00 + m11.conjugate() * m10)
+
+
+def gram_params(matrix):
+    """Gram parameters (a, b, k, theta) of a single 2x2 operator m."""
     import numpy as np
-    (m00, m01), (m10, m11) = np.asarray(matrix, dtype=complex).reshape(2, 2).tolist()
-    return _gram_from_entries((m00.conjugate() * m00 + m10.conjugate() * m10).real,
-                              (m01.conjugate() * m01 + m11.conjugate() * m11).real,
-                              m01.conjugate() * m00 + m11.conjugate() * m10)
+    return _gram_from_entries(
+        *_gram_entries(np.asarray(matrix, dtype=complex).reshape(2, 2).tolist()))
 
 
 def validate_measurement(meas):
     """Check completeness m0^dag m0 + m1^dag m1 = I within TOL_NORM."""
-    import numpy as np
-    g = meas.m0.conj().T @ meas.m0 + meas.m1.conj().T @ meas.m1
-    dev = np.max(np.abs(g - np.eye(2)))
+    (a0, b0, off0), (a1, b1, off1) = (_gram_entries(m.tolist()) for m in meas.operators())
+    dev = max(abs(a0 + a1 - 1.0), abs(b0 + b1 - 1.0), abs(off0 + off1))
     if dev > TOL_NORM:
         raise IncompleteMeasurement(f"operators miss completeness by {dev:.3e}")
 
@@ -455,6 +461,12 @@ def _phase_gauge(raw):
     return r4, b1, c1
 
 
+def _mixed_norm(num, den, t0, t1):
+    """Norm of the mixed slice of the slice-mixing row (den, num).  At a root
+    the slice has rank 1, so this is l0 times the state's norm."""
+    return _norm([den * x + num * y for x, y in zip(t0, t1)]) / math.hypot(abs(num), abs(den))
+
+
 def _candidate_decomposition(num, den, t0, t1):
     """Normal form induced by the slice-mixing row (den, num).
 
@@ -482,11 +494,6 @@ def _candidate_decomposition(num, den, t0, t1):
     raw = [w[0].conjugate() * x[0] + w[1].conjugate() * x[1]
            for w in (w1, w2) for x in sv]
     a1, b1, c1 = _phase_gauge(raw)
-    ea, eb, ec = cmath.exp(1j * a1), cmath.exp(1j * b1), cmath.exp(1j * c1)
-    ua = ((u00, u01), (u10 * ea, u11 * ea))
-    ub = ((w1[0].conjugate(), w1[1].conjugate()),
-          (w2[0].conjugate() * eb, w2[1].conjugate() * eb))
-    uc = (v1, (v2[0] * ec, v2[1] * ec))
     mags = [abs(z) for z in raw]
     n = math.hypot(sig, *mags)
     lams = [sig / n] + [x / n for x in mags]
@@ -503,8 +510,12 @@ def _candidate_decomposition(num, den, t0, t1):
             phi = 0.0 if math.cos(phi) > 0 else math.pi
         elif s < 0:
             return None  # negative decomposition; the other root is positive
-    coeffs = SchmidtCoeffs(*lams, phi)
-    return coeffs, (ua, ub, uc)
+    ea, eb, ec = cmath.exp(1j * a1), cmath.exp(1j * b1), cmath.exp(1j * c1)
+    ua = ((u00, u01), (u10 * ea, u11 * ea))
+    ub = ((w1[0].conjugate(), w1[1].conjugate()),
+          (w2[0].conjugate() * eb, w2[1].conjugate() * eb))
+    uc = (v1, (v2[0] * ec, v2[1] * ec))
+    return SchmidtCoeffs(*lams, phi), (ua, ub, uc)
 
 
 def _decompose(state):
@@ -536,14 +547,13 @@ def _decompose(state):
         disc = cmath.sqrt(disc2)
         # q-trick: pick the sign that avoids cancellation
         q = -0.5 * (m + disc) if abs(m + disc) >= abs(m - disc) else -0.5 * (m - disc)
-        pairs = [(q, d1), (d0, q)]
+        # two admissible sets only arise at distinct roots, and the larger-l0
+        # one is the convention, so the root whose mixed slice has the larger
+        # norm is built first
+        pairs = sorted([(q, d1), (d0, q)], key=lambda p: -_mixed_norm(*p, t0, t1))
     # built lazily; None is a negative decomposition, the other root is positive
     candidates = filter(None, (_candidate_decomposition(num, den, t0, t1)
                                for num, den in pairs))
-    if not double_root:
-        # two admissible sets only arise at distinct roots; there the
-        # larger-l0 one is the convention
-        candidates = sorted(candidates, key=lambda cu: -cu[0].l0)
     err = None
     for coeffs, us in candidates:
         out = _local_product(amps, *us)

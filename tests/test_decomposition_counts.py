@@ -67,6 +67,13 @@ def test_cli_lu_equiv(decompositions, state_files):
     assert len(decompositions) == 2
 
 
+def test_cli_synth_bisep(decompositions, state_files):
+    res = invoke(main, ["synth-bisep", state_files[0]])
+    assert res.exit_code == 0
+    assert abs(json.loads(res.output)["outcome_c_bc"] - 1.0) < 1e-12
+    assert len(decompositions) == 1
+
+
 @pytest.mark.parametrize("make_pair", [
     lambda rng: (GHZ, GHZ),
     lambda rng: (GHZ, BELL_BC),

@@ -155,11 +155,11 @@ def test_decompose_round_trip_vanishing_coefficient():
         _assert_same_invariants(coeffs, want)
 
 
-def test_decompose_round_trip_double_root():
-    # replace j5 by the value that closes the discriminant delta_J
-    rng = np.random.default_rng(43)
-    done = 0
-    while done < 20:
+def _double_root_coeffs(rng, count):
+    """The chargeless coefficient sets of count random invariant sets whose
+    j5 is replaced by the value that closes the discriminant delta_J: each
+    state's two roots, and their l0, coincide up to rounding."""
+    while count:
         lams = _lams(rng, lo=0.3)
         c = invariants.c_params(SchmidtCoeffs(*lams, rng.uniform(0.0, math.pi)))
         k_ap = (c.c_ab**2 + c.tau) * (c.c_ac**2 + c.tau) * (c.c_bc**2 + c.tau)
@@ -167,9 +167,14 @@ def test_decompose_round_trip_double_root():
         if abs(j5) >= c.c_ab * c.c_ac * c.c_bc:
             continue
         c = invariants.CParams(c.c_ab, c.c_ac, c.c_bc, c.tau, j5)
-        want = invariants.coeffs_from_invariants(c, 0)[0]
+        yield from invariants.coeffs_from_invariants(c, 0)
+        count -= 1
+
+
+def test_decompose_round_trip_double_root():
+    rng = np.random.default_rng(43)
+    for want in _double_root_coeffs(rng, 20):
         _assert_same_invariants(_round_trip(_scrambled(want, rng)), want)
-        done += 1
 
 
 def test_decompose_w_type_aligned_on_a():
@@ -212,29 +217,103 @@ def test_decompose_biseparable_bc_takes_the_fallback():
 
 
 def _candidates_built(monkeypatch, state):
-    calls = []
+    """What each _candidate_decomposition call of one decomposition gave,
+    in the order built."""
+    built = []
     original = state_core._candidate_decomposition
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def recording(*args):
+        built.append(original(*args))
+        return built[-1]
 
-    monkeypatch.setattr(state_core, "_candidate_decomposition", counting)
+    monkeypatch.setattr(state_core, "_candidate_decomposition", recording)
     state_core.schmidt_decompose(state)
     monkeypatch.undo()
-    return len(calls)
+    return built
 
 
 def test_candidates_built_per_state(monkeypatch):
-    # a tangle-free state has a double root, whose midpoint direction is
-    # exact: one candidate; a tangled state builds both roots to pick l0
+    # the larger-l0 root is built first and kept when admissible: one
+    # candidate at a tangle-free double root (its midpoint direction is
+    # exact) and at a tangled state whose larger-l0 root is positive
     ghz = state_core.random_state("ghz_type", 11)
     split = state_core.measure(ghz, transfer.synth_bisep_measurement(ghz))[0][0]
     r2 = 1.0 / math.sqrt(2.0)
     bell_bc = state_core.state_from_schmidt(SchmidtCoeffs(0, r2, 0, 0, r2, 0.0))
-    for state in (state_core.random_state("w_type", 5), bell_bc, split):
-        assert _candidates_built(monkeypatch, state) == 1
-    assert _candidates_built(monkeypatch, ghz) == 2
+    for state in (state_core.random_state("w_type", 5), bell_bc, split, ghz):
+        assert len(_candidates_built(monkeypatch, state)) == 1
+    # a charged state whose larger-l0 root is the negative decomposition
+    # builds the other root too
+    charged = state_core.random_state("ghz_type", 0)
+    assert invariants.profile(charged).q_e == -1
+    built = _candidates_built(monkeypatch, charged)
+    assert [cand is None for cand in built] == [True, False]
+
+
+def test_decompose_falls_back_when_the_first_root_misses_reconstruction(monkeypatch):
+    # a chargeless tangled state has two admissible sets; when the larger-l0
+    # one misses the reconstruction budget, the other root's set is returned
+    rng = np.random.default_rng(46)
+    state = _scrambled(SchmidtCoeffs(*_lams(rng), 0.0), rng)
+    built = []
+    original = state_core._candidate_decomposition
+    identity = ((1.0, 0.0), (0.0, 1.0))
+
+    def first_misses(*args):
+        built.append(original(*args))
+        coeffs, us = built[-1]
+        return (coeffs, (identity,) * 3) if len(built) == 1 else (coeffs, us)
+
+    monkeypatch.setattr(state_core, "_candidate_decomposition", first_misses)
+    coeffs, _ = state_core.schmidt_decompose(state)
+    assert len(built) == 2
+    assert built[0][0].l0 > built[1][0].l0
+    assert coeffs == built[1][0]
+
+
+def _root_candidates(monkeypatch, state):
+    """Both roots' candidates, each built explicitly, in the order the
+    decomposition tries them: a builder that records its arguments and
+    admits nothing makes the decomposition try every root."""
+    roots = []
+    monkeypatch.setattr(state_core, "_candidate_decomposition",
+                        lambda *args: roots.append(args))
+    with pytest.raises(state_core.DecompositionFailed):
+        state_core.schmidt_decompose(state)
+    monkeypatch.undo()
+    return [state_core._candidate_decomposition(*args) for args in roots]
+
+
+def _reconstructs(state, cand):
+    coeffs, us = cand
+    out = state_core._local_product(state.amps, *us)
+    err = state_core._norm([x - y for x, y in
+                            zip(out, state_core._normal_form_amps(coeffs))])
+    return err <= state_core.TOL_RECON
+
+
+def test_decompose_keeps_the_larger_l0_root(monkeypatch):
+    # the rule of building every root's candidate and keeping the admissible,
+    # reconstructing one with the larger l0: ordering the roots by their mixed
+    # slice's norm and building lazily returns the same set.  Where the two
+    # l0 agree to rounding (a double root, where the first is kept) either
+    # may come first, and the sets then differ by rounding alone
+    rng = np.random.default_rng(47)
+    states = [state_core.apply_local_unitaries(
+                  state_core.random_state(kind, seed),
+                  *(state_core.haar_unitary(rng) for _ in range(3)))
+              for kind in RANDOM_KINDS for seed in range(40)]
+    states += [_scrambled(coeffs, rng) for coeffs in _double_root_coeffs(rng, 40)]
+    for state in states:
+        kept = [cand[0] for cand in _root_candidates(monkeypatch, state)
+                if cand is not None and _reconstructs(state, cand)]
+        largest = max(kept, key=lambda coeffs: coeffs.l0)
+        want = next(co for co in kept if co.l0 >= largest.l0 - 1e-15)
+        got, _ = state_core._decompose(state)
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-15
+        got_p, want_p = invariants.coeffs_profile(got), invariants.coeffs_profile(largest)
+        assert got_p.state_class == want_p.state_class
+        assert got_p.q_e == want_p.q_e
 
 
 @pytest.mark.parametrize("patch, message", [
@@ -381,6 +460,23 @@ def test_measurement_completeness_guard():
     m = np.eye(2) * 0.9
     with pytest.raises(IncompleteMeasurement):
         state_core.validate_measurement(Measurement2("A", m, m))
+
+
+@pytest.mark.parametrize("m0, dev", [
+    ([[1.0, 2e-9j], [0.0, 1.0]], "2.000e-09"),
+    ([[math.sqrt(1.0 - 3e-9), 0.0], [0.0, 1.0]], "3.000e-09"),
+    ([[1.0, 0.0], [0.0, math.sqrt(1.0 + 4e-9)]], "4.000e-09"),
+    ([[1.0, 5e-10j], [0.0, 1.0]], None),
+], ids=["off_diagonal", "a", "b", "within"])
+def test_measurement_completeness_entries(m0, dev):
+    # every entry of m0^dag m0 + m1^dag m1 - I counts against TOL_NORM
+    meas = Measurement2("A", np.array(m0), np.zeros((2, 2)))
+    if dev is None:
+        state_core.validate_measurement(meas)
+        return
+    with pytest.raises(IncompleteMeasurement,
+                       match=f"operators miss completeness by {dev}"):
+        state_core.validate_measurement(meas)
 
 
 def test_gram_params_round_trip():
