@@ -112,7 +112,7 @@ def synth_bisep(args):
     """Measurement that deterministically splits off the unmeasured pair."""
     # transfer.synth_bisep_measurement, keeping its one decomposition for
     # the outcomes' pair concurrence
-    coeffs, (ua, _, _) = state_core.schmidt_decompose(_load_state(args.state_path))
+    coeffs, (ua, _, _) = state_core._decompose(_load_state(args.state_path))
     try:
         meas = transfer._lab_measurement(transfer._split_gram(coeffs), ua)
     except transfer.DegenerateInput as exc:
@@ -156,8 +156,7 @@ def verify_lemmas(args):
         measa = state_core.random_measurement(seed + 3, qubit="A")
         lhs, mid, rhs = transfer.lemma2_bounds(stk, measa)
         worst["lemma2"] = max(worst["lemma2"], lhs - mid, mid - rhs)
-        measq = state_core.Measurement2(state_core.QUBITS[i % 3],
-                                        measa.m0, measa.m1)
+        measq = state_core.Measurement2(state_core.QUBITS[i % 3], *measa.ops)
         avg, bound = transfer.lemma4_check(stk, measq)
         worst["lemma4"] = max(worst["lemma4"], avg - bound)
         asum = transfer.alpha_average(stk, measa)

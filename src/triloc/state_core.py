@@ -66,6 +66,14 @@ def _amplitude_tuple(raw):
     return tuple(np.asarray(raw, dtype=complex).ravel().tolist())
 
 
+def _frozen_array(values):
+    """values as a read-only complex ndarray."""
+    import numpy as np
+    arr = np.array(values, dtype=complex)
+    arr.flags.writeable = False
+    return arr
+
+
 def _immutable(self, name, *value):
     """__setattr__ and __delattr__ of a value whose fields are set once."""
     raise AttributeError(f"cannot change field {name!r} of {type(self).__name__}")
@@ -96,12 +104,13 @@ class PureState3:
     def __repr__(self):
         return f"PureState3(amps={self.amps!r})"
 
+    def __reduce__(self):
+        # copies rebuild the amplitudes array, so it stays read-only
+        return PureState3, (self.amps,)
+
     @functools.cached_property
     def amplitudes(self):
-        import numpy as np
-        arr = np.array(self.amps, dtype=complex)
-        arr.flags.writeable = False
-        return arr
+        return _frozen_array(self.amps)
 
     def tensor(self):
         """Amplitudes as a (2, 2, 2) array t[a, b, c]."""
@@ -205,28 +214,55 @@ def _max_k(a, b):
     return math.sqrt(min(a * b, (1.0 - a) * (1.0 - b)))
 
 
+def _operator_rows(raw):
+    """raw as two rows of two Python complex numbers.  Nested lists and
+    tuples are read directly; anything else goes through numpy."""
+    if isinstance(raw, (list, tuple)):
+        try:
+            (m00, m01), (m10, m11) = raw
+            return (complex(m00), complex(m01)), (complex(m10), complex(m11))
+        except (TypeError, ValueError):
+            pass
+    import numpy as np
+    return tuple(map(tuple, np.asarray(raw, dtype=complex).reshape(2, 2).tolist()))
+
+
 class Measurement2:
     """Two-outcome generalized measurement {m0, m1} on one named qubit.
 
-    m0 and m1 are (2, 2) complex ndarrays.  A measurement is immutable and
-    compares by identity.
+    ops holds the two operators as pairs of rows of Python complex numbers;
+    m0 and m1 are the same operators as read-only (2, 2) complex ndarrays,
+    built on first use.  A measurement is immutable and compares by
+    identity.
     """
 
     def __init__(self, qubit, m0, m1):
-        import numpy as np
         if qubit not in QUBITS:
             raise ValueError(f"qubit must be one of {QUBITS}")
         object.__setattr__(self, "qubit", qubit)
+        ops = []
         for name, m in (("m0", m0), ("m1", m1)):
-            m = np.asarray(m, dtype=complex).reshape(2, 2).copy()
-            if not np.all(np.isfinite(m.view(float))):
+            rows = _operator_rows(m)
+            if not all(map(cmath.isfinite, rows[0] + rows[1])):
                 raise NonFinite(f"non-finite entry in {name}")
-            object.__setattr__(self, name, m)
+            ops.append(rows)
+        object.__setattr__(self, "ops", tuple(ops))
 
     __setattr__ = __delattr__ = _immutable
 
     def __repr__(self):
-        return f"Measurement2(qubit={self.qubit!r}, m0={self.m0!r}, m1={self.m1!r})"
+        return f"Measurement2(qubit={self.qubit!r}, m0={self.ops[0]!r}, m1={self.ops[1]!r})"
+
+    def __reduce__(self):
+        return Measurement2, (self.qubit, *self.ops)
+
+    @functools.cached_property
+    def m0(self):
+        return _frozen_array(self.ops[0])
+
+    @functools.cached_property
+    def m1(self):
+        return _frozen_array(self.ops[1])
 
     def operators(self):
         return (self.m0, self.m1)
@@ -319,9 +355,7 @@ def _local_product(amps, ua, ub, uc):
 
 def apply_local_unitaries(state, ua, ub, uc):
     """Apply (ua ⊗ ub ⊗ uc) to the state."""
-    import numpy as np
-    us = (np.asarray(u, dtype=complex).tolist() for u in (ua, ub, uc))
-    return PureState3(_local_product(state.amps, *us))
+    return PureState3(_local_product(state.amps, *map(_operator_rows, (ua, ub, uc))))
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +377,14 @@ def _gram_entries(rows):
 
 
 def gram_params(matrix):
-    """Gram parameters (a, b, k, theta) of a single 2x2 operator m."""
-    import numpy as np
-    return _gram_from_entries(
-        *_gram_entries(np.asarray(matrix, dtype=complex).reshape(2, 2).tolist()))
+    """Gram parameters (a, b, k, theta) of a single 2x2 operator m, given as
+    rows or as an array."""
+    return _gram_from_entries(*_gram_entries(_operator_rows(matrix)))
 
 
 def validate_measurement(meas):
     """Check completeness m0^dag m0 + m1^dag m1 = I within TOL_NORM."""
-    (a0, b0, off0), (a1, b1, off1) = (_gram_entries(m.tolist()) for m in meas.operators())
+    (a0, b0, off0), (a1, b1, off1) = map(_gram_entries, meas.ops)
     dev = max(abs(a0 + a1 - 1.0), abs(b0 + b1 - 1.0), abs(off0 + off1))
     if dev > TOL_NORM:
         raise IncompleteMeasurement(f"operators miss completeness by {dev:.3e}")
@@ -367,8 +400,8 @@ def measure(state, meas):
     validate_measurement(meas)
     stride = _STRIDE[meas.qubit]
     results = []
-    for m in meas.operators():
-        out = _mode_product(state.amps, m.tolist(), stride)
+    for rows in meas.ops:
+        out = _mode_product(state.amps, rows, stride)
         n = _norm(out)
         p = n * n
         if p < TOL_ZERO:
@@ -383,18 +416,21 @@ def measurement_from_grams(g0):
 
     Outcome 1 takes the complementary Gram (ValueError unless it is positive
     semidefinite); both operators are the principal square roots
-    (G + sqrt(det) I) / sqrt(tr G + 2 sqrt(det)), which fixes the
-    (physically irrelevant) unitary freedom.  det is the snapped determinant,
-    so a rank-1 Gram gives the rank-1 operator G / sqrt(tr G).
+    (G + sqrt(det) I) / sqrt(tr G + 2 sqrt(det)), entry by entry, which fixes
+    the (physically irrelevant) unitary freedom.  det is the snapped
+    determinant, so a rank-1 Gram gives the rank-1 operator G / sqrt(tr G).
     """
-    import numpy as np
     ops = []
     for g, det in ((g0, _gram_det(g0.a, g0.b, g0.k)),
                    (g0.complement(), _complement_det(g0.a, g0.b, g0.k))):
         s = math.sqrt(det)
         t2 = g.a + g.b + 2.0 * s
-        ops.append((g.matrix() + s * np.eye(2)) / math.sqrt(t2) if t2 > 0.0
-                   else np.zeros((2, 2)))
+        if t2 > 0.0:
+            r = math.sqrt(t2)
+            off = g.k * cmath.exp(1j * g.theta) / r
+            ops.append((((g.a + s) / r, off.conjugate()), (off, (g.b + s) / r)))
+        else:
+            ops.append(((0.0, 0.0), (0.0, 0.0)))
     return Measurement2("A", *ops)
 
 
@@ -680,19 +716,17 @@ def state_from_dict(data):
 
 
 def _matrix_to_rows(m):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return [[[z.real, z.imag] for z in row] for row in m]
 
 
 def _matrix_from_rows(rows):
-    import numpy as np
     if len(rows) != 2 or any(len(row) != 2 for row in rows):
         raise ValueError("an operator must be 2 rows of 2 [re, im] pairs")
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    return tuple(tuple(complex(re, im) for re, im in row) for row in rows)
 
 
 def measurement_to_dict(meas):
-    return {"qubit": meas.qubit,
-            "operators": [_matrix_to_rows(meas.m0), _matrix_to_rows(meas.m1)]}
+    return {"qubit": meas.qubit, "operators": [_matrix_to_rows(m) for m in meas.ops]}
 
 
 def measurement_from_dict(data):

@@ -144,6 +144,21 @@ def _nondegenerate_pair(pred0, pred1):
 # ---------------------------------------------------------------------------
 # verification against direct simulation
 
+
+def _product(x, y):
+    """The product x y of two 2x2 operators given as pairs of rows."""
+    (x00, x01), (x10, x11) = x
+    (y00, y01), (y10, y11) = y
+    return ((x00 * y00 + x01 * y10, x00 * y01 + x01 * y11),
+            (x10 * y00 + x11 * y10, x10 * y01 + x11 * y11))
+
+
+def _dagger(u):
+    """The conjugate transpose of a 2x2 operator given as a pair of rows."""
+    (u00, u01), (u10, u11) = u
+    return ((u00.conjugate(), u10.conjugate()), (u01.conjugate(), u11.conjugate()))
+
+
 _FRONT = {"A": None, "B": "BAC", "C": "CBA"}
 
 # worst probability/invariant deviation a verified prediction may show
@@ -159,8 +174,7 @@ def _measured_front(state, meas):
     order = _FRONT[meas.qubit]
     if order is None:
         return state, meas
-    return (state_core.permute_qubits(state, order),
-            Measurement2("A", meas.m0, meas.m1))
+    return (state_core.permute_qubits(state, order), Measurement2("A", *meas.ops))
 
 
 def verify_update(state, meas):
@@ -176,8 +190,9 @@ def verify_update(state, meas):
     """
     qubit = meas.qubit
     front, meas = _measured_front(state, meas)
-    coeffs, (ua, _, _) = state_core.schmidt_decompose(front)
-    grams = [state_core.gram_params(m @ ua.conj().T) for m in meas.operators()]
+    coeffs, (ua, _, _) = state_core._decompose(front)
+    uah = _dagger(ua)
+    grams = [state_core.gram_params(_product(m, uah)) for m in meas.ops]
     preds = _nondegenerate_pair(
         *(_predict_one(coeffs, g, _gram_det(g.a, g.b, g.k)) for g in grams))
     sims = state_core.measure(front, meas)
@@ -223,7 +238,7 @@ def synth_bisep_measurement(state):
     splitting Gram by measurement_from_grams and rotated into the lab frame
     of state.
     """
-    coeffs, (ua, _, _) = state_core.schmidt_decompose(state)
+    coeffs, (ua, _, _) = state_core._decompose(state)
     return _lab_measurement(_split_gram(coeffs), ua)
 
 
@@ -239,9 +254,10 @@ def _split_gram(co):
 
 def _lab_measurement(g, ua):
     """The measurement on A with outcome-0 Gram g in the normal frame of a
-    state decomposed with A's local unitary ua, in that state's lab frame."""
+    state decomposed with A's local unitary ua (as rows), in that state's
+    lab frame."""
     base = state_core.measurement_from_grams(g)
-    return Measurement2("A", base.m0 @ ua, base.m1 @ ua)
+    return Measurement2("A", *(_product(m, ua) for m in base.ops))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +273,7 @@ def _outcome_terms(state, meas):
     """
     front, meas = _measured_front(state, meas)
     terms = []
-    for m, (sim_state, p) in zip(meas.operators(), state_core.measure(front, meas)):
+    for m, (sim_state, p) in zip(meas.ops, state_core.measure(front, meas)):
         if sim_state is None:
             continue
         g = state_core.gram_params(m)
@@ -434,7 +450,7 @@ def search_deterministic_measurement(state, target):
     the measurement is rotated into the lab frame of state and returned only
     when both simulated outcomes are LU-equivalent to target.
     """
-    coeffs, (ua, _, _) = state_core.schmidt_decompose(state)
+    coeffs, (ua, _, _) = state_core._decompose(state)
     ps, pd = coeffs_profile(coeffs), profile(target)
     verdict = locc.dlocc_feasible_profiles(ps, pd)
     g = _step_gram(ps, pd, verdict.witness) if verdict.feasible else None

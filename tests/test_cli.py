@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import cli_runner
 import triloc
-from triloc import state_core
+from triloc import cli, state_core
 from triloc.cli import main
 from triloc.state_core import SchmidtCoeffs
 
@@ -347,18 +348,34 @@ _REPORT_NUMPY = (
     "runpy.run_module('triloc.cli', run_name='__main__', alter_sys=True)\n")
 
 
-def test_scalar_commands_load_no_numpy(tmp_path, ghz, w):
-    for args, code in ((["invariants", ghz], 0), (["lu-equiv", ghz, w], 1),
-                       (["locc-check", ghz, w], 1), (["ghz-canonical", ghz], 0)):
-        res = _run_python("-c", _REPORT_NUMPY, *args)
-        assert res.returncode == code, res.stderr
-        json.loads(res.stdout)
-        assert json.loads(res.stderr.splitlines()[-1]) == [], args[0]
-    # measure loads numpy on first use, and the hook sees it
+def _subcommands():
+    """The names of the positional arguments of each triloc subcommand."""
+    parser = cli._parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a.dest for a in p._actions if not a.option_strings]
+            for name, p in sub.choices.items()}
+
+
+# the commands that sample, and so build arrays
+NUMPY_COMMANDS = ("random", "verify-lemmas")
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_numpy_audit(tmp_path, ghz, w, command):
+    # every command runs cold on its positionals (a measurement file for the
+    # measurement, states otherwise); only the sampling ones load numpy, and
+    # the hook sees it there
     meas = tmp_path / "meas.json"
     meas.write_text(json.dumps(state_core.measurement_to_dict(
         state_core.random_measurement(5, qubit="A"))))
-    res = _run_python("-c", _REPORT_NUMPY, "measure", ghz, str(meas))
-    assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["report"]["pass"] is True
-    assert "numpy" in json.loads(res.stderr.splitlines()[-1])
+    states = iter([ghz, w])
+    args = [str(meas) if dest == "measurement_path" else next(states)
+            for dest in _subcommands()[command]]
+    res = _run_python("-c", _REPORT_NUMPY, command, *args)
+    assert res.returncode in (0, 1), res.stderr
+    json.loads(res.stdout.splitlines()[0])
+    loaded = json.loads(res.stderr.splitlines()[-1])
+    if command in NUMPY_COMMANDS:
+        assert "numpy" in loaded
+    else:
+        assert loaded == []

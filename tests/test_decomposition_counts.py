@@ -74,6 +74,24 @@ def test_cli_synth_bisep(decompositions, state_files):
     assert len(decompositions) == 1
 
 
+def test_verify_update(decompositions):
+    # the measured-front source and each simulated outcome
+    meas = state_core.random_measurement(3, qubit="B")
+    assert transfer.verify_update(GHZ, meas)["pass"]
+    assert len(decompositions) == 3
+
+
+def test_cli_measure(decompositions, state_files, tmp_path):
+    # verify_update's three; the outcomes printed after it are not profiled
+    path = tmp_path / "meas.json"
+    path.write_text(json.dumps(state_core.measurement_to_dict(
+        state_core.random_measurement(5, qubit="A"))))
+    res = invoke(main, ["measure", state_files[0], str(path)])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["report"]["pass"] is True
+    assert len(decompositions) == 3
+
+
 @pytest.mark.parametrize("make_pair", [
     lambda rng: (GHZ, GHZ),
     lambda rng: (GHZ, BELL_BC),

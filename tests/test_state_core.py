@@ -515,6 +515,71 @@ def test_measurement_from_grams():
                                np.eye(2) - g.matrix(), atol=1e-12)
 
 
+def _numpy_measurement_from_grams(g):
+    """measurement_from_grams's two operators, (G + sqrt(det) I) /
+    sqrt(tr G + 2 sqrt(det)), built as arrays for reference."""
+    ops = []
+    for h, det in ((g, state_core._gram_det(g.a, g.b, g.k)),
+                   (g.complement(), state_core._complement_det(g.a, g.b, g.k))):
+        s = math.sqrt(det)
+        t2 = h.a + h.b + 2.0 * s
+        ops.append((h.matrix() + s * np.eye(2)) / math.sqrt(t2) if t2 > 0.0
+                   else np.zeros((2, 2)))
+    return ops
+
+
+def _parity_grams():
+    """Interior Grams, rank-1 Grams (k = sqrt(ab), a + b <= 1), rank-1
+    complements (k = sqrt((1 - a)(1 - b)), a + b >= 1) and the corners."""
+    rng = np.random.default_rng(1515)
+    grams = [GramParams(0.0, 0.0, 0.0, 0.0), GramParams(1.0, 1.0, 0.0, 0.0),
+             GramParams(1.0, 0.0, 0.0, 2.0), GramParams(0.5, 0.5, 0.5, math.pi / 2)]
+    for i in range(600):
+        a, b = rng.uniform(0.0, 1.0, 2)
+        if i % 3:
+            # the rank-1 edge on the side where it binds
+            a, b = (a * (1.0 - b), b) if i % 3 == 1 else (1.0 - a * b, b)
+            k = state_core._max_k(a, b)
+        else:
+            k = rng.uniform(0.0, 1.0) * state_core._max_k(a, b)
+        grams.append(GramParams(a, b, k, rng.uniform(0.0, 2.0 * math.pi)))
+    return grams
+
+
+def test_measurement_from_grams_matches_numpy():
+    ranks = set()
+    for g in _parity_grams():
+        meas = state_core.measurement_from_grams(g)
+        for rows, arr, want in zip(meas.ops, meas.operators(),
+                                   _numpy_measurement_from_grams(g)):
+            assert np.max(np.abs(np.array(rows) - want)) <= 1e-15, g
+            assert np.array_equal(arr, np.array(rows))
+        dets = [abs(m00 * m11 - m01 * m10) for (m00, m01), (m10, m11) in meas.ops]
+        ranks.add(tuple(d <= 1e-15 for d in dets))
+    # the sample holds rank-1 Grams, rank-1 complements and full-rank pairs
+    assert {(True, False), (False, True), (False, False)} <= ranks
+
+
+def test_gram_params_rows_and_arrays_match_numpy():
+    for seed in range(300):
+        meas = state_core.random_measurement(seed, qubit=QUBITS[seed % 3])
+        for rows, arr in zip(meas.ops, meas.operators()):
+            g = state_core.gram_params(rows)
+            assert state_core.gram_params(arr) == g
+            assert state_core.gram_params(arr.tolist()) == g
+            want = arr.conj().T @ arr
+            assert abs(g.a - want[0, 0].real) <= 1e-15
+            assert abs(g.b - want[1, 1].real) <= 1e-15
+            assert abs(g.k * cmath.exp(1j * g.theta) - want[1, 0]) <= 1e-15
+
+
+def test_measurement_json_keeps_rows():
+    meas = state_core.random_measurement(22, qubit="C")
+    back = state_core.measurement_from_dict(
+        json.loads(json.dumps(state_core.measurement_to_dict(meas))))
+    assert back.ops == meas.ops
+
+
 def test_measure_probabilities_on_qubit_c():
     state = state_core.random_state("haar", 5)
     meas = state_core.random_measurement(6, qubit="C")

@@ -189,6 +189,31 @@ def test_rank1_gram_outcomes_profile_and_match_prediction():
             assert sim.c.max_deviation(pred.c) < 1e-10, (i, a, b)
 
 
+def test_scalar_frame_products_match_numpy():
+    # verify_update's normal-frame operator m ua^dag and _lab_measurement's
+    # lab-frame operator base ua, on the rows of _decompose's ua
+    rng = np.random.default_rng(1516)
+    kinds = state_core.RANDOM_KINDS
+    for i in range(210):
+        st = state_core.random_state(kinds[i % len(kinds)], 40_000 + i)
+        _, (ua, _, _) = state_core._decompose(st)
+        ua_arr = np.array(ua, dtype=complex)
+        meas = state_core.random_measurement(40_000 + i, qubit="A")
+        for rows, arr in zip(meas.ops, meas.operators()):
+            got = transfer._product(rows, transfer._dagger(ua))
+            want = arr @ ua_arr.conj().T
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-15
+            g, g_ref = state_core.gram_params(got), state_core.gram_params(want)
+            assert max(abs(g.a - g_ref.a), abs(g.b - g_ref.b), abs(g.k - g_ref.k)) <= 1e-15
+        a, b = rng.uniform(0.05, 0.95, 2)
+        g = GramParams(a, b, rng.uniform(0.0, 1.0) * state_core._max_k(a, b),
+                       rng.uniform(0.0, 2.0 * math.pi))
+        base = state_core.measurement_from_grams(g)
+        lab = transfer._lab_measurement(g, ua)
+        for arr, want in zip(lab.operators(), (base.m0 @ ua_arr, base.m1 @ ua_arr)):
+            assert np.max(np.abs(arr - want)) <= 1e-15
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6, 1e-8])
 def test_predict_update_small_full_rank_complement(eps):
     # outcome 1 is eps * I: unlikely, but it leaves the state unchanged, so

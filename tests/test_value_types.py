@@ -6,6 +6,7 @@ import copy
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from triloc import invariants, locc, state_core, transfer
@@ -66,14 +67,15 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
-def test_value_type_contract(cls):
-    kwargs, invalid = CASES[cls]
+def _copies(value):
+    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+
+
+def _check_contract(cls, kwargs, invalid):
     value = cls(**kwargs)
     assert repr(value) == repr(cls(*kwargs.values()))
     assert repr(value).startswith(f"{cls.__name__}({next(iter(kwargs))}=")
-    for twin in (copy.copy(value), copy.deepcopy(value),
-                 pickle.loads(pickle.dumps(value))):
+    for twin in _copies(value):
         assert type(twin) is cls
         assert repr(twin) == repr(value)
     for name in (next(iter(kwargs)), "extra"):
@@ -85,8 +87,86 @@ def test_value_type_contract(cls):
         assert info.type is exc
 
 
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_value_type_contract(cls):
+    _check_contract(cls, *CASES[cls])
+
+
+def test_measurement_contract_from_arrays():
+    # operators given as ndarrays take the numpy path into the same rows
+    m0, m1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    _check_contract(state_core.Measurement2, dict(qubit="C", m0=m0, m1=m1),
+                    [(dict(qubit="A", m0=np.full((2, 2), np.inf), m1=m1),
+                      state_core.NonFinite),
+                     (dict(qubit="A", m0=np.eye(3), m1=m1), ValueError)])
+
+
 def test_value_type_conventions():
     assert state_core.GramParams(0.5, 0.25, 0.125, theta=7.0).theta == 7.0 % (2 * math.pi)
     assert locc.LoccVerdict(False, "A", None, "x").min_measurements is None
     # states compare by identity, not by amplitudes
     assert state_core.PureState3(GHZ_AMPS) != state_core.PureState3(GHZ_AMPS)
+
+
+# one operator written five ways, and its rows
+OP_ROWS = ((0.6 + 0j, 0.8j), (0.25 + 0j, -0.5 + 0.125j))
+OP_FORMS = {
+    "nested_lists": [[0.6, 0.8j], [0.25, -0.5 + 0.125j]],
+    "nested_tuples": ((0.6, 0.8j), (0.25, -0.5 + 0.125j)),
+    "list_of_arrays": [np.array([0.6, 0.8j]), np.array([0.25, -0.5 + 0.125j])],
+    "flat_list": [0.6, 0.8j, 0.25, -0.5 + 0.125j],
+    "ndarray": np.array([[0.6, 0.8j], [0.25, -0.5 + 0.125j]]),
+}
+
+
+@pytest.mark.parametrize("form", list(OP_FORMS))
+def test_measurement_reads_every_operator_form(form):
+    meas = state_core.Measurement2("B", OP_FORMS[form], OP_FORMS[form])
+    assert meas.ops == (OP_ROWS, OP_ROWS)
+    assert all(type(z) is complex for rows in meas.ops for row in rows for z in row)
+    for arr in meas.operators():
+        assert arr.dtype == complex and arr.shape == (2, 2)
+        assert np.array_equal(arr, np.array(OP_ROWS))
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    assert meas.m0 is meas.m0  # built once
+
+
+def test_copies_keep_fields_and_read_only_arrays():
+    # the arrays are built before copying; a copy rebuilds its own, read-only
+    meas = state_core.Measurement2("C", OP_FORMS["ndarray"], OP_ROWS)
+    state = state_core.PureState3(GHZ_AMPS)
+    assert not meas.m0.flags.writeable and not state.amplitudes.flags.writeable
+    for twin in _copies(meas):
+        assert twin.qubit == "C" and twin.ops == meas.ops
+        assert not twin.m0.flags.writeable and np.array_equal(twin.m0, meas.m0)
+    for twin in _copies(state):
+        assert twin.amps == state.amps
+        assert not twin.amplitudes.flags.writeable
+        assert np.array_equal(twin.amplitudes, state.amplitudes)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("form", ["nested_lists", "ndarray"])
+def test_measurement_rejects_non_finite(bad, form):
+    m = [[0.6, 0.8j], [0.25, bad]]
+    if form == "ndarray":
+        m = np.array(m)
+    with pytest.raises(state_core.NonFinite, match="non-finite entry in m1"):
+        state_core.Measurement2("A", OP_ROWS, m)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(qubit="D", m0=OP_ROWS, m1=OP_ROWS),
+    dict(qubit="a", m0=OP_ROWS, m1=OP_ROWS),
+    dict(qubit="A", m0=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], m1=OP_ROWS),
+    dict(qubit="A", m0=OP_ROWS, m1=[1.0, 0.0]),
+    dict(qubit="A", m0=np.eye(3), m1=OP_ROWS),
+    dict(qubit="A", m0=[[1.0, 0.0], [0.0, "x"]], m1=OP_ROWS),
+], ids=["qubit_D", "lower_case_qubit", "rows_of_three", "two_entries",
+        "ndarray_3x3", "text_entry"])
+def test_measurement_rejects_bad_shape_or_qubit(kwargs):
+    with pytest.raises(ValueError) as info:
+        state_core.Measurement2(**kwargs)
+    assert info.type is ValueError
