@@ -8,14 +8,14 @@ sweep is reachable; the verdicts on both sides show why.
 
 import numpy as np
 
-from triloc import locc, state_core
+from triloc import locc, sampling, state_core
 from triloc.invariants import profile
 
 
 def main():
     rng = np.random.default_rng(5)
     while True:
-        src = state_core.random_state("ghz_type", int(rng.integers(1, 2**31)))
+        src = sampling.random_state("ghz_type", int(rng.integers(1, 2**31)))
         p = profile(src)
         if (p.state_class.ep_definite and p.state_class.zeta_tilde_definite
                 and min(p.c.c_ab, p.c.c_ac, p.c.c_bc) > 0.15):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from triloc import state_core, transfer
+from triloc import sampling, state_core, transfer
 from triloc.invariants import profile
 from triloc.state_core import SchmidtCoeffs
 
@@ -41,7 +41,7 @@ def main():
     print()
 
     # closed-form prediction for a generic (non-splitting) measurement
-    rnd = state_core.random_measurement(11, qubit="A")
+    rnd = sampling.random_measurement(11, qubit="A")
     report = transfer.verify_update(state, rnd)
     print("generic measurement on A, prediction vs simulation:")
     print(f"  worst invariant deviation {report['max_deviation']:.3e}, "

@@ -3,15 +3,25 @@
 All commands consume and produce JSON.  State and measurement arguments are
 paths to JSON files ("-" reads stdin).  Exit status: 0 for an affirmative
 verdict or successful computation, 1 for a negative verdict, 2 for malformed
-input or numerical failure.
+input or numerical failure, and 141 (128 + SIGPIPE, what a shell reports
+for a process that a closed pipe ends) when the reader of stdout closes it
+early, as in `triloc random --count 500 | head -1`: the rest of the output
+is dropped, without a traceback.
+
+Each command imports the triloc modules it runs inside its own function, so
+a cold call compiles only those: invariants and lu-equiv load state_core
+and invariants; locc-check and ghz-canonical add locc; measure and
+synth-bisep add transfer; random loads triloc.sampling (and numpy), and
+verify-lemmas both transfer and sampling.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 
-from . import locc, state_core, transfer
+from . import state_core
 from .invariants import coeffs_profile, ep_phase, lu_equivalent_profiles, profile
 
 
@@ -79,6 +89,7 @@ def locc_check(args):
     """Decide deterministic transformability of SRC_PATH into DST_PATH
     (exit 0 / 1).  min_measurements is the count for the hardest target of
     the two states' classes, not for DST_PATH itself."""
+    from . import locc
     src, dst = _load_state(args.src_path), _load_state(args.dst_path)
     verdict = locc.dlocc_feasible(src, dst)
     _emit(args, verdict)
@@ -87,13 +98,15 @@ def locc_check(args):
 
 def random(args):
     """Sample reproducible random states (one JSON object per line)."""
+    from .sampling import random_state
     for i in range(args.count):
-        st = state_core.random_state(args.kind, args.seed * 4096 + i)
+        st = random_state(args.kind, args.seed * 4096 + i)
         _emit(args, state_core.state_to_dict(st))
 
 
 def measure(args):
     """Apply a measurement and check the closed-form outcome prediction."""
+    from . import transfer
     st = _load_state(args.state_path)
     mdata = _read_json(args.measurement_path)
     if isinstance(mdata, dict) and "measurement" in mdata:
@@ -110,6 +123,7 @@ def measure(args):
 
 def synth_bisep(args):
     """Measurement that deterministically splits off the unmeasured pair."""
+    from . import transfer
     # transfer.synth_bisep_measurement, keeping its one decomposition for
     # the outcomes' pair concurrence
     coeffs, (ua, _, _) = state_core._decompose(_load_state(args.state_path))
@@ -124,6 +138,7 @@ def synth_bisep(args):
 
 def ghz_canonical(args):
     """Canonical two-term coordinates of a tangled state (exit 1 if none)."""
+    from . import locc
     st = _load_state(args.state_path)
     try:
         g = locc.ghz_canonical(st)
@@ -142,24 +157,26 @@ LEMMA_GATE = 1e-9
 
 def verify_lemmas(args):
     """Fuzz the transfer laws on random states and measurements."""
+    from . import transfer
+    from .sampling import random_measurement, random_state
     worst = {"lemma1": 0.0, "lemma2": 0.0, "lemma4": 0.0, "alpha_sum": 0.0}
     for i in range(args.samples):
         seed = args.seed * 4096 + 4 * i
         # exactness of the closed-form update on generic states
-        st = state_core.random_state("haar", seed)
-        meas = state_core.random_measurement(seed + 1, qubit="A")
+        st = random_state("haar", seed)
+        meas = random_measurement(seed + 1, qubit="A")
         report = transfer.verify_update(st, meas)
         worst["lemma1"] = max(worst["lemma1"], report["max_deviation"],
                               report["p_sum_deviation"])
         # inequality suites across all entanglement families
-        stk = state_core.random_state(state_core.RANDOM_KINDS[i % 7], seed + 2)
-        measa = state_core.random_measurement(seed + 3, qubit="A")
-        lhs, mid, rhs = transfer.lemma2_bounds(stk, measa)
+        stk = random_state(state_core.RANDOM_KINDS[i % 7], seed + 2)
+        measa = random_measurement(seed + 3, qubit="A")
+        # lemma 2 and the alpha sum read one simulation of measa
+        lhs, mid, rhs, asum = transfer._lemma2_with_alpha(stk, measa)
         worst["lemma2"] = max(worst["lemma2"], lhs - mid, mid - rhs)
         measq = state_core.Measurement2(state_core.QUBITS[i % 3], *measa.ops)
         avg, bound = transfer.lemma4_check(stk, measq)
         worst["lemma4"] = max(worst["lemma4"], avg - bound)
-        asum = transfer.alpha_average(stk, measa)
         worst["alpha_sum"] = max(worst["alpha_sum"], asum - 1.0, -asum)
     max_dev = max(worst.values())
     passed = bool(max_dev <= LEMMA_GATE)
@@ -223,6 +240,10 @@ def _parser():
     return parser
 
 
+# exit status when stdout's reader has closed the pipe
+BROKEN_PIPE = 141
+
+
 def main(argv=None):
     """Run one command and exit the process with its status."""
     args = _parser().parse_args(argv)
@@ -231,6 +252,12 @@ def main(argv=None):
         state_core.TOL_ZERO, state_core.TOL_NORM, state_core.TOL_EQ = (
             args.tol_zero, args.tol_norm, args.tol_eq)
         status = args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit: send that to
+        # devnull, so it cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = BROKEN_PIPE
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = 2

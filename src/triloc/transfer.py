@@ -28,13 +28,16 @@ or more steps) gives None without simulating, and a constructed measurement
 is returned only after simulation confirms both outcomes.  transfer_rule is
 the specification of such a step: the tests hold both simulated outcomes to
 it.
+
+Only the synthesis imports locc, when it first runs, so the prediction and
+verification path (triloc measure) loads no decision code.
 """
 
 import cmath
 import math
 from collections import namedtuple
 
-from . import locc, state_core
+from . import state_core
 from .invariants import (CParams, coeffs_profile, invariant_kernel,
                          lu_equivalent_profiles, profile)
 from .state_core import (GramParams, Measurement2, _complement_det,
@@ -99,14 +102,20 @@ class OutcomePrediction(namedtuple("OutcomePrediction", "probability alpha c q_e
     __slots__ = ()
 
 
+def _probability(co, a, b, k, theta):
+    """Probability of the outcome with Gram parameters (a, b, k, theta) on
+    the normal form co."""
+    return (co.l0**2 * a + (1.0 - co.l0**2) * b
+            + 2.0 * k * co.l0 * co.l1 * math.cos(theta - co.phi))
+
+
 def _predict_one(co, g, det):
     """Prediction for the Gram g, whose snapped determinant ab - k^2 is det:
     the outcome's normal form is l0 sqrt(det / (p b)), the complex slot
     (l0 k e^{i theta} + l1 e^{i phi} b) / sqrt(p b), and sqrt(b / p) l2, l3, l4.
     """
     tz = state_core.TOL_ZERO
-    p = (co.l0**2 * g.a + (1.0 - co.l0**2) * g.b
-         + 2.0 * g.k * co.l0 * co.l1 * math.cos(g.theta - co.phi))
+    p = _probability(co, *g)
     if p <= tz:
         return OutcomePrediction(p, None, None, None)
     if g.b <= tz:
@@ -295,12 +304,18 @@ def lemma2_bounds(state, meas):
     its probability-averaged outcome value, and the transfer ceiling.  The
     law is lhs <= mid <= rhs.
     """
+    return _lemma2_with_alpha(state, meas)[:3]
+
+
+def _lemma2_with_alpha(state, meas):
+    """lemma2_bounds and alpha_average from one simulation: (lhs, mid, rhs,
+    alpha sum)."""
     front, terms = _outcome_terms(state, meas)
     src = profile(front)
     mid = sum(p * profile(out).c.c_bc for p, _, out in terms)
     asum = sum(p * alpha for p, alpha, _ in terms)
     rhs = math.sqrt(src.c.c_bc**2 + max(1.0 - asum**2, 0.0) * src.c.tau)
-    return src.c.c_bc, mid, rhs
+    return src.c.c_bc, mid, rhs, asum
 
 
 def lemma4_check(state, meas):
@@ -328,6 +343,10 @@ def _circle_point(c, r0, r1):
     return c / d * complex(p, math.sqrt(max(r0**2 - p**2, 0.0))), miss
 
 
+# residuals of two pairings closer than this are equal within rounding
+_TIE = 1e-12
+
+
 def _two_term_gram(ps, pd):
     """Gram of the step between two tangled states with the same B and C
     overlaps, or None.
@@ -340,14 +359,25 @@ def _two_term_gram(ps, pd):
     H11 = r_0 H00 and H10 = x0 v0, v_i = c_a' z_i / |z|, where x0 = H00.
     H(G0) + H(G1) = H(I) then reads x0 r0 + (1 - x0) r1 = 1 on the diagonal
     and x0 v0 + (1 - x0) v1 = e0[1] off it; of the pairings whose H00 and
-    H11 lie in [0, 1], the one that solves both best is taken.  When c_ab or
-    c_ac vanishes, a B or C overlap is zero and the weights' phases are
-    free: only the moduli of the off-diagonal terms must fit.
+    H11 lie in [0, 1], the one that solves both best is taken, the first in
+    weights order among residuals equal within _TIE.  The residual goes
+    whole to the more probable outcome, and the other is solved exactly: an
+    outcome divides its share by its probability.  When c_ab or c_ac
+    vanishes, a B or C overlap is zero and the weights' phases are free:
+    only the moduli of the off-diagonal terms must fit.
     """
+    from . import locc
     (e00, e10), z = locc.two_term(ps.coeffs)
     (_, t10), zt = locc.two_term(pd.coeffs)
     ca_t, mod = abs(t10), abs(z)
     free = min(ps.c.c_ab, ps.c.c_ac) <= state_core.TOL_ZERO
+    f, g = 1.0 / e00, -e10 / e00
+
+    def entries(x0, y0, h0):
+        """(a, b, off) of G0 = F^dag H0 F with F = E^-1 = [[f, 0], [g, 1]]."""
+        return (f * f * x0 + 2.0 * f * (h0 * g.conjugate()).real + abs(g)**2 * y0,
+                y0, h0 * f + y0 * g)
+
     weights = (zt, 1.0 / zt)
     best = None
     for z0 in weights:
@@ -358,6 +388,7 @@ def _two_term_gram(ps, pd):
                 x0 = (1.0 - r1) / (r0 - r1) if abs(r0 - r1) > state_core.TOL_EQ else 0.5
                 h0, res = _circle_point(e10, abs(v0) * x0, abs(v1) * (1.0 - x0))
                 res += abs(x0 * r0 + (1.0 - x0) * r1 - 1.0)
+                h1 = h0
             else:
                 # x0 solves both rows in least squares: near |z| = 1 the
                 # diagonal row alone is a ratio of two small numbers
@@ -366,23 +397,21 @@ def _two_term_gram(ps, pd):
                 norm = sum(a * a for a, _ in rows)
                 x0 = sum(a * b for a, b in rows) / norm if norm > 1e-300 else 0.5
                 res = math.hypot(*(a * x0 - b for a, b in rows))
-                # split the off-diagonal residual evenly between the outcomes
-                h0 = 0.5 * (e10 + x0 * v0 - (1.0 - x0) * v1)
-            # split the diagonal residual evenly between the outcomes
-            y0 = r0 * x0 - 0.5 * (x0 * r0 + (1.0 - x0) * r1 - 1.0)
+                h0, h1 = x0 * v0, e10 - (1.0 - x0) * v1
+            # (H11, H10) of outcome 0 when outcome 0, or outcome 1, is exact
+            exact0, exact1 = (r0 * x0, h0), (1.0 - r1 * (1.0 - x0), h1)
+            a, b, off = entries(x0, *exact0)
+            p0 = _probability(ps.coeffs, a, b, abs(off), cmath.phase(off))
+            y0, h0 = exact1 if p0 >= 0.5 else exact0
             # a near-singular pairing can fit with a smaller residual than an
             # admissible one, so only admissible pairings compete
             if not (0.0 <= x0 <= 1.0 and 0.0 <= y0 <= 1.0):
                 continue
-            if best is None or res < best[0]:
+            if best is None or res < best[0] - _TIE:
                 best = (res, x0, y0, h0)
     if best is None or best[0] > math.sqrt(state_core.TOL_EQ):
         return None
-    _, x0, y0, h0 = best
-    # G0 = F^dag H0 F with F = E^-1 = [[f, 0], [g, 1]]
-    f, g = 1.0 / e00, -e10 / e00
-    a = f * f * x0 + 2.0 * f * (h0 * g.conjugate()).real + abs(g)**2 * y0
-    return _gram_from_entries(a, y0, h0 * f + y0 * g)
+    return _gram_from_entries(*entries(*best[1:]))
 
 
 def _pair_gram(co, c_target):
@@ -450,6 +479,7 @@ def search_deterministic_measurement(state, target):
     the measurement is rotated into the lab frame of state and returned only
     when both simulated outcomes are LU-equivalent to target.
     """
+    from . import locc
     coeffs, (ua, _, _) = state_core._decompose(state)
     ps, pd = coeffs_profile(coeffs), profile(target)
     verdict = locc.dlocc_feasible_profiles(ps, pd)

@@ -10,14 +10,14 @@ import math
 
 import numpy as np
 
-from triloc import invariants, locc, state_core
+from triloc import invariants, locc, sampling, state_core
 from triloc.transfer import TransferParams
 
 
 def ep_definite_ghz(rng, min_c=0.05, max_tries=400):
     """Random tangled state whose three concurrences all exceed min_c."""
     for _ in range(max_tries):
-        st = state_core.random_state("ghz_type", int(rng.integers(1, 2**31)))
+        st = sampling.random_state("ghz_type", int(rng.integers(1, 2**31)))
         prof = invariants.profile(st)
         if (prof.state_class.kind == "ghz_type"
                 and prof.state_class.ep_definite
@@ -113,7 +113,7 @@ def real_weight_ghz(rng, sign=1):
 def scrambled(state, rng):
     """state under Haar-random local unitaries (same invariants)."""
     return state_core.apply_local_unitaries(
-        state, *(state_core.haar_unitary(rng) for _ in range(3)))
+        state, *(sampling.haar_unitary(rng) for _ in range(3)))
 
 
 def chargeless_state(c, rng):
@@ -141,7 +141,7 @@ def one_step_pair(rng, kind, lo=0.3, hi=0.95):
     while True:
         za = rng.uniform(lo, hi)
         if kind == "w_type":
-            src = state_core.random_state("w_type", int(rng.integers(1, 2**31)))
+            src = sampling.random_state("w_type", int(rng.integers(1, 2**31)))
             x1, x2, x3 = locc.w_coords(invariants.profile(src).c).as_tuple()
             x1 *= math.sqrt(za)
             c = invariants.CParams(2 * x1 * x2, 2 * x1 * x3, 2 * x2 * x3, 0.0,
@@ -149,7 +149,7 @@ def one_step_pair(rng, kind, lo=0.3, hi=0.95):
             return src, chargeless_state(c, rng), TransferParams(math.sqrt(za), 0.0)
         if kind == "pair":
             pair = ("ab", "ac")[int(rng.integers(2))]
-            src = state_core.random_state("biseparable_" + pair, int(rng.integers(1, 2**31)))
+            src = sampling.random_state("biseparable_" + pair, int(rng.integers(1, 2**31)))
             prof = invariants.profile(src)
             r = 0.0 if rng.uniform() < 0.1 else za
             cp = r * (prof.c.c_ab if pair == "ab" else prof.c.c_ac)

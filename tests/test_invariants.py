@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triloc import invariants, locc, state_core
+from triloc import invariants, locc, sampling, state_core
 from triloc.invariants import (
     CParams,
     Inconsistent,
@@ -67,7 +67,7 @@ def test_pinned_charge_example():
 
 def test_charge_flips_under_conjugation():
     for seed in range(60):
-        st = state_core.random_state("haar", 7000 + seed)
+        st = sampling.random_state("haar", 7000 + seed)
         q = profile(st).q_e
         assert profile(state_core.complex_conjugate(st)).q_e == -q
 
@@ -79,7 +79,7 @@ def test_charge_permutation_invariant():
 
 
 def test_concurrences_follow_permutation():
-    st = state_core.random_state("haar", 91)
+    st = sampling.random_state("haar", 91)
     c = profile(st).c
     # swapping B and C exchanges the AB and AC pairs and fixes BC
     cs = profile(state_core.permute_qubits(st, "ACB")).c
@@ -98,7 +98,7 @@ def test_invariants_match_independent_oracles():
     # hyperdeterminant; the oracle eigen-solves carry ~1e-9 noise
     for kind in RANDOM_KINDS:
         for seed in (2, 47, 311):
-            st = state_core.random_state(kind, seed)
+            st = sampling.random_state(kind, seed)
             c = profile(st).c
             v = st.amplitudes
             assert abs(c.c_ab - oracles.pair_concurrence(v, "AB")) < 1e-7
@@ -110,7 +110,7 @@ def test_invariants_match_independent_oracles():
 def test_monogamy_identity():
     # one-tangle of A splits exactly into the two concurrences plus the tangle
     for seed in range(40):
-        st = state_core.random_state("haar", 500 + seed)
+        st = sampling.random_state("haar", 500 + seed)
         c = profile(st).c
         lhs = oracles.one_tangle(st.amplitudes, "A")
         assert abs(lhs - (c.c_ab**2 + c.c_ac**2 + c.tau)) < 1e-6
@@ -130,10 +130,10 @@ def test_negative_discriminant_rejected():
 def test_lu_equivalent_under_local_unitaries():
     rng = np.random.default_rng(4)
     for seed in range(20):
-        st = state_core.random_state("haar", 900 + seed)
-        ua = state_core.haar_unitary(rng)
-        ub = state_core.haar_unitary(rng)
-        uc = state_core.haar_unitary(rng)
+        st = sampling.random_state("haar", 900 + seed)
+        ua = sampling.haar_unitary(rng)
+        ub = sampling.haar_unitary(rng)
+        uc = sampling.haar_unitary(rng)
         rotated = state_core.apply_local_unitaries(st, ua, ub, uc)
         assert lu_equivalent(st, rotated)
 
@@ -148,7 +148,7 @@ def test_lu_equivalent_distinguishes_classes():
 def test_inversion_round_trip_all_kinds():
     for kind in RANDOM_KINDS:
         for seed in (1, 29, 83):
-            st = state_core.random_state(kind, seed)
+            st = sampling.random_state(kind, seed)
             p = profile(st)
             sets = coeffs_from_invariants(p.c, p.q_e)
             assert sets

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from triloc import locc, state_core
+from triloc import locc, sampling, state_core
 from triloc.invariants import ep_phase, profile
 from triloc.locc import (
     GhzCanonical,
@@ -193,11 +193,11 @@ def test_ghz_canonical_requires_tangle():
 def test_ghz_canonical_lu_invariant():
     rng = np.random.default_rng(12)
     for seed in range(15):
-        st = state_core.random_state("ghz_type", 3000 + seed)
+        st = sampling.random_state("ghz_type", 3000 + seed)
         g = ghz_canonical(st)
         rotated = state_core.apply_local_unitaries(
-            st, state_core.haar_unitary(rng), state_core.haar_unitary(rng),
-            state_core.haar_unitary(rng))
+            st, sampling.haar_unitary(rng), sampling.haar_unitary(rng),
+            sampling.haar_unitary(rng))
         h = ghz_canonical(rotated)
         assert abs(g.c_a - h.c_a) < 1e-7
         assert abs(g.c_b - h.c_b) < 1e-7
@@ -223,7 +223,7 @@ def test_shape_params_from_invariants():
     # n and s have closed forms in the six invariants; check them on
     # generic states against the canonical coordinates
     for seed in range(25):
-        st = state_core.random_state("haar", 6200 + seed)
+        st = sampling.random_state("haar", 6200 + seed)
         p = profile(st)
         if not p.state_class.ep_definite or p.q_e == 0:
             continue

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triloc import invariants, state_core, transfer
+from triloc import invariants, sampling, state_core, transfer
 from triloc.cli import main
 from triloc.state_core import (
     GramParams,
@@ -36,7 +36,7 @@ def test_validate_rejects_wrong_length():
 
 
 def test_state_input_contract():
-    vec = state_core.random_state("haar", 9).amplitudes
+    vec = sampling.random_state("haar", 9).amplitudes
     forms = [vec.tolist(), list(vec), tuple(vec.tolist()), vec.copy(),
              vec.reshape(2, 2, 2)]
     for make in (PureState3, state_core.validate_state):
@@ -100,7 +100,7 @@ def test_decompose_round_trip_all_kinds():
     for kind in RANDOM_KINDS:
         for i in range(30):
             seed = 1000 * (i + 1) + RANDOM_KINDS.index(kind)
-            coeffs = _round_trip(state_core.random_state(kind, seed))
+            coeffs = _round_trip(sampling.random_state(kind, seed))
             lams = coeffs.as_array()
             assert np.all(lams >= 0.0)
             assert abs(np.sum(lams**2) - 1.0) < 1e-9
@@ -118,7 +118,7 @@ def test_decompose_round_trip_arbitrary(raw):
 
 
 def _scrambled(coeffs, rng):
-    us = [state_core.haar_unitary(rng) for _ in range(3)]
+    us = [sampling.haar_unitary(rng) for _ in range(3)]
     return state_core.apply_local_unitaries(state_core.state_from_schmidt(coeffs), *us)
 
 
@@ -189,7 +189,7 @@ def test_decompose_w_type_aligned_on_a():
         want = SchmidtCoeffs(*(lams / np.linalg.norm(lams)), 0.0, 0.0)
         state = state_core.apply_local_unitaries(
             state_core.state_from_schmidt(want), np.eye(2),
-            state_core.haar_unitary(rng), state_core.haar_unitary(rng))
+            sampling.haar_unitary(rng), sampling.haar_unitary(rng))
         coeffs = _round_trip(state)
         assert coeffs.l4 < 1e-14
         got = invariants.c_params(coeffs)
@@ -198,8 +198,8 @@ def test_decompose_w_type_aligned_on_a():
 
 def test_decompose_round_trip_near_product():
     for i, eps in enumerate((1e-2, 1e-3, 1e-4, 1e-5) * 5):
-        prod = state_core.random_state("full_separable", 500 + i).amplitudes
-        noise = state_core.random_state("haar", 600 + i).amplitudes
+        prod = sampling.random_state("full_separable", 500 + i).amplitudes
+        noise = sampling.random_state("haar", 600 + i).amplitudes
         amps = prod + eps * noise
         _round_trip(PureState3(amps / np.linalg.norm(amps)))
 
@@ -236,15 +236,15 @@ def test_candidates_built_per_state(monkeypatch):
     # the larger-l0 root is built first and kept when admissible: one
     # candidate at a tangle-free double root (its midpoint direction is
     # exact) and at a tangled state whose larger-l0 root is positive
-    ghz = state_core.random_state("ghz_type", 11)
+    ghz = sampling.random_state("ghz_type", 11)
     split = state_core.measure(ghz, transfer.synth_bisep_measurement(ghz))[0][0]
     r2 = 1.0 / math.sqrt(2.0)
     bell_bc = state_core.state_from_schmidt(SchmidtCoeffs(0, r2, 0, 0, r2, 0.0))
-    for state in (state_core.random_state("w_type", 5), bell_bc, split, ghz):
+    for state in (sampling.random_state("w_type", 5), bell_bc, split, ghz):
         assert len(_candidates_built(monkeypatch, state)) == 1
     # a charged state whose larger-l0 root is the negative decomposition
     # builds the other root too
-    charged = state_core.random_state("ghz_type", 0)
+    charged = sampling.random_state("ghz_type", 0)
     assert invariants.profile(charged).q_e == -1
     built = _candidates_built(monkeypatch, charged)
     assert [cand is None for cand in built] == [True, False]
@@ -300,8 +300,8 @@ def test_decompose_keeps_the_larger_l0_root(monkeypatch):
     # may come first, and the sets then differ by rounding alone
     rng = np.random.default_rng(47)
     states = [state_core.apply_local_unitaries(
-                  state_core.random_state(kind, seed),
-                  *(state_core.haar_unitary(rng) for _ in range(3)))
+                  sampling.random_state(kind, seed),
+                  *(sampling.haar_unitary(rng) for _ in range(3)))
               for kind in RANDOM_KINDS for seed in range(40)]
     states += [_scrambled(coeffs, rng) for coeffs in _double_root_coeffs(rng, 40)]
     for state in states:
@@ -324,7 +324,7 @@ def test_decompose_keeps_the_larger_l0_root(monkeypatch):
      "no positive decomposition found"),
 ], ids=["reconstruction", "no_candidate"])
 def test_decomposition_failed(monkeypatch, tmp_path, patch, message):
-    state = state_core.random_state("ghz_type", 12)
+    state = sampling.random_state("ghz_type", 12)
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state_core.state_to_dict(state)))
     patch(monkeypatch)
@@ -347,7 +347,7 @@ def _svd_cases(rng):
     yield np.diag([0.0, 2.0j])
     yield np.diag([1e-9, 0.5])
     for _ in range(20):
-        yield gauss(1)[0] * state_core.haar_unitary(rng)
+        yield gauss(1)[0] * sampling.haar_unitary(rng)
 
 
 def test_svd2_matches_numpy():
@@ -389,7 +389,7 @@ def test_phase_gauge_matches_lstsq():
 
 
 def test_profile_calls_no_lapack(monkeypatch):
-    states = [state_core.random_state(kind, 7 + i)
+    states = [sampling.random_state(kind, 7 + i)
               for i, kind in enumerate(RANDOM_KINDS * 3)]
     want = [invariants.profile(state) for state in states]
 
@@ -408,8 +408,8 @@ def test_local_unitaries_match_einsum():
     rng = np.random.default_rng(48)
     worst = 0.0
     for i in range(200):
-        state = state_core.random_state(RANDOM_KINDS[i % 7], 4000 + i)
-        us = [state_core.haar_unitary(rng) for _ in range(3)]
+        state = sampling.random_state(RANDOM_KINDS[i % 7], 4000 + i)
+        us = [sampling.haar_unitary(rng) for _ in range(3)]
         want = np.einsum("ai,bj,ck,ijk->abc", *us, state.tensor()).reshape(8)
         got = state_core.apply_local_unitaries(state, *us).amplitudes
         worst = max(worst, np.max(np.abs(got - want)))
@@ -417,7 +417,7 @@ def test_local_unitaries_match_einsum():
 
 
 def test_permute_matches_tensor_reorder():
-    state = state_core.random_state("haar", 77)
+    state = sampling.random_state("haar", 77)
     t = state.amplitudes.reshape(2, 2, 2)
     for order, axes in [("BAC", (1, 0, 2)), ("CBA", (2, 1, 0)),
                         ("ACB", (0, 2, 1)), ("BCA", (1, 2, 0)),
@@ -429,15 +429,15 @@ def test_permute_matches_tensor_reorder():
 
 def test_permute_preserves_one_tangle():
     # the one-tangle of the qubit that moves to the front must follow it
-    state = state_core.random_state("haar", 78)
+    state = sampling.random_state("haar", 78)
     base = oracles.one_tangle(state.amplitudes, "B")
     moved = state_core.permute_qubits(state, "BAC")
     assert abs(oracles.one_tangle(moved.amplitudes, "A") - base) < 1e-12
 
 
 def test_measure_probabilities():
-    state = state_core.random_state("haar", 11)
-    meas = state_core.random_measurement(12, qubit="B")
+    state = sampling.random_state("haar", 11)
+    meas = sampling.random_measurement(12, qubit="B")
     outs = state_core.measure(state, meas)
     total = sum(p for _, p in outs)
     assert abs(total - 1.0) < 1e-12
@@ -481,7 +481,7 @@ def test_measurement_completeness_entries(m0, dev):
 
 def test_gram_params_round_trip():
     for seed in range(25):
-        meas = state_core.random_measurement(seed, qubit="A")
+        meas = sampling.random_measurement(seed, qubit="A")
         g = state_core.gram_params(meas.m0)
         want = meas.m0.conj().T @ meas.m0
         np.testing.assert_allclose(g.matrix(), want, atol=1e-12)
@@ -493,7 +493,7 @@ def test_gram_params_single_off_diagonal():
     # k e^{i theta} is the lower entry of m^dag m, the conjugate of
     # s = conj(m00) m01 + conj(m10) m11, formed once
     for seed in range(1000):
-        for m in state_core.random_measurement(seed, qubit="A").operators():
+        for m in sampling.random_measurement(seed, qubit="A").operators():
             (m00, m01), (m10, m11) = m.tolist()
             s = m00.conjugate() * m01 + m10.conjugate() * m11
             g = state_core.gram_params(m)
@@ -562,7 +562,7 @@ def test_measurement_from_grams_matches_numpy():
 
 def test_gram_params_rows_and_arrays_match_numpy():
     for seed in range(300):
-        meas = state_core.random_measurement(seed, qubit=QUBITS[seed % 3])
+        meas = sampling.random_measurement(seed, qubit=QUBITS[seed % 3])
         for rows, arr in zip(meas.ops, meas.operators()):
             g = state_core.gram_params(rows)
             assert state_core.gram_params(arr) == g
@@ -574,15 +574,15 @@ def test_gram_params_rows_and_arrays_match_numpy():
 
 
 def test_measurement_json_keeps_rows():
-    meas = state_core.random_measurement(22, qubit="C")
+    meas = sampling.random_measurement(22, qubit="C")
     back = state_core.measurement_from_dict(
         json.loads(json.dumps(state_core.measurement_to_dict(meas))))
     assert back.ops == meas.ops
 
 
 def test_measure_probabilities_on_qubit_c():
-    state = state_core.random_state("haar", 5)
-    meas = state_core.random_measurement(6, qubit="C")
+    state = sampling.random_state("haar", 5)
+    meas = sampling.random_measurement(6, qubit="C")
     rho = oracles.density(state.amplitudes)
     for m, (_, p) in zip(meas.operators(), state_core.measure(state, meas)):
         big = np.kron(np.kron(np.eye(2), np.eye(2)), m.conj().T @ m)
@@ -591,57 +591,57 @@ def test_measure_probabilities_on_qubit_c():
 
 def test_random_state_kinds_against_oracles():
     for seed in (3, 14, 159):
-        v = state_core.random_state("ghz_type", seed).amplitudes
+        v = sampling.random_state("ghz_type", seed).amplitudes
         assert oracles.hyperdeterminant_tangle(v) > 1e-3
 
-        v = state_core.random_state("w_type", seed).amplitudes
+        v = sampling.random_state("w_type", seed).amplitudes
         assert oracles.hyperdeterminant_tangle(v) < 1e-10
         for pair in ("AB", "AC", "BC"):
             assert oracles.pair_concurrence(v, pair) > 1e-3
 
-        v = state_core.random_state("biseparable_ac", seed).amplitudes
+        v = sampling.random_state("biseparable_ac", seed).amplitudes
         assert oracles.pair_concurrence(v, "AC") > 1e-3
         assert oracles.pair_concurrence(v, "AB") < 1e-8
         assert oracles.pair_concurrence(v, "BC") < 1e-8
         assert oracles.hyperdeterminant_tangle(v) < 1e-10
 
-        v = state_core.random_state("full_separable", seed).amplitudes
+        v = sampling.random_state("full_separable", seed).amplitudes
         assert oracles.hyperdeterminant_tangle(v) < 1e-10
         for pair in ("AB", "AC", "BC"):
             assert oracles.pair_concurrence(v, pair) < 1e-8
 
 
 def test_random_state_deterministic():
-    a = state_core.random_state("haar", 123).amplitudes
-    b = state_core.random_state("haar", 123).amplitudes
-    c = state_core.random_state("haar", 124).amplitudes
+    a = sampling.random_state("haar", 123).amplitudes
+    b = sampling.random_state("haar", 123).amplitudes
+    c = sampling.random_state("haar", 124).amplitudes
     assert np.array_equal(a, b)
     assert not np.allclose(a, c)
 
 
 def test_random_measurement_deterministic_and_valid():
     for qubit in QUBITS:
-        m1 = state_core.random_measurement(9, qubit=qubit)
-        m2 = state_core.random_measurement(9, qubit=qubit)
+        m1 = sampling.random_measurement(9, qubit=qubit)
+        m2 = sampling.random_measurement(9, qubit=qubit)
         assert np.array_equal(m1.m0, m2.m0) and np.array_equal(m1.m1, m2.m1)
         state_core.validate_measurement(m1)
 
 
 def test_complex_conjugate():
-    state = state_core.random_state("haar", 31)
+    state = sampling.random_state("haar", 31)
     conj = state_core.complex_conjugate(state)
     np.testing.assert_allclose(conj.amplitudes, state.amplitudes.conj())
 
 
 def test_state_json_round_trip():
-    state = state_core.random_state("haar", 8)
+    state = sampling.random_state("haar", 8)
     data = state_core.state_to_dict(state)
     back = state_core.state_from_dict(data)
     np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-15)
 
 
 def test_measurement_json_round_trip():
-    meas = state_core.random_measurement(21, qubit="B")
+    meas = sampling.random_measurement(21, qubit="B")
     back = state_core.measurement_from_dict(state_core.measurement_to_dict(meas))
     assert back.qubit == "B"
     np.testing.assert_allclose(back.m0, meas.m0, atol=1e-15)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from triloc import locc, state_core, transfer
+from triloc import locc, sampling, state_core, transfer
 from triloc.invariants import CParams, lu_equivalent, lu_equivalent_profiles, profile
 from triloc.state_core import GramParams, SchmidtCoeffs
 from triloc.transfer import (
@@ -78,8 +78,8 @@ def test_predict_matches_direct_simulation():
 def test_verify_update_fuzz():
     kinds = state_core.RANDOM_KINDS
     for i in range(60):
-        st = state_core.random_state(kinds[i % len(kinds)], 4000 + i)
-        meas = state_core.random_measurement(8000 + i,
+        st = sampling.random_state(kinds[i % len(kinds)], 4000 + i)
+        meas = sampling.random_measurement(8000 + i,
                                              qubit=state_core.QUBITS[i % 3])
         report = transfer.verify_update(st, meas)
         assert report["pass"], report
@@ -89,8 +89,8 @@ def test_verify_update_fuzz():
 
 
 def test_verify_update_report_shape():
-    report = verify_update(state_core.random_state("haar", 1),
-                           state_core.random_measurement(2, qubit="B"))
+    report = verify_update(sampling.random_state("haar", 1),
+                           sampling.random_measurement(2, qubit="B"))
     assert report["qubit"] == "B"
     assert len(report["outcomes"]) == 2
     for out in report["outcomes"]:
@@ -116,7 +116,7 @@ def test_synth_bisep_on_ghz():
 
 def test_synth_bisep_random_states():
     for seed in range(30):
-        st = state_core.random_state("ghz_type", 600 + seed)
+        st = sampling.random_state("ghz_type", 600 + seed)
         p = profile(st)
         meas = synth_bisep_measurement(st)
         state_core.validate_measurement(meas)
@@ -137,7 +137,7 @@ def test_verify_update_on_splitting_measurement():
     # missed rank 1 by ~5e-16, beyond the snap: each outcome must be
     # predicted from its own operator.
     for seed in [*range(640, 660), 123598, 123769, 123918]:
-        st = state_core.random_state("ghz_type", seed)
+        st = sampling.random_state("ghz_type", seed)
         rep = verify_update(st, synth_bisep_measurement(st))
         assert rep["pass"], rep["max_deviation"]
         assert rep["max_deviation"] < 1e-10
@@ -151,7 +151,7 @@ def test_predict_update_rank1_complement():
     # 1 - b; snapped against (1 - a)(1 - b) + k^2 alone it left ~5e-16, and
     # outcome 1 got alpha ~ 1e-6 on seeds 123598, 123769 and 123918
     for seed in [*range(640, 660), 123598, 123769, 123918]:
-        st = state_core.random_state("ghz_type", seed)
+        st = sampling.random_state("ghz_type", seed)
         coeffs, (ua, _, _) = state_core.schmidt_decompose(st)
         meas = synth_bisep_measurement(st)
         g0 = state_core.gram_params(meas.m0 @ ua.conj().T)
@@ -171,7 +171,7 @@ def test_rank1_gram_outcomes_profile_and_match_prediction():
     rng = np.random.default_rng(5)
     kinds = state_core.RANDOM_KINDS
     for i in range(160):
-        st = state_core.random_state(kinds[i % len(kinds)], 30_000 + i)
+        st = sampling.random_state(kinds[i % len(kinds)], 30_000 + i)
         coeffs, (ua, _, _) = state_core.schmidt_decompose(st)
         small = 10.0 ** rng.uniform(-5.0, -1.0, 2)
         a, b = (rng.uniform(0.05, 0.95, 2), small, 1.0 - small)[i % 3]
@@ -195,10 +195,10 @@ def test_scalar_frame_products_match_numpy():
     rng = np.random.default_rng(1516)
     kinds = state_core.RANDOM_KINDS
     for i in range(210):
-        st = state_core.random_state(kinds[i % len(kinds)], 40_000 + i)
+        st = sampling.random_state(kinds[i % len(kinds)], 40_000 + i)
         _, (ua, _, _) = state_core._decompose(st)
         ua_arr = np.array(ua, dtype=complex)
-        meas = state_core.random_measurement(40_000 + i, qubit="A")
+        meas = sampling.random_measurement(40_000 + i, qubit="A")
         for rows, arr in zip(meas.ops, meas.operators()):
             got = transfer._product(rows, transfer._dagger(ua))
             want = arr @ ua_arr.conj().T
@@ -218,7 +218,7 @@ def test_scalar_frame_products_match_numpy():
 def test_predict_update_small_full_rank_complement(eps):
     # outcome 1 is eps * I: unlikely, but it leaves the state unchanged, so
     # its determinant eps^2 must survive the snap however small it is
-    co = state_core.schmidt_decompose(state_core.random_state("ghz_type", 7))[0]
+    co = state_core.schmidt_decompose(sampling.random_state("ghz_type", 7))[0]
     src = profile(state_core.state_from_schmidt(co))
     _, pred1 = predict_update(co, GramParams(1.0 - eps, 1.0 - eps, 0.0, 0.0))
     assert abs(pred1.probability - eps) < 1e-15
@@ -237,8 +237,8 @@ def test_synth_bisep_degenerate():
 def test_transfer_inequalities_fuzz():
     kinds = state_core.RANDOM_KINDS
     for i in range(120):
-        st = state_core.random_state(kinds[i % len(kinds)], 9000 + i)
-        meas = state_core.random_measurement(12000 + i,
+        st = sampling.random_state(kinds[i % len(kinds)], 9000 + i)
+        meas = sampling.random_measurement(12000 + i,
                                              qubit=state_core.QUBITS[i % 3])
         lhs, mid, rhs = lemma2_bounds(st, meas)
         assert lhs <= mid + 1e-9
@@ -253,8 +253,8 @@ def test_average_residue_components():
     # the averaged spectator concurrence and averaged sqrt(tangle) fit in
     # one circle of radius sqrt(k_bc); simulated directly, no helpers
     for i in range(60):
-        st = state_core.random_state("haar", 15000 + i)
-        meas = state_core.random_measurement(17000 + i, qubit="A")
+        st = sampling.random_state("haar", 15000 + i)
+        meas = sampling.random_measurement(17000 + i, qubit="A")
         src = profile(st)
         cb_avg = 0.0
         rt_avg = 0.0
@@ -268,7 +268,7 @@ def test_average_residue_components():
 
 
 def test_search_self_target():
-    st = state_core.random_state("ghz_type", 40)
+    st = sampling.random_state("ghz_type", 40)
     meas = search_deterministic_measurement(st, st)
     assert meas is not None
     coeffs, (ua, _, _) = state_core.schmidt_decompose(st)
@@ -297,7 +297,7 @@ def test_search_ghz_to_bell():
 
 def test_search_rejects_unreachable():
     ghz = state_core.state_from_schmidt(GHZ_CO)
-    stronger = state_core.random_state("ghz_type", 41)
+    stronger = sampling.random_state("ghz_type", 41)
     # a generic tangled target is not reachable from GHZ in one step on A
     # when its invariants do not lie on the GHZ contraction row
     assert search_deterministic_measurement(stronger, ghz) is None
@@ -381,13 +381,13 @@ def test_search_one_step_with_a_vanishing_overlap(zero_slot):
 def test_search_two_step_targets_return_none_unsimulated(monkeypatch):
     rng = np.random.default_rng(71)
     ghz, prof = samplers.ep_definite_ghz(rng)
-    w = state_core.random_state("w_type", 72)
+    w = sampling.random_state("w_type", 72)
     c_bc = profile(w).c.c_bc
     bc_pair = samplers.chargeless_state(CParams(0.0, 0.0, 0.5 * c_bc, 0.0, 0.0), rng)
     weaker = None
     while weaker is None:
         weaker = samplers.feasible_from(prof, rng, lo=0.6, hi=0.9)
-    pairs = [(ghz, state_core.random_state("full_separable", 73)), (w, bc_pair),
+    pairs = [(ghz, sampling.random_state("full_separable", 73)), (w, bc_pair),
              (ghz, weaker)]
     for src, dst in pairs:
         assert locc.dlocc_feasible(src, dst).feasible
@@ -406,10 +406,70 @@ def test_search_answers_the_defect_questions():
     # splitting measurement passes its own verification
     rng = np.random.default_rng([1, 3])
     for _ in range(50):
-        src = state_core.random_state("ghz_type", int(rng.integers(0, 2**62)))
+        src = sampling.random_state("ghz_type", int(rng.integers(0, 2**62)))
         split_meas = synth_bisep_measurement(src)
         split = samplers.scrambled(state_core.measure(src, split_meas)[0][0], rng)
         assert search_deterministic_measurement(src, split) is not None
-        far = state_core.random_state("ghz_type", int(rng.integers(0, 2**62)))
+        far = sampling.random_state("ghz_type", int(rng.integers(0, 2**62)))
         assert search_deterministic_measurement(src, far) is None
         assert verify_update(src, split_meas)["pass"]
+
+
+def _c_step_leaves(src, dst):
+    """(leaf, probability) of every branch the three-step chain src -> A ->
+    B -> C -> dst starts its C step from, for a zeta-tilde-definite src: A
+    and then B are measured to the source's residues scaled by the witness's
+    zeta_a and then zeta_b, each branch searched from its own outcome."""
+    w = locc.dlocc_feasible(src, dst).witness
+    p = profile(src)
+    q, leaves = p.q_e, [(src, 1.0)]
+    for za, zb, order in ((w.zeta_a, 1.0, "ABC"), (1.0, w.zeta_b, "BAC")):
+        target = locc.scaled_destination(p, za, zb, 1.0, locc.zeta_tilde(p, za, zb, 1.0), q)
+        p = profile(target)
+        front = state_core.permute_qubits(target, order)
+        step = []
+        for st, prob in leaves:
+            st = state_core.permute_qubits(st, order)
+            meas = search_deterministic_measurement(st, front)
+            assert meas is not None
+            step += [(state_core.permute_qubits(out, order), prob * p_out)
+                     for out, p_out in state_core.measure(st, meas)]
+        leaves = step
+    return leaves
+
+
+def test_search_from_drifted_unlikely_branches():
+    # pairs 191, 231, 337, 367 and 371 of criterion 06's stream: one C-step
+    # leaf of each, of probability 9e-6 to 3e-3, carries the decomposition
+    # drift of two earlier steps.  An evenly split Gram residual, divided by
+    # the small probability of one outcome, put it 2e-8 to 5e-7 off dst
+    rng = np.random.default_rng(606)
+    pairs = []
+    while len(pairs) < 372:
+        pair = samplers.feasible_pair(rng)
+        if pair is not None:
+            pairs.append(pair)
+    for i in (191, 231, 337, 367, 371):
+        src, dst = pairs[i]
+        front = state_core.permute_qubits(dst, "CBA")
+        for leaf, prob in _c_step_leaves(src, dst):
+            meas = search_deterministic_measurement(
+                state_core.permute_qubits(leaf, "CBA"), front)
+            assert meas is not None, (i, prob)
+
+
+def test_two_term_gram_ties_break_in_weights_order():
+    # chargeless targets of real-weight sources: several pairings solve to
+    # rounding, so the Gram must not depend on the last bits of the target's
+    # profile (the first pairing in weights order wins)
+    rng = np.random.default_rng(5)
+    for i in range(60):
+        src, dst, _ = samplers.one_step_pair(rng, "chargeless")
+        ps = profile(src)
+        g0, g1 = (transfer._two_term_gram(ps, profile(samplers.scrambled(dst, rng)))
+                  for _ in range(2))
+        if g0 is None or g1 is None:
+            continue
+        entries = [(g.a, g.b, g.k * complex(math.cos(g.theta), math.sin(g.theta)))
+                   for g in (g0, g1)]
+        assert max(abs(x - y) for x, y in zip(*entries)) < 1e-9, i
