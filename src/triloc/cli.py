@@ -126,7 +126,7 @@ def synth_bisep(args):
     from . import transfer
     # transfer.synth_bisep_measurement, keeping its one decomposition for
     # the outcomes' pair concurrence
-    coeffs, (ua, _, _) = state_core._decompose(_load_state(args.state_path))
+    coeffs, (ua, _, _) = state_core.schmidt_decompose(_load_state(args.state_path))
     try:
         meas = transfer._lab_measurement(transfer._split_gram(coeffs), ua)
     except transfer.DegenerateInput as exc:
@@ -171,12 +171,12 @@ def verify_lemmas(args):
         # inequality suites across all entanglement families
         stk = random_state(state_core.RANDOM_KINDS[i % 7], seed + 2)
         measa = random_measurement(seed + 3, qubit="A")
-        # lemma 2 and the alpha sum read one simulation of measa
-        lhs, mid, rhs, asum = transfer._lemma2_with_alpha(stk, measa)
+        lhs, mid, rhs = transfer.lemma2_bounds(stk, measa)
         worst["lemma2"] = max(worst["lemma2"], lhs - mid, mid - rhs)
         measq = state_core.Measurement2(state_core.QUBITS[i % 3], *measa.ops)
         avg, bound = transfer.lemma4_check(stk, measq)
         worst["lemma4"] = max(worst["lemma4"], avg - bound)
+        asum = transfer.alpha_average(stk, measa)
         worst["alpha_sum"] = max(worst["alpha_sum"], asum - 1.0, -asum)
     max_dev = max(worst.values())
     passed = bool(max_dev <= LEMMA_GATE)

@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from . import state_core
-from .state_core import SchmidtCoeffs, _decompose, state_from_schmidt
+from .state_core import SchmidtCoeffs, schmidt_decompose, state_from_schmidt
 
 
 class NegativeDiscriminant(ValueError):
@@ -188,7 +188,7 @@ def coeffs_profile(coeffs):
 
 def profile(state):
     """Decompose once and compute every invariant of the state."""
-    return coeffs_profile(_decompose(state)[0])
+    return coeffs_profile(schmidt_decompose(state)[0])
 
 
 def classify(state):

@@ -112,10 +112,6 @@ class PureState3:
     def amplitudes(self):
         return _frozen_array(self.amps)
 
-    def tensor(self):
-        """Amplitudes as a (2, 2, 2) array t[a, b, c]."""
-        return self.amplitudes.reshape(2, 2, 2)
-
 
 class SchmidtCoeffs(namedtuple("SchmidtCoeffs", "l0 l1 l2 l3 l4 phi")):
     """Coefficients of the five-term normal form (positive convention)."""
@@ -139,10 +135,6 @@ class SchmidtCoeffs(namedtuple("SchmidtCoeffs", "l0 l1 l2 l3 l4 phi")):
         return tuple.__new__(cls, (l0, l1, l2, l3, l4, phi))
 
     __reduce__ = _reduce_unchecked
-
-    def as_array(self):
-        import numpy as np
-        return np.array([self.l0, self.l1, self.l2, self.l3, self.l4])
 
 
 class GramParams(namedtuple("GramParams", "a b k theta")):
@@ -263,9 +255,6 @@ class Measurement2:
     @functools.cached_property
     def m1(self):
         return _frozen_array(self.ops[1])
-
-    def operators(self):
-        return (self.m0, self.m1)
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +543,18 @@ def _candidate_decomposition(num, den, t0, t1):
     return SchmidtCoeffs(*lams, phi), (ua, ub, uc)
 
 
-def _decompose(state):
-    """schmidt_decompose with the local unitaries as pairs of rows of Python
-    complex numbers."""
+def schmidt_decompose(state):
+    """Normal form of a three-qubit state.
+
+    Returns (coeffs, (ua, ub, uc)) such that applying ua ⊗ ub ⊗ uc to the
+    input reproduces the normal-form amplitudes of coeffs within TOL_RECON;
+    each unitary is a pair of rows of Python numbers (complex, or float
+    where an entry is exact), which apply_local_unitaries, Measurement2 and
+    np.array all accept.  The positive decomposition is returned; for
+    chargeless states with two admissible coefficient sets the one with
+    larger l0 is chosen.  All 2x2 algebra is closed form on Python complex
+    numbers, so no numpy is loaded.
+    """
     amps = state.amps
     t0, t1 = amps[:4], amps[4:]
     d0 = t0[0] * t0[3] - t0[1] * t0[2]
@@ -601,38 +599,11 @@ def _decompose(state):
     raise DecompositionFailed(f"reconstruction error {err:.3e} exceeds budget")
 
 
-def schmidt_decompose(state):
-    """Normal form of a three-qubit state.
-
-    Returns (coeffs, (ua, ub, uc)) such that applying ua ⊗ ub ⊗ uc to the
-    input reproduces the normal-form amplitudes of coeffs within TOL_RECON;
-    the unitaries are (2, 2) complex ndarrays.  The positive decomposition is
-    returned; for chargeless states with two admissible coefficient sets the
-    one with larger l0 is chosen.  All 2x2 algebra is closed form on Python
-    complex numbers.
-    """
-    import numpy as np
-    coeffs, us = _decompose(state)
-    return coeffs, tuple(np.array(u, dtype=complex) for u in us)
-
-
 # ---------------------------------------------------------------------------
-# random sampling
+# random sampling (the samplers live in triloc.sampling, which imports numpy)
 
 RANDOM_KINDS = ("haar", "ghz_type", "w_type", "biseparable_ab",
                 "biseparable_ac", "biseparable_bc", "full_separable")
-
-# the samplers live in triloc.sampling, which imports numpy; read here, one
-# is imported from there on first use (PEP 562), so loading state_core loads
-# neither the samplers nor numpy
-_SAMPLERS = ("haar_unitary", "random_measurement", "random_state")
-
-
-def __getattr__(name):
-    if name not in _SAMPLERS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import sampling
-    return getattr(sampling, name)
 
 
 # ---------------------------------------------------------------------------

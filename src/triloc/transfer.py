@@ -199,7 +199,7 @@ def verify_update(state, meas):
     """
     qubit = meas.qubit
     front, meas = _measured_front(state, meas)
-    coeffs, (ua, _, _) = state_core._decompose(front)
+    coeffs, (ua, _, _) = state_core.schmidt_decompose(front)
     uah = _dagger(ua)
     grams = [state_core.gram_params(_product(m, uah)) for m in meas.ops]
     preds = _nondegenerate_pair(
@@ -247,7 +247,7 @@ def synth_bisep_measurement(state):
     splitting Gram by measurement_from_grams and rotated into the lab frame
     of state.
     """
-    coeffs, (ua, _, _) = state_core._decompose(state)
+    coeffs, (ua, _, _) = state_core.schmidt_decompose(state)
     return _lab_measurement(_split_gram(coeffs), ua)
 
 
@@ -304,18 +304,12 @@ def lemma2_bounds(state, meas):
     its probability-averaged outcome value, and the transfer ceiling.  The
     law is lhs <= mid <= rhs.
     """
-    return _lemma2_with_alpha(state, meas)[:3]
-
-
-def _lemma2_with_alpha(state, meas):
-    """lemma2_bounds and alpha_average from one simulation: (lhs, mid, rhs,
-    alpha sum)."""
     front, terms = _outcome_terms(state, meas)
     src = profile(front)
     mid = sum(p * profile(out).c.c_bc for p, _, out in terms)
     asum = sum(p * alpha for p, alpha, _ in terms)
     rhs = math.sqrt(src.c.c_bc**2 + max(1.0 - asum**2, 0.0) * src.c.tau)
-    return src.c.c_bc, mid, rhs, asum
+    return src.c.c_bc, mid, rhs
 
 
 def lemma4_check(state, meas):
@@ -480,7 +474,7 @@ def search_deterministic_measurement(state, target):
     when both simulated outcomes are LU-equivalent to target.
     """
     from . import locc
-    coeffs, (ua, _, _) = state_core._decompose(state)
+    coeffs, (ua, _, _) = state_core.schmidt_decompose(state)
     ps, pd = coeffs_profile(coeffs), profile(target)
     verdict = locc.dlocc_feasible_profiles(ps, pd)
     g = _step_gram(ps, pd, verdict.witness) if verdict.feasible else None

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from triloc import locc, state_core, transfer
+from triloc import locc, sampling, state_core, transfer
 from triloc.invariants import coeffs_from_invariants, lu_equivalent, profile
 from triloc.locc import dlocc_feasible, ghz_oracle, min_measurements
 from triloc.state_core import RANDOM_KINDS, SchmidtCoeffs
@@ -30,13 +30,13 @@ def test_criterion_01_lu_invariance():
     worst = 0.0
     charge_breaks = 0
     for i in range(1000):
-        st = state_core.random_state(RANDOM_KINDS[i % 7], 50_000 + i)
+        st = sampling.random_state(RANDOM_KINDS[i % 7], 50_000 + i)
         p = profile(st)
         base = np.array(p.c.as_tuple())
         for _ in range(3):
             rot = state_core.apply_local_unitaries(
-                st, state_core.haar_unitary(rng), state_core.haar_unitary(rng),
-                state_core.haar_unitary(rng))
+                st, sampling.haar_unitary(rng), sampling.haar_unitary(rng),
+                sampling.haar_unitary(rng))
             pr = profile(rot)
             worst = max(worst, float(np.max(np.abs(np.array(pr.c.as_tuple())
                                                    - base))))
@@ -56,7 +56,7 @@ def test_criterion_02_inversion_round_trip():
     twin_checked = 0
     twin_bad = 0
     for i in range(1000):
-        st = state_core.random_state(RANDOM_KINDS[i % 7], 60_000 + i)
+        st = sampling.random_state(RANDOM_KINDS[i % 7], 60_000 + i)
         p = profile(st)
         sets = coeffs_from_invariants(p.c, p.q_e)
         rebuilt = state_core.state_from_schmidt(sets[0])
@@ -83,8 +83,8 @@ def test_criterion_03_update_exactness():
     worst_inv = 0.0
     worst_psum = 0.0
     for i in range(10_000):
-        st = state_core.random_state("haar", 70_000 + i)
-        meas = state_core.random_measurement(80_000 + i, qubit="A")
+        st = sampling.random_state("haar", 70_000 + i)
+        meas = sampling.random_measurement(80_000 + i, qubit="A")
         report = transfer.verify_update(st, meas)
         worst_inv = max(worst_inv, report["max_deviation"])
         worst_psum = max(worst_psum, report["p_sum_deviation"])
@@ -99,11 +99,11 @@ def test_criterion_03_update_exactness():
 def test_criterion_04_transfer_inequalities():
     v_lemma2 = v_range = v_residue = 0
     for i in range(10_000):
-        st = state_core.random_state(RANDOM_KINDS[i % 7], 90_000 + i)
-        meas = state_core.random_measurement(100_000 + i, qubit="A")
+        st = sampling.random_state(RANDOM_KINDS[i % 7], 90_000 + i)
+        meas = sampling.random_measurement(100_000 + i, qubit="A")
         src = profile(st)
         cb_avg = res_avg = asum = 0.0
-        for m, (out, p) in zip(meas.operators(), state_core.measure(st, meas)):
+        for m, (out, p) in zip((meas.m0, meas.m1), state_core.measure(st, meas)):
             if out is None:
                 continue
             g = m.conj().T @ m
@@ -134,7 +134,7 @@ def test_criterion_05_splitting_measurement():
     i = 0
     kinds = ("ghz_type", "haar", "w_type")
     while checked < 500:
-        st = state_core.random_state(kinds[i % 3], 110_000 + i)
+        st = sampling.random_state(kinds[i % 3], 110_000 + i)
         i += 1
         p = profile(st)
         if not p.state_class.ep_definite:
@@ -207,7 +207,7 @@ def test_criterion_07_charge_laws():
     flip_bad = 0
     perm_bad = 0
     for i in range(1000):
-        st = state_core.random_state(RANDOM_KINDS[i % 7], 120_000 + i)
+        st = sampling.random_state(RANDOM_KINDS[i % 7], 120_000 + i)
         q = profile(st).q_e
         flip_bad += profile(state_core.complex_conjugate(st)).q_e != -q
         for order in ("ACB", "BAC", "BCA", "CAB", "CBA"):
@@ -236,7 +236,7 @@ def test_criterion_08_measurement_count_table():
 def test_criterion_09_partial_order():
     refl_bad = 0
     for i in range(1000):
-        st = state_core.random_state(RANDOM_KINDS[i % 7], 130_000 + i)
+        st = sampling.random_state(RANDOM_KINDS[i % 7], 130_000 + i)
         refl_bad += not dlocc_feasible(st, st).feasible
     rng = np.random.default_rng(909)
     mono_bad = 0

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import triloc
 from triloc import invariants, locc, sampling, state_core, transfer
 from triloc.cli import main
 from triloc.state_core import SchmidtCoeffs
@@ -21,16 +25,16 @@ BELL_BC = state_core.state_from_schmidt(SchmidtCoeffs(0, R2, 0, 0, R2, 0.0))
 @pytest.fixture
 def decompositions(monkeypatch):
     calls = []
-    original = invariants._decompose
+    original = state_core.schmidt_decompose
 
     def counting(state):
         calls.append(state)
         return original(state)
 
-    # profile decomposes through the internal step that keeps its unitaries
-    # as Python numbers; the public schmidt_decompose wraps the same step
-    monkeypatch.setattr(invariants, "_decompose", counting)
-    monkeypatch.setattr(state_core, "_decompose", counting)
+    # transfer and the CLI read schmidt_decompose off state_core when they
+    # call it; profile calls the name invariants imported
+    monkeypatch.setattr(state_core, "schmidt_decompose", counting)
+    monkeypatch.setattr(invariants, "schmidt_decompose", counting)
     return calls
 
 
@@ -105,3 +109,23 @@ def test_search(decompositions, make_pair):
     decompositions.clear()
     assert transfer.search_deterministic_measurement(src, dst) is not None
     assert len(decompositions) == 4
+
+
+def test_decompose_loads_no_numpy():
+    # the decomposition is scalar, unitaries included: a cold interpreter
+    # decomposes through the package name without loading numpy
+    state = sampling.random_state("haar", 3)
+    code = ("import json, sys, triloc\n"
+            f"st = triloc.state_from_dict({state_core.state_to_dict(state)!r})\n"
+            "coeffs, us = triloc.schmidt_decompose(st)\n"
+            "print(json.dumps([list(coeffs), sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] == 'numpy')]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(triloc.__file__)), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env=env)
+    assert res.returncode == 0, res.stderr
+    coeffs, numpy_modules = json.loads(res.stdout)
+    assert numpy_modules == []
+    assert coeffs == list(state_core.schmidt_decompose(state)[0])

@@ -1,16 +1,21 @@
 """The benchmark in perfbench/ is kept fixed while the library changes, so
-every library name it reads must keep existing, and every call it makes must
-still fit the callee's signature.  These checks read the perfbench sources;
-they run none of its workloads."""
+every library name it reads must keep existing, every call it makes must
+still fit the callee's signature, and its tracer must still see the layers
+the library runs.  These checks read the perfbench sources and load its
+tracer; they run none of its workloads."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import pathlib
 
 import triloc
 import triloc.cli  # loaded so that the triloc.cli.main tracer.py reads resolves
+# Patch lists the loaded triloc modules before it imports the ones it wraps,
+# so every module whose bindings it must rebind is imported here
+from triloc import invariants, locc, sampling, state_core, transfer
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -65,15 +70,48 @@ def _resolve(chain, obj):
     return obj
 
 
-def test_tracer_wrapped_names_exist():
+def _tracer():
+    """perfbench/tracer.py, loaded as a module of its own."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   PERFBENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_wrapped_names_exist():
+    tracer = _tracer()
     assert tracer.WRAPPED
     for mod_name, fn_name in tracer.WRAPPED:
         mod = importlib.import_module(f"triloc.{mod_name}")
         assert callable(getattr(mod, fn_name, None)), f"triloc.{mod_name}.{fn_name}"
+
+
+def test_tracer_sees_every_decomposition():
+    # the tracer wraps public names, so the decomposition the library runs
+    # must be the public schmidt_decompose for its per-layer spans to count
+    r2 = 1.0 / math.sqrt(2.0)
+    ghz = state_core.state_from_schmidt(state_core.SchmidtCoeffs(r2, 0, 0, 0, r2, 0.0))
+    bell_bc = state_core.state_from_schmidt(state_core.SchmidtCoeffs(0, r2, 0, 0, r2, 0.0))
+    meas = sampling.random_measurement(3, qubit="B")
+    tracer = _tracer()
+    rec = tracer.Recorder()
+    patch = tracer.Patch(rec)
+    counts = []
+    patch.apply()
+    try:
+        # the calls read the module attributes that apply() rebinds
+        for call in (lambda: invariants.profile(ghz),
+                     lambda: locc.dlocc_feasible(ghz, bell_bc),
+                     lambda: transfer.verify_update(ghz, meas),
+                     lambda: transfer.search_deterministic_measurement(ghz, bell_bc)):
+            start = len(rec.spans)
+            call()
+            counts.append(sum(span[0] == "state_core.schmidt_decompose"
+                              for span in rec.spans[start:]))
+    finally:
+        patch.undo()
+    assert counts == [1, 2, 3, 4]
 
 
 def test_perfbench_library_reads_exist():

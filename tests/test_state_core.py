@@ -59,8 +59,6 @@ def test_state_input_contract():
     assert state.amplitudes is state.amplitudes
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
-    with pytest.raises(ValueError):
-        state.tensor()[0, 0, 0] = 0.0
 
 
 def test_state_from_schmidt_slots():
@@ -85,10 +83,13 @@ def test_schmidt_coeffs_phase_guard():
 
 
 def _round_trip(state):
-    """Decompose, check the local maps are unitary and rebuild the normal form."""
+    """Decompose, check the local maps are unitary pairs of rows of Python
+    numbers and rebuild the normal form."""
     coeffs, us = state_core.schmidt_decompose(state)
     for u in us:
-        assert isinstance(u, np.ndarray) and u.shape == (2, 2) and u.dtype == complex
+        assert len(u) == 2 and all(len(row) == 2 for row in u)
+        assert all(isinstance(z, (complex, float)) for row in u for z in row)
+        u = np.array(u, dtype=complex)
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
     rebuilt = state_core.apply_local_unitaries(state, *us)
     target = state_core.state_from_schmidt(coeffs)
@@ -101,7 +102,7 @@ def test_decompose_round_trip_all_kinds():
         for i in range(30):
             seed = 1000 * (i + 1) + RANDOM_KINDS.index(kind)
             coeffs = _round_trip(sampling.random_state(kind, seed))
-            lams = coeffs.as_array()
+            lams = np.array(coeffs[:5])
             assert np.all(lams >= 0.0)
             assert abs(np.sum(lams**2) - 1.0) < 1e-9
             assert 0.0 <= coeffs.phi <= math.pi + 1e-12
@@ -151,7 +152,7 @@ def test_decompose_round_trip_vanishing_coefficient():
         coeffs = _round_trip(_scrambled(want, rng))
         # l1 = 0 leaves charge 0, whose larger-l0 set may have no zero and phi = pi
         assert coeffs.phi in (0.0, math.pi)
-        assert coeffs.phi == 0.0 or min(coeffs.as_array()) >= state_core.TOL_ZERO
+        assert coeffs.phi == 0.0 or min(coeffs[:5]) >= state_core.TOL_ZERO
         _assert_same_invariants(coeffs, want)
 
 
@@ -309,7 +310,7 @@ def test_decompose_keeps_the_larger_l0_root(monkeypatch):
                 if cand is not None and _reconstructs(state, cand)]
         largest = max(kept, key=lambda coeffs: coeffs.l0)
         want = next(co for co in kept if co.l0 >= largest.l0 - 1e-15)
-        got, _ = state_core._decompose(state)
+        got, _ = state_core.schmidt_decompose(state)
         assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-15
         got_p, want_p = invariants.coeffs_profile(got), invariants.coeffs_profile(largest)
         assert got_p.state_class == want_p.state_class
@@ -410,7 +411,7 @@ def test_local_unitaries_match_einsum():
     for i in range(200):
         state = sampling.random_state(RANDOM_KINDS[i % 7], 4000 + i)
         us = [sampling.haar_unitary(rng) for _ in range(3)]
-        want = np.einsum("ai,bj,ck,ijk->abc", *us, state.tensor()).reshape(8)
+        want = np.einsum("ai,bj,ck,ijk->abc", *us, state.amplitudes.reshape(2, 2, 2)).reshape(8)
         got = state_core.apply_local_unitaries(state, *us).amplitudes
         worst = max(worst, np.max(np.abs(got - want)))
     assert worst <= 1e-15
@@ -493,7 +494,8 @@ def test_gram_params_single_off_diagonal():
     # k e^{i theta} is the lower entry of m^dag m, the conjugate of
     # s = conj(m00) m01 + conj(m10) m11, formed once
     for seed in range(1000):
-        for m in sampling.random_measurement(seed, qubit="A").operators():
+        meas = sampling.random_measurement(seed, qubit="A")
+        for m in (meas.m0, meas.m1):
             (m00, m01), (m10, m11) = m.tolist()
             s = m00.conjugate() * m01 + m10.conjugate() * m11
             g = state_core.gram_params(m)
@@ -550,7 +552,7 @@ def test_measurement_from_grams_matches_numpy():
     ranks = set()
     for g in _parity_grams():
         meas = state_core.measurement_from_grams(g)
-        for rows, arr, want in zip(meas.ops, meas.operators(),
+        for rows, arr, want in zip(meas.ops, (meas.m0, meas.m1),
                                    _numpy_measurement_from_grams(g)):
             assert np.max(np.abs(np.array(rows) - want)) <= 1e-15, g
             assert np.array_equal(arr, np.array(rows))
@@ -563,7 +565,7 @@ def test_measurement_from_grams_matches_numpy():
 def test_gram_params_rows_and_arrays_match_numpy():
     for seed in range(300):
         meas = sampling.random_measurement(seed, qubit=QUBITS[seed % 3])
-        for rows, arr in zip(meas.ops, meas.operators()):
+        for rows, arr in zip(meas.ops, (meas.m0, meas.m1)):
             g = state_core.gram_params(rows)
             assert state_core.gram_params(arr) == g
             assert state_core.gram_params(arr.tolist()) == g
@@ -584,7 +586,7 @@ def test_measure_probabilities_on_qubit_c():
     state = sampling.random_state("haar", 5)
     meas = sampling.random_measurement(6, qubit="C")
     rho = oracles.density(state.amplitudes)
-    for m, (_, p) in zip(meas.operators(), state_core.measure(state, meas)):
+    for m, (_, p) in zip((meas.m0, meas.m1), state_core.measure(state, meas)):
         big = np.kron(np.kron(np.eye(2), np.eye(2)), m.conj().T @ m)
         assert abs(p - np.trace(big @ rho).real) < 1e-12
 

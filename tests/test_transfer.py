@@ -103,7 +103,7 @@ def test_synth_bisep_on_ghz():
     st = state_core.state_from_schmidt(GHZ_CO)
     meas = synth_bisep_measurement(st)
     _, (ua, _, _) = state_core.schmidt_decompose(st)
-    g = state_core.gram_params(meas.m0 @ ua.conj().T)
+    g = state_core.gram_params(meas.m0 @ np.array(ua).conj().T)
     assert abs(g.a - 0.5) < 1e-12 and abs(g.b - 0.5) < 1e-12
     assert abs(g.k - 0.5) < 1e-12
     assert abs(g.theta - math.pi / 2) < 1e-12
@@ -154,7 +154,7 @@ def test_predict_update_rank1_complement():
         st = sampling.random_state("ghz_type", seed)
         coeffs, (ua, _, _) = state_core.schmidt_decompose(st)
         meas = synth_bisep_measurement(st)
-        g0 = state_core.gram_params(meas.m0 @ ua.conj().T)
+        g0 = state_core.gram_params(meas.m0 @ np.array(ua).conj().T)
         pred0, pred1 = predict_update(coeffs, g0)
         assert (pred0.alpha, pred1.alpha) == (0.0, 0.0), seed
         sim1 = profile(state_core.measure(st, meas)[1][0])
@@ -178,6 +178,7 @@ def test_rank1_gram_outcomes_profile_and_match_prediction():
         k = math.sqrt(min(a * b, (1.0 - a) * (1.0 - b)))
         g = GramParams(a, b, k, rng.uniform(0.0, 2.0 * math.pi))
         base = state_core.measurement_from_grams(g)
+        ua = np.array(ua)
         meas = state_core.Measurement2("A", base.m0 @ ua, base.m1 @ ua)
         sims = state_core.measure(st, meas)
         for pred, (out, p) in zip(predict_update(coeffs, g), sims):
@@ -191,15 +192,15 @@ def test_rank1_gram_outcomes_profile_and_match_prediction():
 
 def test_scalar_frame_products_match_numpy():
     # verify_update's normal-frame operator m ua^dag and _lab_measurement's
-    # lab-frame operator base ua, on the rows of _decompose's ua
+    # lab-frame operator base ua, on the rows of schmidt_decompose's ua
     rng = np.random.default_rng(1516)
     kinds = state_core.RANDOM_KINDS
     for i in range(210):
         st = sampling.random_state(kinds[i % len(kinds)], 40_000 + i)
-        _, (ua, _, _) = state_core._decompose(st)
+        _, (ua, _, _) = state_core.schmidt_decompose(st)
         ua_arr = np.array(ua, dtype=complex)
         meas = sampling.random_measurement(40_000 + i, qubit="A")
-        for rows, arr in zip(meas.ops, meas.operators()):
+        for rows, arr in zip(meas.ops, (meas.m0, meas.m1)):
             got = transfer._product(rows, transfer._dagger(ua))
             want = arr @ ua_arr.conj().T
             assert np.max(np.abs(np.array(got) - want)) <= 1e-15
@@ -210,7 +211,7 @@ def test_scalar_frame_products_match_numpy():
                        rng.uniform(0.0, 2.0 * math.pi))
         base = state_core.measurement_from_grams(g)
         lab = transfer._lab_measurement(g, ua)
-        for arr, want in zip(lab.operators(), (base.m0 @ ua_arr, base.m1 @ ua_arr)):
+        for arr, want in zip((lab.m0, lab.m1), (base.m0 @ ua_arr, base.m1 @ ua_arr)):
             assert np.max(np.abs(arr - want)) <= 1e-15
 
 
@@ -272,7 +273,7 @@ def test_search_self_target():
     meas = search_deterministic_measurement(st, st)
     assert meas is not None
     coeffs, (ua, _, _) = state_core.schmidt_decompose(st)
-    g = state_core.gram_params(meas.m0 @ ua.conj().T)
+    g = state_core.gram_params(meas.m0 @ np.array(ua).conj().T)
     # any uniform attenuation works; the search must land on one
     assert abs(g.a - g.b) < 1e-4
     assert g.k < 1e-4
@@ -286,7 +287,7 @@ def test_search_ghz_to_bell():
     meas = search_deterministic_measurement(ghz, bell)
     assert meas is not None
     coeffs, (ua, _, _) = state_core.schmidt_decompose(ghz)
-    g = state_core.gram_params(meas.m0 @ ua.conj().T)
+    g = state_core.gram_params(meas.m0 @ np.array(ua).conj().T)
     # the splitting measurement is unique up to the free angle
     assert abs(g.a - 0.5) < 1e-4
     assert abs(g.b - 0.5) < 1e-4
@@ -327,7 +328,7 @@ def test_search_one_step_pairs(kind):
             assert sim.c.max_deviation(rule) < 1e-9, (kind, i)
         assert verify_update(src, meas)["pass"], (kind, i)
         coeffs, (ua, _, _) = state_core.schmidt_decompose(src)
-        preds = predict_update(coeffs, state_core.gram_params(meas.m0 @ ua.conj().T))
+        preds = predict_update(coeffs, state_core.gram_params(meas.m0 @ np.array(ua).conj().T))
         for pred in preds:
             assert pred.c.max_deviation(rule) < 1e-9, (kind, i)
 
@@ -456,6 +457,31 @@ def test_search_from_drifted_unlikely_branches():
             meas = search_deterministic_measurement(
                 state_core.permute_qubits(leaf, "CBA"), front)
             assert meas is not None, (i, prob)
+
+
+def _drifted(state, rng):
+    """state moved by eps = 10^U(-13, -10) along a random direction and
+    renormalized."""
+    eps = 10.0 ** rng.uniform(-13.0, -10.0)
+    noise = rng.normal(size=8) + 1j * rng.normal(size=8)
+    return state_core.validate_state(state.amplitudes + eps * noise / np.linalg.norm(noise))
+
+
+@pytest.mark.parametrize("kind", [
+    *(kind for kind in samplers.ONE_STEP_KINDS if kind != "w_type"),
+    pytest.param("w_type", marks=pytest.mark.xfail(strict=True, reason=(
+        "_w_gram assumes l4 = 0, but a drifted source still classed W has "
+        "l4 ~ sqrt(tau), so both outcomes miss the target by ~sqrt(tau) > TOL_EQ"))),
+])
+def test_search_from_drifted_source(kind):
+    # a source up to 1e-10 off a one-step pair still has its step
+    rng = np.random.default_rng(2024)
+    missed = []
+    for i in range(150):
+        src, dst, _ = samplers.one_step_pair(rng, kind)
+        if search_deterministic_measurement(_drifted(src, rng), dst) is None:
+            missed.append(i)
+    assert not missed, missed
 
 
 def test_two_term_gram_ties_break_in_weights_order():

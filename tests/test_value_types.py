@@ -124,7 +124,7 @@ def test_measurement_reads_every_operator_form(form):
     meas = state_core.Measurement2("B", OP_FORMS[form], OP_FORMS[form])
     assert meas.ops == (OP_ROWS, OP_ROWS)
     assert all(type(z) is complex for rows in meas.ops for row in rows for z in row)
-    for arr in meas.operators():
+    for arr in (meas.m0, meas.m1):
         assert arr.dtype == complex and arr.shape == (2, 2)
         assert np.array_equal(arr, np.array(OP_ROWS))
         assert not arr.flags.writeable
