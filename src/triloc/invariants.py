@@ -236,11 +236,15 @@ def _normalized(lams):
     return [x / n for x in lams]
 
 
-def _verified(cand_list, c, q):
+def _verified(cands, c, q):
+    """The candidates that reproduce c within TOL_RECON with charge q, each
+    kept only when it differs by more than TOL_ZERO from those kept before."""
+    tz = state_core.TOL_ZERO
     good = []
-    for cand in cand_list:
+    for cand in cands:
         back, _, _, q_back = _coeff_invariants(cand)
-        if back.max_deviation(c) <= state_core.TOL_RECON and q_back == q:
+        if (back.max_deviation(c) <= state_core.TOL_RECON and q_back == q
+                and all(max(abs(x - y) for x, y in zip(cand, g)) > tz for g in good)):
             good.append(cand)
     if not good:
         raise Inconsistent("no coefficient set reproduces the requested invariants")
@@ -250,8 +254,12 @@ def _verified(cand_list, c, q):
 def coeffs_from_invariants(c, q):
     """Coefficient sets realizing the given invariants.
 
-    Returns one set for nonzero charge; for q = 0 both admissible sets are
-    returned (larger l0 first) when they differ.  Raises Inconsistent when no
+    The candidates of the state's class are built with every square root
+    and arccosine clamped to its domain, and a set is returned exactly when
+    it reproduces c within TOL_RECON, has charge q and differs by more than
+    TOL_ZERO from every set returned before it.  So a nonzero charge gives
+    one set and q = 0 up to two (larger l0 first).  Concurrences and tangle
+    within TOL_ZERO below zero are read as 0.  Raises Inconsistent when no
     pure state has these invariants.
     """
     tz = state_core.TOL_ZERO
@@ -261,30 +269,28 @@ def coeffs_from_invariants(c, q):
                     ("tau", c.tau)):
         if not -tz <= v <= 1.0 + 1e-6:
             raise Inconsistent(f"{name} = {v} outside [0, 1]")
+    c = CParams(*(max(v, 0.0) for v in c[:4]), c.j5)
     k = k_params(c)
     try:
         der = derived(k)
     except NegativeDiscriminant as exc:
         raise Inconsistent(str(exc)) from exc
-    j_ap_gap = der.j_ap - c.j5**2
-    if j_ap_gap < -1e-8:
+    # written so that a NaN j5 fails it too
+    if not der.j_ap - c.j5**2 >= -1e-8:
         raise Inconsistent("j5^2 exceeds the concurrence product")
 
     cls = _classify(c, der)
-    if cls.kind != "ghz_type":
-        # the tangle-free sector is chargeless and the generic root formulas
-        # degenerate on it, but the coordinates follow from the concurrences
-        if q != 0:
-            raise Inconsistent("charge requires tangle")
-        if cls.kind == "w_type":
-            l0, l3, l2 = _w_coords(c)
-            l1sq = 1.0 - l0**2 - l2**2 - l3**2
-            if l1sq < -1e-6:
-                raise Inconsistent("zero-tangle coordinates break normalization")
-            lams = _normalized([l0, math.sqrt(max(l1sq, 0.0)), l2, l3, 0.0])
-            return _verified([SchmidtCoeffs(*lams, 0.0)], c, q)
-        if cls.kind == "full_separable":
-            return _verified([SchmidtCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)], c, q)
+    # the tangle-free sector is chargeless and the generic root formulas
+    # degenerate on it, but the coordinates follow from the concurrences
+    if cls.kind != "ghz_type" and q != 0:
+        raise Inconsistent("charge requires tangle")
+    if cls.kind == "full_separable":
+        cands = [SchmidtCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
+    elif cls.kind == "w_type":
+        l0, l3, l2 = _w_coords(c)
+        l1 = math.sqrt(max(1.0 - l0**2 - l2**2 - l3**2, 0.0))
+        cands = [SchmidtCoeffs(*_normalized([l0, l1, l2, l3, 0.0]), 0.0)]
+    elif cls.kind == "biseparable":
         slots = {"AB": (0, 3), "AC": (0, 2), "BC": (1, 4)}[cls.pair]
         hi, lo = _split_pair(getattr(c, "c_" + cls.pair.lower()))
         cands = []
@@ -292,41 +298,26 @@ def coeffs_from_invariants(c, q):
             lams = [0.0] * 5
             lams[slots[0]], lams[slots[1]] = x, y
             cands.append(SchmidtCoeffs(*lams, 0.0))
-        if abs(hi - lo) <= tz:
-            cands = cands[:1]
-        return _verified(cands, c, q)
-
-    sqrt_d = math.sqrt(der.delta_j)
-    signs = (q,) if q != 0 else ((1,) if sqrt_d <= tz else (1, -1))
-    cands = []
-    for s in signs:
-        l0sq = (der.k5 + s * sqrt_d) / (2.0 * k.k_bc)
-        if l0sq <= tz or l0sq > 1.0 + 1e-9:
-            continue
-        l0 = math.sqrt(l0sq)
-        l2 = c.c_ac / (2.0 * l0)
-        l3 = c.c_ab / (2.0 * l0)
-        l4 = math.sqrt(c.tau) / (2.0 * l0)
-        l1sq = 1.0 - l0sq - l2**2 - l3**2 - l4**2
-        if l1sq < -1e-9:
-            continue
-        l1 = math.sqrt(max(l1sq, 0.0))
-        denom = 2.0 * l1 * l2 * l3 * l4
-        if denom <= tz:
-            phi = 0.0
-        else:
-            x = (l1**2 * l4**2 + l2**2 * l3**2 - c.c_bc**2 / 4.0) / denom
-            if abs(x) > 1.0 + 1e-6:
+    else:
+        sqrt_d = math.sqrt(der.delta_j)
+        signs = (q,) if q != 0 else ((1,) if sqrt_d <= tz else (1, -1))
+        cands = []
+        for s in signs:
+            l0sq = (der.k5 + s * sqrt_d) / (2.0 * k.k_bc)
+            if l0sq <= tz:
                 continue
-            phi = math.acos(min(1.0, max(-1.0, x)))
-        lams = _normalized([l0, l1, l2, l3, l4])
-        if min(lams) < tz and phi > tz:
+            l0 = math.sqrt(l0sq)
+            l2 = c.c_ac / (2.0 * l0)
+            l3 = c.c_ab / (2.0 * l0)
+            l4 = math.sqrt(c.tau) / (2.0 * l0)
+            l1 = math.sqrt(max(1.0 - l0sq - l2**2 - l3**2 - l4**2, 0.0))
+            denom = 2.0 * l1 * l2 * l3 * l4
             phi = 0.0
-        try:
+            if denom > tz:
+                x = (l1**2 * l4**2 + l2**2 * l3**2 - c.c_bc**2 / 4.0) / denom
+                phi = math.acos(min(1.0, max(-1.0, x)))
+            lams = _normalized([l0, l1, l2, l3, l4])
+            if min(lams) < tz and phi > tz:
+                phi = 0.0
             cands.append(SchmidtCoeffs(*lams, phi))
-        except ValueError:
-            continue
-    # a double root yields the same set twice
-    if len(cands) == 2 and max(abs(x - y) for x, y in zip(*cands)) <= tz:
-        cands = cands[:1]
     return _verified(cands, c, q)

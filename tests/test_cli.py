@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import cli_runner
+import samplers
 import triloc
 from triloc import cli, sampling, state_core
 from triloc.cli import main
@@ -187,6 +189,19 @@ def test_ghz_canonical_outputs(runner, ghz, w, charged):
     data = json.loads(res.output)
     assert isinstance(data["z"], list) and len(data["z"]) == 2
     assert isinstance(data["n"], float) and isinstance(data["s"], float)
+
+
+def test_ghz_canonical_prints_an_infinite_s(runner, tmp_path):
+    # on the |z| = 1 circle away from z = +-1 the shape parameter s is
+    # infinite, which JSON has no literal for
+    st = samplers.two_term_state((0.3, 0.4, 0.5), cmath.exp(0.7j))
+    path = tmp_path / "unimodular.json"
+    path.write_text(json.dumps(state_core.state_to_dict(st)))
+    res = runner.invoke(main, ["ghz-canonical", str(path)])
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert data["s"] == "inf"
+    assert abs(data["abs_z"] - 1.0) < 1e-9
 
 
 def test_verify_lemmas(runner):

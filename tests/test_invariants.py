@@ -94,17 +94,17 @@ def test_concurrences_follow_permutation():
 
 
 def test_invariants_match_independent_oracles():
-    # concurrences via the spin-flip recipe, tangle via the quartic
-    # hyperdeterminant; the oracle eigen-solves carry ~1e-9 noise
+    # concurrences via Wootters' rank-2 singular-value recipe, tangle via
+    # the quartic hyperdeterminant; both agree to rounding (~1e-15)
     for kind in RANDOM_KINDS:
         for seed in (2, 47, 311):
             st = sampling.random_state(kind, seed)
             c = profile(st).c
             v = st.amplitudes
-            assert abs(c.c_ab - oracles.pair_concurrence(v, "AB")) < 1e-7
-            assert abs(c.c_ac - oracles.pair_concurrence(v, "AC")) < 1e-7
-            assert abs(c.c_bc - oracles.pair_concurrence(v, "BC")) < 1e-7
-            assert abs(c.tau - oracles.hyperdeterminant_tangle(v)) < 1e-7
+            assert abs(c.c_ab - oracles.pair_concurrence(v, "AB")) < 1e-12
+            assert abs(c.c_ac - oracles.pair_concurrence(v, "AC")) < 1e-12
+            assert abs(c.c_bc - oracles.pair_concurrence(v, "BC")) < 1e-12
+            assert abs(c.tau - oracles.hyperdeterminant_tangle(v)) < 1e-12
 
 
 def test_monogamy_identity():
@@ -113,7 +113,7 @@ def test_monogamy_identity():
         st = sampling.random_state("haar", 500 + seed)
         c = profile(st).c
         lhs = oracles.one_tangle(st.amplitudes, "A")
-        assert abs(lhs - (c.c_ab**2 + c.c_ac**2 + c.tau)) < 1e-6
+        assert abs(lhs - (c.c_ab**2 + c.c_ac**2 + c.tau)) < 1e-12
 
 
 def test_ep_phase_limits():
@@ -171,6 +171,42 @@ def test_chargeless_roots_are_lu_equivalent():
     sa = state_core.state_from_schmidt(sets[0])
     sb = state_core.state_from_schmidt(sets[1])
     assert lu_equivalent(sa, sb)
+
+
+def test_inversion_reads_a_rounding_negative_concurrence_as_zero():
+    # c_ac a rounding step below zero once came back as the coefficient
+    # l2 = -9.4e-13
+    c = CParams(0.47766360732057733, -1.2395060640202174e-12, 0.4120695877724264,
+                0.26533376676316345, -4.863047290273833e-17)
+    sets = coeffs_from_invariants(c, 0)
+    for co in sets:
+        assert min(co[:5]) >= 0.0
+        assert invariants.c_params(co).max_deviation(c) <= state_core.TOL_RECON
+
+
+def test_inversion_returns_distinct_sets_that_reproduce_the_invariants():
+    # a maximal pair has one admissible split, a weaker pair two
+    assert len(coeffs_from_invariants(CParams(1.0, 0.0, 0.0, 0.0, 0.0), 0)) == 1
+    assert len(coeffs_from_invariants(CParams(0.0, 0.6, 0.0, 0.0, 0.0), 0)) == 2
+    # invariants moved off the state manifold either fail cleanly or come
+    # back as sets that reproduce them
+    rng = np.random.default_rng(77)
+    for i in range(300):
+        p = profile(sampling.random_state(RANDOM_KINDS[i % len(RANDOM_KINDS)], 3100 + i))
+        vals = list(p.c)
+        vals[int(rng.integers(5))] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -4)
+        c = CParams(*vals)
+        try:
+            sets = coeffs_from_invariants(c, p.q_e)
+        except Inconsistent:
+            continue
+        for j, co in enumerate(sets):
+            assert min(co[:5]) >= 0.0
+            back = profile(state_core.state_from_schmidt(co))
+            assert back.q_e == p.q_e
+            assert invariants.c_params(co).max_deviation(c) <= state_core.TOL_RECON
+            for other in sets[:j]:
+                assert max(abs(x - y) for x, y in zip(co, other)) > state_core.TOL_ZERO
 
 
 def test_inversion_rejects_charged_tangle_free():

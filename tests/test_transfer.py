@@ -402,6 +402,51 @@ def test_search_two_step_targets_return_none_unsimulated(monkeypatch):
         assert search_deterministic_measurement(src, dst) is None
 
 
+def _ghz(theta):
+    """cos(theta)|000> + sin(theta)|111>."""
+    return state_core.state_from_schmidt(
+        SchmidtCoeffs(math.cos(theta), 0, 0, 0, math.sin(theta), 0.0))
+
+
+@pytest.mark.parametrize("theta, theta_t, found", [
+    (math.pi / 4, 0.5, True), (math.pi / 4, 0.2, True), (0.6, 0.3, True),
+    (0.5, 0.6, False)])
+def test_search_between_ghz_family_states(theta, theta_t, found):
+    # all overlaps vanish, so the two-term step meets the circles about 0
+    src, dst = _ghz(theta), _ghz(theta_t)
+    assert locc.dlocc_feasible(src, dst).feasible == found
+    meas = search_deterministic_measurement(src, dst)
+    assert (meas is not None) == found
+    if found:
+        for out, _ in state_core.measure(src, meas):
+            assert lu_equivalent(out, dst)
+
+
+def test_lemmas_skip_an_outcome_of_zero_probability():
+    prod = state_core.state_from_schmidt(SchmidtCoeffs(1, 0, 0, 0, 0, 0.0))
+    meas = state_core.Measurement2("A", [[1, 0], [0, 0]], [[0, 0], [0, 1]])
+    assert state_core.measure(prod, meas)[1] == (None, 0.0)
+    assert lemma2_bounds(prod, meas) == (0.0, 0.0, 0.0)
+    assert lemma4_check(prod, meas) == (0.0, 0.0)
+    assert alpha_average(prod, meas) == 0.0
+
+
+def test_search_returns_none_for_feasible_targets_off_a_single_step():
+    # a BC pair cannot be weakened by measuring A, and a W-type source
+    # reaches a BC pair or a product only in more than one step
+    rng = np.random.default_rng(74)
+    bc = sampling.random_state("biseparable_bc", 75)
+    w = sampling.random_state("w_type", 76)
+    pairs = [
+        (bc, samplers.chargeless_state(CParams(0.0, 0.0, 0.5 * profile(bc).c.c_bc, 0.0, 0.0), rng)),
+        (w, samplers.chargeless_state(CParams(0.0, 0.0, 0.5 * profile(w).c.c_bc, 0.0, 0.0), rng)),
+        (w, sampling.random_state("full_separable", 77)),
+    ]
+    for src, dst in pairs:
+        assert locc.dlocc_feasible(src, dst).feasible
+        assert search_deterministic_measurement(src, dst) is None
+
+
 def test_search_answers_the_defect_questions():
     # the split-off pair is found, a random tangled target is not, and the
     # splitting measurement passes its own verification

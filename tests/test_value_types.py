@@ -9,7 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
-from triloc import invariants, locc, state_core, transfer
+from triloc import invariants, locc, sampling, state_core, transfer
 
 BELL = 1.0 / math.sqrt(2.0)
 GHZ_AMPS = [BELL, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, BELL]
@@ -31,11 +31,16 @@ CASES = {
         [(dict(amps=GHZ_AMPS[:7]), ValueError)]),
     state_core.SchmidtCoeffs: (
         dict(l0=0.6, l1=0.0, l2=0.0, l3=0.0, l4=0.8, phi=0.0),
-        [(dict(l0=-0.6, l1=0.0, l2=0.0, l3=0.0, l4=0.8, phi=0.0), ValueError)]),
+        [(dict(l0=-0.6, l1=0.0, l2=0.0, l3=0.0, l4=0.8, phi=0.0), ValueError),
+         (dict(l0=math.inf, l1=0.0, l2=0.0, l3=0.0, l4=0.8, phi=0.0), state_core.NonFinite),
+         (dict(l0=0.6, l1=0.0, l2=0.0, l3=0.0, l4=0.6, phi=0.0), state_core.NotNormalized),
+         (dict(l0=0.6, l1=0.0, l2=0.0, l3=0.0, l4=0.8, phi=4.0), ValueError)]),
     # a tiny negative angle is stored as 2pi by theta % 2pi; a copy keeps it
     state_core.GramParams: (
         dict(a=0.5, b=0.25, k=0.125, theta=-1e-17),
-        [(dict(a=0.1, b=0.1, k=0.5, theta=0.0), ValueError)]),
+        [(dict(a=0.1, b=0.1, k=0.5, theta=0.0), ValueError),
+         (dict(a=math.nan, b=0.1, k=0.0, theta=0.0), state_core.NonFinite),
+         (dict(a=0.1, b=-0.1, k=0.0, theta=0.0), ValueError)]),
     state_core.Measurement2: (
         dict(qubit="B", m0=[[1.0, 0.0], [0.0, 0.0]], m1=[[0.0, 0.0], [0.0, 1.0]]),
         [(dict(qubit="D", m0=[[1.0, 0.0], [0.0, 0.0]], m1=[[0.0, 0.0], [0.0, 1.0]]),
@@ -170,3 +175,26 @@ def test_measurement_rejects_bad_shape_or_qubit(kwargs):
     with pytest.raises(ValueError) as info:
         state_core.Measurement2(**kwargs)
     assert info.type is ValueError
+
+
+@pytest.mark.parametrize("make, exc", [
+    (lambda: state_core.permute_qubits(state_core.PureState3(GHZ_AMPS), "ABB"),
+     ValueError),
+    (lambda: state_core.state_from_dict({"amplitudes": [[1.0, 0.0], [0.0]]}), ValueError),
+    (lambda: sampling.random_state("nope", 0), ValueError),
+    (lambda: invariants.coeffs_from_invariants(
+        invariants.CParams(0.9, 0.9, 0.9, 0.01, 0.0), 0), invariants.Inconsistent),
+    # a nested (2, 2, 2) list is read through numpy before the norm is checked
+    (lambda: state_core.validate_state(np.full((2, 2, 2), 0.5).tolist()),
+     state_core.NotNormalized),
+], ids=["permutation", "state_dict", "random_kind", "inversion_discriminant",
+        "nested_norm"])
+def test_bad_input_raises(make, exc):
+    with pytest.raises(exc) as info:
+        make()
+    assert info.type is exc
+
+
+def test_validate_state_reads_a_nested_list():
+    nested = np.array(GHZ_AMPS).reshape(2, 2, 2).tolist()
+    assert state_core.validate_state(nested).amps == state_core.validate_state(GHZ_AMPS).amps
