@@ -84,7 +84,7 @@ def invariant_kernel(l0, l1c, l2, l3, l4):
     c = CParams(2.0 * l0 * l3, 2.0 * l0 * l2, 2.0 * abs(w), 4.0 * l0**2 * l4**2,
                 4.0 * l0**2 * (abs(w) ** 2 + (l2 * l3) ** 2 - (abs(l1c) * l4) ** 2))
     k = k_params(c)
-    der = derived(k)
+    der = derived(c)
     # the physically meaningful phase weight is the imaginary amplitude
     # l1 sin(phi), which is what survives decomposition noise
     imw = l1c.imag
@@ -92,11 +92,10 @@ def invariant_kernel(l0, l1c, l2, l3, l4):
     # float residue must not set the sign), on the double-root surface and
     # on the real-phase surface.  A vanishing coefficient lands on one of
     # these: l0 or l4 zeroes tau, l2 or l3 closes the gap, l1 zeroes imw
-    if min(k.k_bc, c.tau, der.delta_j, der.j_ap - c.j5**2, abs(imw)) <= tz:
+    if min(c.tau, der.delta_j, der.j_ap - c.j5**2, abs(imw)) <= tz:
         return c, k, der, 0
+    # the bracket is +-sqrt(delta_j) / (2 k_bc), so its sign is decided here
     bracket = l0**2 - der.k5 / (2.0 * k.k_bc)
-    if abs(bracket) <= tz:
-        return c, k, der, 0
     # +1 where Im(l1c) and the bracket share their sign, -1 where they differ
     return c, k, der, 1 if (imw > 0) == (bracket > 0) else -1
 
@@ -123,21 +122,20 @@ def k_params(c):
                    c.tau, c.j5)
 
 
-def derived(k):
-    """Products and the discriminant: (j_ap, k_ap, k5, delta_j).
+def derived(c):
+    """Products and the discriminant of the invariants c: (j_ap, k_ap, k5,
+    delta_j), with j_ap = (c_ab c_ac c_bc)^2 and k_ap = k_ab k_ac k_bc.
 
     Raises NegativeDiscriminant when delta_j < -TOL_ZERO, which signals that
     the input invariants belong to no state.
     """
-    tz = state_core.TOL_ZERO
-    # abs guards the tiny negatives float cancellation can leave behind
-    j_ap = max(k.k_ab - k.tau, 0.0) * max(k.k_ac - k.tau, 0.0) * max(k.k_bc - k.tau, 0.0)
+    k = k_params(c)
     k_ap = k.k_ab * k.k_ac * k.k_bc
-    k5 = k.tau + k.j5
+    k5 = c.tau + c.j5
     delta_j = k5**2 - k_ap
-    if delta_j < -tz:
+    if delta_j < -state_core.TOL_ZERO:
         raise NegativeDiscriminant(f"k5^2 - k_ap = {delta_j} < 0")
-    return Derived(j_ap, k_ap, k5, max(delta_j, 0.0))
+    return Derived((c.c_ab * c.c_ac * c.c_bc) ** 2, k_ap, k5, max(delta_j, 0.0))
 
 
 def ep_phase(c):
@@ -272,7 +270,7 @@ def coeffs_from_invariants(c, q):
     c = CParams(*(max(v, 0.0) for v in c[:4]), c.j5)
     k = k_params(c)
     try:
-        der = derived(k)
+        der = derived(c)
     except NegativeDiscriminant as exc:
         raise Inconsistent(str(exc)) from exc
     # written so that a NaN j5 fails it too
@@ -316,8 +314,5 @@ def coeffs_from_invariants(c, q):
             if denom > tz:
                 x = (l1**2 * l4**2 + l2**2 * l3**2 - c.c_bc**2 / 4.0) / denom
                 phi = math.acos(min(1.0, max(-1.0, x)))
-            lams = _normalized([l0, l1, l2, l3, l4])
-            if min(lams) < tz and phi > tz:
-                phi = 0.0
-            cands.append(SchmidtCoeffs(*lams, phi))
+            cands.append(SchmidtCoeffs(*_normalized([l0, l1, l2, l3, l4]), phi))
     return _verified(cands, c, q)

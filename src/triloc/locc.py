@@ -152,10 +152,17 @@ def w_coords(c):
 # feasibility
 
 
+def _contracted_residues(c, za, zb, zc):
+    """The contracted pair residues (k_ab - zc tau, k_ac - zb tau,
+    k_bc - za tau), each written c_xy^2 + (1 - zeta) tau so that no
+    concurrence cancels out of it.  At unit factors their product is
+    derived's j_ap = (c_ab c_ac c_bc)^2."""
+    return (c.c_ab**2 + (1.0 - zc) * c.tau, c.c_ac**2 + (1.0 - zb) * c.tau,
+            c.c_bc**2 + (1.0 - za) * c.tau)
+
+
 def _contracted_product(p, za, zb, zc):
-    """(k_ab - zeta_c tau)(k_ac - zeta_b tau)(k_bc - zeta_a tau)."""
-    return ((p.k.k_ab - zc * p.c.tau) * (p.k.k_ac - zb * p.c.tau)
-            * (p.k.k_bc - za * p.c.tau))
+    return math.prod(_contracted_residues(p.c, za, zb, zc))
 
 
 def zeta_lower(p, za, zb, zc):
@@ -165,10 +172,7 @@ def zeta_lower(p, za, zb, zc):
     """
     if not p.state_class.ep_definite:
         return 0.0
-    # a concurrence below ~1e-8 can drop out of k - tau in float, and then
-    # j_ap and the contracted product both read 0
-    ktil = _contracted_product(p, za, zb, zc)
-    return p.derived.j_ap / ktil if ktil > 0.0 else 0.0
+    return p.derived.j_ap / _contracted_product(p, za, zb, zc)
 
 
 def zeta_tilde(p, za, zb, zc):
@@ -176,13 +180,15 @@ def zeta_tilde(p, za, zb, zc):
     source; None when indefinite or on a degenerate boundary."""
     if not p.state_class.zeta_tilde_definite:
         return None
+    if not p.state_class.ep_definite:
+        # j_ap and the gap vanish with a concurrence, so the ratio is 0, or
+        # 0/0 where that pair's residue (1 - zeta) tau vanishes too
+        dead = [z for v, z in zip(p.c, (zc, zb, za)) if v <= state_core.TOL_ZERO]
+        return None if 1.0 in dead else 0.0
     der = p.derived
     gap = max(der.j_ap - p.c.j5**2, 0.0)
     num = der.k_ap * gap + der.delta_j * der.j_ap
-    den = der.k_ap * gap + der.delta_j * _contracted_product(p, za, zb, zc)
-    if den <= 1e-300:
-        return None
-    return num / den
+    return num / (der.k_ap * gap + der.delta_j * _contracted_product(p, za, zb, zc))
 
 
 def scaled_destination(p, za, zb, zc, z, q):
@@ -191,16 +197,12 @@ def scaled_destination(p, za, zb, zc, z, q):
     Returns None when no pure state carries the scaled invariants with
     charge q.
     """
-    k = p.k
-    kp_ab = z * za * zb * k.k_ab
-    kp_ac = z * za * zc * k.k_ac
-    kp_bc = z * zb * zc * k.k_bc
-    tau_p = z * za * zb * zc * p.c.tau
-    j5_p = z * za * zb * zc * p.c.j5
-    cp = CParams(math.sqrt(max(kp_ab - tau_p, 0.0)),
-                 math.sqrt(max(kp_ac - tau_p, 0.0)),
-                 math.sqrt(max(kp_bc - tau_p, 0.0)),
-                 tau_p, j5_p)
+    r_ab, r_ac, r_bc = _contracted_residues(p.c, za, zb, zc)
+    f = z * za * zb * zc
+    cp = CParams(math.sqrt(max(z * za * zb * r_ab, 0.0)),
+                 math.sqrt(max(z * za * zc * r_ac, 0.0)),
+                 math.sqrt(max(z * zb * zc * r_bc, 0.0)),
+                 f * p.c.tau, f * p.c.j5)
     try:
         cands = coeffs_from_invariants(cp, q)
     except Inconsistent:

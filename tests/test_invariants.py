@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triloc import invariants, locc, sampling, state_core
+from triloc import invariants, locc, sampling, state_core, transfer
 from triloc.invariants import (
     CParams,
     Inconsistent,
@@ -12,13 +12,15 @@ from triloc.invariants import (
     coeffs_from_invariants,
     derived,
     ep_phase,
+    invariant_kernel,
     k_params,
     lu_equivalent,
     profile,
 )
-from triloc.state_core import RANDOM_KINDS, SchmidtCoeffs
+from triloc.state_core import RANDOM_KINDS, DecompositionFailed, SchmidtCoeffs
 
 import oracles
+import samplers
 
 R3 = 1.0 / math.sqrt(3.0)
 ORDERS = ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")
@@ -70,6 +72,92 @@ def test_charge_flips_under_conjugation():
         st = sampling.random_state("haar", 7000 + seed)
         q = profile(st).q_e
         assert profile(state_core.complex_conjugate(st)).q_e == -q
+
+
+def _surface_state(rng, i):
+    """(surface, LU-scrambled state) on a surface where the charge test
+    decides: a real phase, one coefficient zero or scaled by 1e-12..1e-6, or
+    a discriminant delta_J of 1e-16..1e-6 (a near double root)."""
+    lams = rng.uniform(0.15, 1.0, 5)
+    surface = ("real_phase", "zero_coeff", "tiny_coeff", "near_double_root")[i % 4]
+    slot = i // 4 % 5
+    if surface == "real_phase":
+        co = SchmidtCoeffs(*(lams / np.linalg.norm(lams)), math.pi * (slot % 2))
+    elif surface == "near_double_root":
+        co = None
+        while co is None:
+            c = invariants.c_params(SchmidtCoeffs(*(lams / np.linalg.norm(lams)),
+                                                  rng.uniform(0.0, math.pi)))
+            k = k_params(c)
+            # k5 = sqrt(k_ap) + eps puts delta_J at about 2 eps sqrt(k_ap)
+            k5 = math.sqrt(k.k_ab * k.k_ac * k.k_bc) + 10.0 ** rng.uniform(-16.0, -6.0)
+            for q in (int(rng.choice([-1, 1])), 0):
+                try:
+                    co = coeffs_from_invariants(c._replace(j5=k5 - c.tau), q)[0]
+                    break
+                except Inconsistent:
+                    pass
+            lams = rng.uniform(0.15, 1.0, 5)
+    else:
+        lams[slot] *= 0.0 if surface == "zero_coeff" else 10.0 ** rng.uniform(-12.0, -6.0)
+        lams /= np.linalg.norm(lams)
+        phi = rng.uniform(0.0, math.pi) if min(lams) >= state_core.TOL_ZERO else 0.0
+        co = SchmidtCoeffs(*lams, phi)
+        if surface == "tiny_coeff" and slot == 0:
+            surface = "tiny_l0"
+    return surface, samplers.scrambled(state_core.state_from_schmidt(co), rng)
+
+
+def test_charge_flips_under_conjugation_on_threshold_surfaces():
+    rng = np.random.default_rng(19)
+    for i in range(2000):
+        surface, st = _surface_state(rng, i)
+        try:
+            q = profile(st).q_e
+            q_conj = profile(state_core.complex_conjugate(st)).q_e
+        except (Inconsistent, DecompositionFailed):
+            # states with l0 ~ 1e-9..1e-6 are refused (ROADMAP item 4)
+            assert surface == "tiny_l0"
+            continue
+        assert q_conj == -q, (surface, i)
+
+
+@pytest.mark.xfail(strict=True, raises=DecompositionFailed,
+                   reason="no candidate is admitted at l0 ~ 1e-7 under local "
+                          "unitaries (ROADMAP item 4)")
+def test_scrambled_state_with_a_tiny_l0_decomposes():
+    co = SchmidtCoeffs(1e-7, 0.3, 0.4, 0.6, math.sqrt(0.39 - 1e-14), 1.0)
+    profile(samplers.scrambled(state_core.state_from_schmidt(co),
+                               np.random.default_rng(0)))
+
+
+def test_charge_bracket_is_the_discriminant_root(monkeypatch):
+    # a charged kernel output has l0^2 - k5 / (2 k_bc) = +-sqrt(delta_J) / (2 k_bc)
+    # with delta_J > TOL_ZERO, so the bracket's sign needs no zero test
+    calls = []
+
+    def recording(l0, *rest):
+        out = invariant_kernel(l0, *rest)
+        calls.append((l0, out))
+        return out
+
+    monkeypatch.setattr(invariants, "invariant_kernel", recording)
+    monkeypatch.setattr(transfer, "invariant_kernel", recording)
+    rng = np.random.default_rng(23)
+    for i in range(600):
+        try:
+            profile(_surface_state(rng, i)[1])
+        except (Inconsistent, DecompositionFailed):
+            pass
+        st = sampling.random_state(RANDOM_KINDS[i % len(RANDOM_KINDS)], 5200 + i)
+        transfer.verify_update(st, sampling.random_measurement(6200 + i,
+                                                               qubit="ABC"[i % 3]))
+    charged = [(l0, k, der) for l0, (_, k, der, q) in calls if q != 0]
+    assert len(charged) > 500
+    for l0, k, der in charged:
+        bracket = l0**2 - der.k5 / (2.0 * k.k_bc)
+        assert 2.0 * k.k_bc * abs(bracket) == pytest.approx(math.sqrt(der.delta_j),
+                                                           rel=1e-6)
 
 
 def test_charge_permutation_invariant():
@@ -124,7 +212,7 @@ def test_ep_phase_limits():
 
 def test_negative_discriminant_rejected():
     with pytest.raises(NegativeDiscriminant):
-        derived(k_params(CParams(0.9, 0.9, 0.9, 0.01, 0.0)))
+        derived(CParams(0.9, 0.9, 0.9, 0.01, 0.0))
 
 
 def test_lu_equivalent_under_local_unitaries():
@@ -230,7 +318,7 @@ def test_inversion_rejects_bad_charge():
 
 
 @pytest.mark.parametrize("make_error", [
-    lambda: derived(invariants.KParams(*np.float64([0.1, 0.1, 0.1, 0.0, 0.0]))),
+    lambda: derived(CParams(*np.float64([0.1, 0.1, 0.1, 0.0, 0.0]))),
     lambda: coeffs_from_invariants(CParams(*np.float64([1.5, 0.0, 0.0, 0.0, 0.0])), 0),
     lambda: coeffs_from_invariants(CParams(*np.float64([0.5, 0.5, 0.0, 0.0, 0.0])), 0),
 ])

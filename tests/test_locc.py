@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from triloc import locc, sampling, state_core
-from triloc.invariants import ep_phase, profile
+from triloc import locc, sampling, state_core, transfer
+from triloc.invariants import Inconsistent, ep_phase, profile
 from triloc.locc import (
     GhzCanonical,
     NotFeasible,
@@ -163,13 +163,65 @@ def test_zeta_lower_of_small_concurrences():
 
 
 def test_zeta_lower_where_a_concurrence_drops_out_of_k():
-    # c_ac = 5e-9 is above TOL_ZERO, but c_ac^2 is lost in k_ac = c_ac^2 + tau,
-    # so j_ap and the contracted product both read 0: no division by zero
+    # c_ac = 5e-9 is above TOL_ZERO, but c_ac^2 is lost in k_ac = c_ac^2 + tau:
+    # j_ap and the contracted residues are formed from the concurrences, so
+    # the ratio at unit factors still reads 1
     s = S(0.5, 0.5, 5e-9, 0.5, 0.5, 0.0)
     p = profile(s)
-    assert p.state_class.ep_definite and p.derived.j_ap == 0.0
+    assert p.state_class.ep_definite
+    assert p.derived.j_ap == (p.c.c_ab * p.c.c_ac * p.c.c_bc) ** 2 > 0.0
     verdict = dlocc_feasible(s, s)
-    assert verdict.feasible and verdict.witness.zeta_lower == 0.0
+    assert verdict.feasible
+    assert verdict.witness.zeta_lower == pytest.approx(1.0, abs=1e-12)
+
+
+def test_zeta_tilde_of_a_source_with_a_vanishing_concurrence():
+    # with c_ab = 0 the ratio's terms all vanish with c_ab^2, so in float it
+    # is a ratio of decomposition noise; it is 0, or 0/0 where the vanishing
+    # pair keeps zeta_c = 1
+    rng = np.random.default_rng(31)
+    co = SchmidtCoeffs(0.5, 0.4, 0.5, 0.0, math.sqrt(0.34), 0.0)
+    for _ in range(20):
+        p = profile(samplers.scrambled(state_core.state_from_schmidt(co), rng))
+        assert p.state_class.zeta_tilde_definite and not p.state_class.ep_definite
+        assert locc.zeta_tilde(p, 0.8, 0.9, 1.0) is None
+        assert locc.zeta_tilde(p, 0.8, 0.9, 0.99) == 0.0
+        assert locc.zeta_tilde(p, 1.0, 1.0, 0.99) == 0.0
+    assert locc.zeta_tilde(profile(GHZ), 0.5, 1.0, 0.5) is None
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0.3, 0.4, 5e-9, 0.6, math.sqrt(0.39), 1.0),
+    (0.3, 0.4, 0.6, 5e-9, math.sqrt(0.39), 1.0),
+])
+def test_state_with_a_tiny_concurrence_reaches_itself(coeffs):
+    # a concurrence of ~3e-9 next to tau ~ 0.14 used to cancel out of j_ap,
+    # so zeta_tilde read 0/0 and the state could not reach itself
+    s = S(*coeffs)
+    v = dlocc_feasible(s, s)
+    assert v.feasible and v.case == "A"
+    assert v.witness.zeta_lower == pytest.approx(1.0, abs=1e-12)
+    assert v.witness.zeta_tilde == pytest.approx(1.0, abs=1e-12)
+    assert min_measurements(s, s) == 3
+    assert transfer.search_deterministic_measurement(s, s) is not None
+
+
+@pytest.mark.parametrize("slot", [
+    pytest.param(0, marks=pytest.mark.xfail(
+        strict=True, raises=Inconsistent,
+        reason="_classify refuses states with l0 ~ 1e-9 (ROADMAP item 4)")),
+    1, 2, 3, 4])
+def test_decision_is_reflexive_near_a_vanishing_coefficient(slot):
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        lams = rng.uniform(0.1, 1.0, 5)
+        lams[slot] *= 10.0 ** rng.uniform(-12.0, -6.0)
+        lams /= np.linalg.norm(lams)
+        phi = rng.uniform(0.0, math.pi)
+        if min(lams) < state_core.TOL_ZERO:
+            phi = 0.0  # the phase is removable once a coefficient vanishes
+        s = S(*lams, phi)
+        assert dlocc_feasible(s, s).feasible, (lams, phi)
 
 
 # ---------------------------------------------------------------------------
