@@ -129,8 +129,7 @@ def derived(c):
     Raises NegativeDiscriminant when delta_j < -TOL_ZERO, which signals that
     the input invariants belong to no state.
     """
-    k = k_params(c)
-    k_ap = k.k_ab * k.k_ac * k.k_bc
+    k_ap = (c.c_ab**2 + c.tau) * (c.c_ac**2 + c.tau) * (c.c_bc**2 + c.tau)
     k5 = c.tau + c.j5
     delta_j = k5**2 - k_ap
     if delta_j < -state_core.TOL_ZERO:

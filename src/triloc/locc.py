@@ -5,9 +5,11 @@ The decision procedure works entirely on the six invariants.  A tangled
 target is reachable from a tangled source exactly when the shifted pair
 quantities contract by a unique per-qubit witness (zeta_a, zeta_b, zeta_c)
 together with a collective factor zeta confined to [zeta_lower, 1], plus a
-charge condition when the target has all three concurrences nonzero.  An
-independent oracle for tangled sources, phrased in the canonical two-term
-("stretched GHZ") coordinates, is implemented alongside for verification.
+charge condition when the target has all three concurrences nonzero.  A
+target without tangle takes zeta = 1 and per-qubit factors under which
+what it keeps can only shrink.  An independent oracle for tangled sources,
+phrased in the canonical two-term ("stretched GHZ") coordinates, is
+implemented alongside for verification.
 """
 
 import cmath
@@ -252,97 +254,80 @@ def dlocc_feasible(src, dst):
 
 
 def dlocc_feasible_profiles(ps, pd):
-    """dlocc_feasible on the profiles of source and destination."""
+    """dlocc_feasible on the profiles of source and destination.
+
+    Two rules decide.  Tangled -> tangled: the unique per-qubit witness of
+    the pair residues, then the collective factor and the charge.  Every
+    target without tangle: zeta = 1, and per-qubit factors under which what
+    the target keeps can only shrink (for a lone pair, Nielsen's rule).
+    """
     te = state_core.TOL_EQ
     case = _case_label(ps, pd)
+    kind_s, kind_d = ps.state_class.kind, pd.state_class.kind
 
     def infeasible(tag):
         return LoccVerdict(False, case, None, tag)
 
     def feasible(zeta, za, zb, zc, zl, zt):
-        w = ZetaWitness(min(max(zeta, 0.0), 1.0), min(za, 1.0), min(zb, 1.0),
-                        min(zc, 1.0), min(max(zl, 0.0), 1.0), zt)
-        count = _MIN_MEASUREMENTS[(_depth(ps.state_class.kind),
-                                   _depth(pd.state_class.kind))]
+        w = ZetaWitness(min(max(zeta, 0.0), 1.0), za, zb, zc, min(max(zl, 0.0), 1.0), zt)
+        count = _MIN_MEASUREMENTS[(_depth(kind_s), _depth(kind_d))]
         return LoccVerdict(True, case, w, None, count)
 
-    def pair_ratio(field):
-        """Target over source value of the biseparable target's pair
-        quantity ("c" or "k"), capped at 1; None when it would have to grow."""
-        name = f"{field}_{pd.state_class.pair.lower()}"
-        v_src, v_dst = (getattr(getattr(p, field), name) for p in (ps, pd))
-        return None if v_dst > v_src + te else min(v_dst / v_src, 1.0)
-
-    if ps.state_class.kind == "ghz_type":
-        if pd.state_class.kind == "ghz_type":
-            # tangled -> tangled: the witness is unique
-            za = ps.k.k_bc * pd.c.tau / (pd.k.k_bc * ps.c.tau)
-            zb = ps.k.k_ac * pd.c.tau / (pd.k.k_ac * ps.c.tau)
-            zc = ps.k.k_ab * pd.c.tau / (pd.k.k_ab * ps.c.tau)
-            if max(za, zb, zc) > 1.0 + te:
-                return infeasible("cond1_no_solution")
-            # fifth invariant must contract by the same collective product
-            if abs(pd.c.j5 * ps.c.tau - ps.c.j5 * pd.c.tau) > te:
-                return infeasible("cond1_no_solution")
-            za, zb, zc = min(za, 1.0), min(zb, 1.0), min(zc, 1.0)
-            zeta = pd.c.tau / (ps.c.tau * za * zb * zc)
-            zl = zeta_lower(ps, za, zb, zc)
-            zt = zeta_tilde(ps, za, zb, zc)
-            if zeta > 1.0 + te or zeta < zl - te:
-                return infeasible("zeta_out_of_range")
-            if pd.state_class.ep_definite:
-                if ps.state_class.zeta_tilde_definite:
-                    if ps.q_e != pd.q_e:
-                        return infeasible("charge_mismatch")
-                    if zt is None or abs(zeta - zt) > te:
-                        return infeasible("zeta_not_tilde")
-                else:
-                    interior = (1.0 - zeta > te) and (zeta - zl > te)
-                    if abs(pd.q_e) != (1 if interior else 0):
-                        return infeasible("charge_magnitude")
-            return feasible(zeta, za, zb, zc, zl, zt)
-        if pd.state_class.kind == "biseparable":
-            r = pair_ratio("k")
-            if r is None:
-                return infeasible("cond1_no_solution")
-            za, zb, zc = _pair_zetas(pd.state_class.pair, math.sqrt(r))
-            return feasible(1.0, za, zb, zc, zeta_lower(ps, za, zb, zc),
-                            zeta_tilde(ps, za, zb, zc))
-        if pd.state_class.kind == "full_separable":
-            return feasible(1.0, 0.0, 0.0, 0.0, zeta_lower(ps, 0, 0, 0),
-                            zeta_tilde(ps, 0, 0, 0))
-        # zero-tangle, fully pair-entangled targets need a factor to vanish,
-        # which would kill one of their concurrences
-        return infeasible("cond1_no_solution")
-
-    # tangle-free source: per-qubit attenuations are the whole story
-    kind_s, kind_d = ps.state_class.kind, pd.state_class.kind
-    if kind_d == "ghz_type":
-        return infeasible("cond1_no_solution")
-    same_pair = kind_s == "biseparable" and pd.state_class.pair == ps.state_class.pair
-    if kind_d == "biseparable" and (kind_s == "w_type" or same_pair):
-        # the target's pair concurrence can only shrink
-        r = pair_ratio("c")
-        if r is None:
+    if kind_s == kind_d == "ghz_type":
+        # tangled -> tangled: the witness is unique
+        za = ps.k.k_bc * pd.c.tau / (pd.k.k_bc * ps.c.tau)
+        zb = ps.k.k_ac * pd.c.tau / (pd.k.k_ac * ps.c.tau)
+        zc = ps.k.k_ab * pd.c.tau / (pd.k.k_ab * ps.c.tau)
+        if max(za, zb, zc) > 1.0 + te:
             return infeasible("cond1_no_solution")
-        za, zb, zc = _pair_zetas(pd.state_class.pair, r)
-        return feasible(1.0, za, zb, zc, 1.0 if kind_s == "w_type" else 0.0, None)
-    if kind_s == "w_type":
-        if kind_d == "w_type":
-            xs, xd = _w_coords(ps.c), _w_coords(pd.c)
-            if any(d > s + te for s, d in zip(xs, xd)):
-                return infeasible("cond1_no_solution")
-            za, zb, zc = (min((d / s) ** 2, 1.0) for s, d in zip(xs, xd))
-            return feasible(1.0, za, zb, zc, 1.0, None)
-        return feasible(1.0, 0.0, 0.0, 0.0, 1.0, None)  # full separable target
-    if kind_s == "biseparable":
-        if kind_d == "full_separable":
-            return feasible(1.0, 0.0, 0.0, 0.0, 0.0, None)
-        return infeasible("cond1_no_solution")
-    # fully separable source reaches only fully separable targets
+        # fifth invariant must contract by the same collective product
+        if abs(pd.c.j5 * ps.c.tau - ps.c.j5 * pd.c.tau) > te:
+            return infeasible("cond1_no_solution")
+        za, zb, zc = min(za, 1.0), min(zb, 1.0), min(zc, 1.0)
+        zeta = pd.c.tau / (ps.c.tau * za * zb * zc)
+        zl = zeta_lower(ps, za, zb, zc)
+        zt = zeta_tilde(ps, za, zb, zc)
+        if zeta > 1.0 + te or zeta < zl - te:
+            return infeasible("zeta_out_of_range")
+        if pd.state_class.ep_definite:
+            if ps.state_class.zeta_tilde_definite:
+                if ps.q_e != pd.q_e:
+                    return infeasible("charge_mismatch")
+                if zt is None or abs(zeta - zt) > te:
+                    return infeasible("zeta_not_tilde")
+            else:
+                interior = (1.0 - zeta > te) and (zeta - zl > te)
+                if abs(pd.q_e) != (1 if interior else 0):
+                    return infeasible("charge_magnitude")
+        return feasible(zeta, za, zb, zc, zl, zt)
+
+    # every target without tangle: zeta = 1 and per-qubit factors
+    tangled = kind_s == "ghz_type"
+    pair = pd.state_class.pair
     if kind_d == "full_separable":
-        return feasible(1.0, 1.0, 1.0, 1.0, 0.0, None)
-    return infeasible("cond1_no_solution")
+        zs = (1.0, 1.0, 1.0) if kind_s == "full_separable" else (0.0, 0.0, 0.0)
+    elif kind_d == "biseparable" and (tangled or kind_s == "w_type"
+                                      or pair == ps.state_class.pair):
+        # the pair's residue (tangled source) or concurrence may not grow
+        i = ("AB", "AC", "BC").index(pair)
+        v_src, v_dst = ((p.k if tangled else p.c)[i] for p in (ps, pd))
+        if v_dst > v_src + te:
+            return infeasible("cond1_no_solution")
+        r = min(v_dst / v_src, 1.0)
+        zs = _pair_zetas(pair, math.sqrt(r) if tangled else r)
+    elif kind_s == kind_d == "w_type":
+        xs, xd = _w_coords(ps.c), _w_coords(pd.c)
+        if any(d > s + te for s, d in zip(xs, xd)):
+            return infeasible("cond1_no_solution")
+        zs = tuple(min((d / s) ** 2, 1.0) for s, d in zip(xs, xd))
+    else:
+        # a tangled target needs a tangled source, a W target a W source (a
+        # tangled one would need a vanishing factor, killing a concurrence),
+        # and a pair target its own pair or a source entangling all three
+        return infeasible("cond1_no_solution")
+    # zeta_lower of a tangle-free source: j_ap over itself (1) for W, else 0
+    zl = zeta_lower(ps, *zs) if tangled else (1.0 if kind_s == "w_type" else 0.0)
+    return feasible(1.0, *zs, zl, zeta_tilde(ps, *zs) if tangled else None)
 
 
 def ghz_oracle(src, dst):
@@ -373,7 +358,9 @@ def ghz_oracle(src, dst):
         # purely imaginary axis
         return abs(g1.abs_z - 1.0) <= te and abs(g2.z.real) <= te * (1.0 + g2.abs_z)
     if src_def and not dst_def:
-        return False  # defensive: the overlap comparison above already fails
+        # also reached by LU-equivalent twins across the ep_definite boundary
+        # (an overlap just above TOL_ZERO against one at 0), which it refuses
+        return False
     return g2.abs_z >= g1.abs_z - te
 
 

@@ -442,24 +442,27 @@ def _w_gram(co, za):
 
 def _step_gram(ps, pd, w):
     """Normal-frame outcome-0 Gram of one deterministic step on A from ps to
-    pd under the witness w, or None when no single step on A does it."""
+    pd under the witness w of a feasible verdict, or None when no single
+    step on A does it.  The verdict fixes the class pair: a pair source
+    reaches that pair or a product, and zeta_b = zeta_c = 1 leaves tangled
+    -> tangled, tangled -> BC pair, W -> W and W -> BC pair."""
     if lu_equivalent_profiles(ps, pd):
         return GramParams(0.5, 0.5, 0.0, 0.0)
     kind_s, kind_d = ps.state_class.kind, pd.state_class.kind
-    pair_s, pair_d = ps.state_class.pair, pd.state_class.pair
     if kind_s == "biseparable":
-        if pair_s == "BC" or not (kind_d == "full_separable" or pair_d == pair_s):
+        pair = ps.state_class.pair
+        if pair == "BC":
             return None
-        return _pair_gram(ps.coeffs, pd.c.c_ab if pair_s == "AB" else pd.c.c_ac)
+        return _pair_gram(ps.coeffs, pd.c.c_ab if pair == "AB" else pd.c.c_ac)
     if min(w.zeta_b, w.zeta_c) < 1.0 - state_core.TOL_EQ:
         return None
-    if kind_s == "ghz_type" and kind_d == "ghz_type":
+    if kind_d == "ghz_type":
         return _two_term_gram(ps, pd)
-    if kind_s == "ghz_type" and pair_d == "BC":
+    if kind_s == "ghz_type":
         return _split_gram(ps.coeffs)
-    if kind_s == "w_type" and kind_d == "w_type":
+    if kind_d == "w_type":
         return _w_gram(ps.coeffs, w.zeta_a)
-    return None
+    return None  # W -> BC pair
 
 
 def search_deterministic_measurement(state, target):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from triloc import locc, sampling, state_core, transfer
-from triloc.invariants import Inconsistent, ep_phase, profile
+from triloc.invariants import (CParams, Inconsistent, coeffs_from_invariants, ep_phase,
+                               lu_equivalent, profile)
 from triloc.locc import (
     GhzCanonical,
     NotFeasible,
     NotGhzType,
     NotWType,
+    ZetaWitness,
     dlocc_feasible,
     ghz_canonical,
     ghz_oracle,
@@ -123,6 +125,86 @@ def test_product_source_reaches_no_entangled_target(target):
     v = dlocc_feasible(SEP, target)
     assert not v.feasible and v.case == "D"
     assert v.violated == "cond1_no_solution"
+
+
+# one state per random kind (seed 7) against each: the case letter, then the
+# measurement count of a feasible pair or "-" for cond1_no_solution
+KIND_TABLE = {
+    #                  haar ghz w  ab ac bc sep
+    "haar":           "A3 A- A- B- B- B- B2",
+    "ghz_type":       "A- A3 A- B- B- B- B2",
+    "w_type":         "D- D- D3 D- D- D- D2",
+    "biseparable_ab": "D- D- D- D1 D- D- D1",
+    "biseparable_ac": "D- D- D- D- D1 D- D1",
+    "biseparable_bc": "D- D- D- D- D- D1 D1",
+    "full_separable": "D- D- D- D- D- D- D0",
+}
+
+
+def test_class_pair_verdict_table():
+    states = {k: sampling.random_state(k, 7) for k in state_core.RANDOM_KINDS}
+    for kind_s, row in KIND_TABLE.items():
+        for kind_d, cell in zip(state_core.RANDOM_KINDS, row.split()):
+            v = dlocc_feasible(states[kind_s], states[kind_d])
+            count = None if cell[1] == "-" else int(cell[1])
+            violated = "cond1_no_solution" if count is None else None
+            assert (v.feasible, v.case, v.violated, v.min_measurements) == (
+                count is not None, cell[0], violated, count), (kind_s, kind_d)
+
+
+def _chargeless(c):
+    return state_core.state_from_schmidt(coeffs_from_invariants(c, 0)[0])
+
+
+def test_weaker_targets_without_tangle():
+    # one reachable weaker target for each feasible branch of the rule for
+    # targets without tangle: W -> W, a pair -> the same pair, W -> a pair,
+    # tangled -> a pair (whose residue k_bc = c_bc^2 + tau sets the factors)
+    ghz = sampling.random_state("ghz_type", 7)
+    pg = profile(ghz)
+    ghz_bc = _chargeless(CParams(0.0, 0.0, 0.6 * math.sqrt(pg.k.k_bc), 0.0, 0.0))
+    w = sampling.random_state("w_type", 7)
+    x1, x2, x3 = w_coords(profile(w).c)
+    x2 *= math.sqrt(0.5)  # zeta_b = 0.5
+    weaker_w = _chargeless(CParams(2 * x1 * x2, 2 * x1 * x3, 2 * x2 * x3, 0.0,
+                                   8 * (x1 * x2 * x3) ** 2))
+    ab = sampling.random_state("biseparable_ab", 7)
+    weaker_ab = _chargeless(CParams(0.6 * profile(ab).c.c_ab, 0.0, 0.0, 0.0, 0.0))
+    w_ab = _chargeless(CParams(0.6 * profile(w).c.c_ab, 0.0, 0.0, 0.0, 0.0))
+    for src, dst, count, factors, zl in (
+            (w, weaker_w, 3, (1.0, 0.5, 1.0), 1.0),
+            (ab, weaker_ab, 1, (0.6, 0.6, 0.0), 0.0),
+            (w, w_ab, 2, (0.6, 0.6, 0.0), 1.0)):
+        v = dlocc_feasible(src, dst)
+        assert (v.feasible, v.case, v.violated, v.min_measurements) == (True, "D", None, count)
+        assert v.witness[1:4] == pytest.approx(factors, abs=1e-12)
+        assert (v.witness.zeta, v.witness.zeta_lower, v.witness.zeta_tilde) == (1.0, zl, None)
+        assert not dlocc_feasible(dst, src).feasible
+    v = dlocc_feasible(ghz, ghz_bc)
+    assert (v.feasible, v.case, v.min_measurements) == (True, "B", 2)
+    assert v.witness[:4] == pytest.approx((1.0, 0.0, 0.6, 0.6), abs=1e-12)
+    zs = v.witness[1:4]
+    assert v.witness[4:] == (locc.zeta_lower(pg, *zs), locc.zeta_tilde(pg, *zs))
+
+
+def test_faint_pair_is_out_of_reach_of_other_pairs_and_products():
+    # c_ab = 5e-9 lies between TOL_ZERO and TOL_EQ, so the target is an AB
+    # pair that no comparison of c_ab against the source's could rule out
+    faint = S(math.sqrt(1.0 - 6.25e-18), 0, 0, 2.5e-9, 0, 0.0)
+    assert profile(faint).state_class.pair == "AB"
+    for src in (SEP, S(R2, 0, R2, 0, 0, 0.0), BELL_BC):
+        v = dlocc_feasible(src, faint)
+        assert not v.feasible and v.violated == "cond1_no_solution"
+    assert dlocc_feasible(BELL_AB, faint).feasible
+
+
+def test_product_targets_witnesses():
+    # zeta_lower marks the source: 0 for a product or a pair, 1 for W
+    sep = sampling.random_state("full_separable", 7)
+    for kind, factor, zl in (("full_separable", 1.0, 0.0), ("w_type", 0.0, 1.0),
+                             ("biseparable_ab", 0.0, 0.0), ("biseparable_bc", 0.0, 0.0)):
+        v = dlocc_feasible(sampling.random_state(kind, 7), sep)
+        assert v.witness == ZetaWitness(1.0, factor, factor, factor, zl, None), kind
 
 
 def test_w_coords_needs_a_w_state():
@@ -439,6 +521,38 @@ def test_unimodular_sources_on_surface_targets_match_oracle():
         while dst is None:
             dst = samplers.feasible_from(profile(src), rng)
         assert dlocc_feasible(src, dst).feasible == ghz_oracle(src, dst)
+
+
+def test_oracle_s_law_without_a_target_shape():
+    # a zeta-tilde-definite source just off z = -1 (delta_J = 3.6e-9 above
+    # TOL_ZERO) and the real-weight target z = -1, whose s is undefined: the
+    # n-law passes, so the oracle reaches its s2 None branch, and it agrees
+    # with the decision that the target is out of reach
+    src = samplers.two_term_state([0.5, 0.6, 0.7], -(1 + 1.2e-4))
+    dst = samplers.two_term_state([0.5, 0.6, 0.7], -1.0)
+    g1, g2 = ghz_canonical(src), ghz_canonical(dst)
+    (n1, s1), (n2, s2) = ns_params(g1), ns_params(g2)
+    r = (g1.c_a * g1.c_b * g1.c_c) / (g2.c_a * g2.c_b * g2.c_c)
+    assert s1 is not None and s2 is None
+    assert abs(n2 - n1 * r) <= state_core.TOL_EQ
+    assert not ghz_oracle(src, dst)
+    v = dlocc_feasible(src, dst)
+    assert not v.feasible and v.violated == "zeta_out_of_range"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ep_definite reads c_ac against TOL_ZERO, so of two LU-equivalent states "
+    "on either side of it the decision reaches only one from the other, and "
+    "the oracle neither (ROADMAP item 4)"))
+def test_lu_equivalent_states_across_the_ep_definite_boundary_reach_each_other():
+    z = 1.3 * cmath.exp(0.7j)
+    s = samplers.two_term_state([0.5, 0.6, 2e-9], z)
+    twin = samplers.two_term_state([0.5, 0.6, 0.0], z)
+    assert lu_equivalent(s, twin)
+    assert profile(s).state_class.ep_definite and not profile(twin).state_class.ep_definite
+    for a, b in ((s, twin), (twin, s)):
+        assert dlocc_feasible(a, b).feasible
+        assert ghz_oracle(a, b)
 
 
 def test_expanding_row_is_out_of_range():

@@ -2,8 +2,11 @@
 object of its home module, on first access."""
 
 import os
+import pathlib
+import re
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -74,3 +77,19 @@ def test_import_loads_no_submodule():
                          timeout=60, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == str(["triloc", "triloc.invariants", "triloc.state_core"])
+
+
+# literal thresholds written as 1e-N in the library: 12 in state_core (4 of
+# them the TOL_* defaults), 5 in transfer, 2 in invariants, 1 in cli
+MAX_LITERAL_THRESHOLDS = 20
+
+
+def test_literal_thresholds_do_not_grow():
+    counts = {}
+    for path in sorted(pathlib.Path(triloc.__file__).parent.glob("*.py")):
+        with open(path, "rb") as f:
+            n = sum(tok.type == tokenize.NUMBER and bool(re.fullmatch(r"1e-\d+", tok.string))
+                    for tok in tokenize.tokenize(f.readline))
+        if n:
+            counts[path.name] = n
+    assert sum(counts.values()) <= MAX_LITERAL_THRESHOLDS, counts
