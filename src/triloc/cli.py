@@ -128,7 +128,7 @@ def synth_bisep(args):
     # the outcomes' pair concurrence
     coeffs, (ua, _, _) = state_core.schmidt_decompose(_load_state(args.state_path))
     try:
-        meas = transfer._lab_measurement(transfer._split_gram(coeffs), ua)
+        meas = transfer._lab_measurement(transfer._a_step_gram(coeffs, 0.0), ua)
     except transfer.DegenerateInput as exc:
         _emit(args, {"degenerate": True, "reason": str(exc)})
         return 1

@@ -16,12 +16,11 @@ built by state_core.measurement_from_grams:
 - target LU-equivalent to the source: the uniform Gram I/2;
 - tangled to tangled with zeta_b = zeta_c = 1: the Gram that moves the
   source's two-term form (locc.two_term) onto the target's on both outcomes;
-- tangled to its split-off BC pair: the splitting Gram of
-  synth_bisep_measurement;
-- W-type to W-type with zeta_b = zeta_c = 1: the Gram that scales the
-  excitation slot l0 by sqrt(zeta_a) on both outcomes;
-- a lone AB or AC pair to a weaker pair or a product: Nielsen's
-  two-outcome construction in A's Schmidt basis.
+- the one A-step (_a_step_gram), which gives up a share of A's
+  entanglement on both outcomes: W-type to W-type with zeta_b = zeta_c = 1,
+  a tangled or W-type source to its own BC pair (the splitting Gram of
+  synth_bisep_measurement), and a lone AB or AC pair to a weaker pair or a
+  product (Nielsen's step).
 
 Every other target (infeasible, or needing a measurement on B or C, or two
 or more steps) gives None without simulating, and a constructed measurement
@@ -248,17 +247,24 @@ def synth_bisep_measurement(state):
     of state.
     """
     coeffs, (ua, _, _) = state_core.schmidt_decompose(state)
-    return _lab_measurement(_split_gram(coeffs), ua)
+    return _lab_measurement(_a_step_gram(coeffs, 0.0), ua)
 
 
-def _split_gram(co):
-    """Outcome-0 Gram of the splitting measurement: a + b = 1 and ab = k^2
-    make it and its complement rank-1 projectors."""
+def _a_step_gram(co, za):
+    """Outcome-0 Gram of the step on A with a + b = 1 and ab - k^2 = za / 4.
+
+    At za = 0 it and its complement are rank-1 projectors that split off
+    the BC pair.  On a normal form with phi = 0 (a W-type state or a lone
+    pair) both outcomes have probability 1/2 and scale l0, and with it A's
+    concurrences, by sqrt(za), moving the rest of that weight into the l1
+    slot and leaving l2, l3 and l4 as they are.
+    """
     h = math.hypot(co.l1 * math.sin(co.phi), co.l0)
     if h <= state_core.TOL_ZERO:
         raise DegenerateInput("no weight on the measured side of the normal form")
-    shift = co.l1 * math.sin(co.phi) / (2.0 * h)
-    return GramParams(0.5 - shift, 0.5 + shift, co.l0 / (2.0 * h), math.pi / 2.0)
+    t = math.sqrt(1.0 - za)
+    shift = t * co.l1 * math.sin(co.phi) / (2.0 * h)
+    return GramParams(0.5 - shift, 0.5 + shift, t * (co.l0 / (2.0 * h)), math.pi / 2.0)
 
 
 def _lab_measurement(g, ua):
@@ -408,61 +414,26 @@ def _two_term_gram(ps, pd):
     return _gram_from_entries(*entries(*best[1:]))
 
 
-def _pair_gram(co, c_target):
-    """Gram of Nielsen's two-outcome step that takes the source's lone AB or
-    AC pair to concurrence c_target, or None.
-
-    In A's Schmidt basis (Schmidt weights lam0 >= lam1) outcome 0 scales the
-    weights by g_i = p mu_i / lam_i towards the target's (mu0, mu1), and
-    outcome 1 reaches the target with its weights swapped;
-    p = (lam0 - mu1) / (mu0 - mu1).
-    """
-    # the rows of A = 0 and A = 1 of the normal form, with the part of row 1
-    # orthogonal to row 0 folded into one entry, share A's reduced state
-    s0, s1, u0, u1, _, _ = state_core._svd2(
-        co.l0, 0.0, co.l1 * cmath.exp(1j * co.phi), math.hypot(co.l2, co.l3, co.l4))
-    spread = math.sqrt(max(1.0 - c_target**2, 0.0))
-    if spread <= state_core.TOL_ZERO or s1 <= state_core.TOL_ZERO:
-        return None
-    mu0, mu1 = 0.5 * (1.0 + spread), 0.5 * (1.0 - spread)
-    p = (s0**2 - mu1) / spread
-    g0, g1 = p * mu0 / s0**2, p * mu1 / s1**2
-    return _gram_from_entries(
-        g0 * abs(u0[0])**2 + g1 * abs(u1[0])**2,
-        g0 * abs(u0[1])**2 + g1 * abs(u1[1])**2,
-        g0 * u0[1] * u0[0].conjugate() + g1 * u1[1] * u1[0].conjugate())
-
-
-def _w_gram(co, za):
-    """Gram of the W-type step, with lower entry 0.5j e^{i phi} sqrt(1 - za):
-    l4 = 0 makes l0 the excitation slot, which both outcomes scale by
-    sqrt(za) while moving the rest into the l1 slot."""
-    return GramParams(0.5, 0.5, 0.5 * math.sqrt(1.0 - za), co.phi + math.pi / 2.0)
-
-
 def _step_gram(ps, pd, w):
     """Normal-frame outcome-0 Gram of one deterministic step on A from ps to
     pd under the witness w of a feasible verdict, or None when no single
-    step on A does it.  The verdict fixes the class pair: a pair source
-    reaches that pair or a product, and zeta_b = zeta_c = 1 leaves tangled
-    -> tangled, tangled -> BC pair, W -> W and W -> BC pair."""
+    step on A does it.  The verdict fixes the class pair: a lone AB or AC
+    pair reaches that pair or a product, whose concurrence the witness
+    scales by zeta_a; with zeta_b = zeta_c = 1 a tangled source reaches a
+    tangled target or its own BC pair, and a W-type source a W-type target
+    or its own BC pair, where the A-step scales A's squared concurrences by
+    zeta_a (0 for the pair)."""
     if lu_equivalent_profiles(ps, pd):
         return GramParams(0.5, 0.5, 0.0, 0.0)
-    kind_s, kind_d = ps.state_class.kind, pd.state_class.kind
-    if kind_s == "biseparable":
-        pair = ps.state_class.pair
-        if pair == "BC":
+    if ps.state_class.kind == "biseparable":
+        if ps.state_class.pair == "BC":
             return None
-        return _pair_gram(ps.coeffs, pd.c.c_ab if pair == "AB" else pd.c.c_ac)
+        return _a_step_gram(ps.coeffs, w.zeta_a ** 2)
     if min(w.zeta_b, w.zeta_c) < 1.0 - state_core.TOL_EQ:
         return None
-    if kind_d == "ghz_type":
+    if pd.state_class.kind == "ghz_type":
         return _two_term_gram(ps, pd)
-    if kind_s == "ghz_type":
-        return _split_gram(ps.coeffs)
-    if kind_d == "w_type":
-        return _w_gram(ps.coeffs, w.zeta_a)
-    return None  # W -> BC pair
+    return _a_step_gram(ps.coeffs, w.zeta_a)
 
 
 def search_deterministic_measurement(state, target):

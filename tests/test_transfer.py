@@ -433,7 +433,7 @@ def test_lemmas_skip_an_outcome_of_zero_probability():
 
 def test_search_returns_none_for_feasible_targets_off_a_single_step():
     # a BC pair cannot be weakened by measuring A, and a W-type source
-    # reaches a BC pair or a product only in more than one step
+    # reaches a weaker BC pair or a product only in more than one step
     rng = np.random.default_rng(74)
     bc = sampling.random_state("biseparable_bc", 75)
     w = sampling.random_state("w_type", 76)
@@ -445,6 +445,21 @@ def test_search_returns_none_for_feasible_targets_off_a_single_step():
     for src, dst in pairs:
         assert locc.dlocc_feasible(src, dst).feasible
         assert search_deterministic_measurement(src, dst) is None
+
+
+def test_search_w_source_to_its_bc_pair():
+    # zeta_a = 0 and zeta_b = zeta_c = 1: the A-step at za = 0 splits the
+    # W-type source's own BC pair off in one step
+    rng = np.random.default_rng(78)
+    for i in range(40):
+        w = sampling.random_state("w_type", int(rng.integers(0, 2**62)))
+        dst = samplers.chargeless_state(CParams(0.0, 0.0, profile(w).c.c_bc, 0.0, 0.0), rng)
+        meas = search_deterministic_measurement(w, dst)
+        assert meas is not None, i
+        pd = profile(dst)
+        for out, _ in state_core.measure(w, meas):
+            assert lu_equivalent_profiles(profile(out), pd), i
+        assert verify_update(w, meas)["pass"], i
 
 
 def test_search_answers_the_defect_questions():
@@ -515,8 +530,9 @@ def _drifted(state, rng):
 @pytest.mark.parametrize("kind", [
     *(kind for kind in samplers.ONE_STEP_KINDS if kind != "w_type"),
     pytest.param("w_type", marks=pytest.mark.xfail(strict=True, reason=(
-        "_w_gram assumes l4 = 0, but a drifted source still classed W has "
-        "l4 ~ sqrt(tau), so both outcomes miss the target by ~sqrt(tau) > TOL_EQ"))),
+        "the A-step assumes phi = 0 and l4 = 0, but a drifted source still "
+        "classed W has l4 ~ sqrt(tau), so both outcomes miss the target by "
+        "~sqrt(tau) > TOL_EQ"))),
 ])
 def test_search_from_drifted_source(kind):
     # a source up to 1e-10 off a one-step pair still has its step
