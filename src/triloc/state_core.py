@@ -569,7 +569,7 @@ def schmidt_decompose(state):
     # coefficients, unless those are all noise (both slices of rank 1)
     scale = abs(m) ** 2 + 4.0 * abs(d0) * abs(d1)
     floor = abs(d0) + abs(m) + abs(d1)
-    double_root = (abs(disc2) <= 1e-12 * scale
+    double_root = (abs(disc2) <= 1e-14 * scale
                    or floor > 1e-14 and abs(disc2) <= 1e-14 * floor)
     if double_root:
         # the midpoint direction is exact, where the square root of the noise

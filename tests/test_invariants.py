@@ -116,19 +116,43 @@ def test_charge_flips_under_conjugation_on_threshold_surfaces():
             q = profile(st).q_e
             q_conj = profile(state_core.complex_conjugate(st)).q_e
         except (Inconsistent, DecompositionFailed):
-            # states with l0 ~ 1e-9..1e-6 are refused (ROADMAP item 4)
+            # states with l0 ~ 1e-9..1e-6 are refused (ROADMAP item 3)
             assert surface == "tiny_l0"
             continue
         assert q_conj == -q, (surface, i)
 
 
-@pytest.mark.xfail(strict=True, raises=DecompositionFailed,
-                   reason="no candidate is admitted at l0 ~ 1e-7 under local "
-                          "unitaries (ROADMAP item 4)")
+def _scrambled_tiny_l0(l0):
+    co = SchmidtCoeffs(l0, 0.3, 0.4, 0.6, math.sqrt(0.39 - 1e-14), 1.0)
+    return co, samplers.scrambled(state_core.state_from_schmidt(co),
+                                  np.random.default_rng(0))
+
+
 def test_scrambled_state_with_a_tiny_l0_decomposes():
-    co = SchmidtCoeffs(1e-7, 0.3, 0.4, 0.6, math.sqrt(0.39 - 1e-14), 1.0)
-    profile(samplers.scrambled(state_core.state_from_schmidt(co),
-                               np.random.default_rng(0)))
+    co, st = _scrambled_tiny_l0(1e-7)
+    assert profile(st).c.max_deviation(invariants.c_params(co)) < 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=DecompositionFailed,
+                   reason="no candidate is admitted at l0 ~ 1e-8 under local "
+                          "unitaries (ROADMAP item 3)")
+def test_scrambled_state_with_a_smaller_l0_decomposes():
+    profile(_scrambled_tiny_l0(1e-8)[1])
+
+
+def test_near_w_states_keep_their_invariants():
+    # tangled states with tau ~ 1e-14..1e-12 under local unitaries: a pencil
+    # discriminant of that size is no double root, and the two distinct
+    # roots give invariants within 1e-12
+    rng = np.random.default_rng(0)
+    for i in range(1500):
+        lams = rng.uniform(0.25, 1.0, 4)
+        lams /= np.linalg.norm(lams)
+        l4 = math.sqrt(10.0 ** rng.uniform(-14.0, -12.0)) / (2.0 * lams[0])
+        v = np.append(lams, l4)
+        co = SchmidtCoeffs(*(v / np.linalg.norm(v)), rng.uniform(0.0, math.pi))
+        st = samplers.scrambled(state_core.state_from_schmidt(co), rng)
+        assert profile(st).c.max_deviation(invariants.c_params(co)) <= 1e-12, i
 
 
 def test_charge_bracket_is_the_discriminant_root(monkeypatch):
