@@ -291,7 +291,7 @@ def test_state_with_a_tiny_concurrence_reaches_itself(coeffs):
 @pytest.mark.parametrize("slot", [
     pytest.param(0, marks=pytest.mark.xfail(
         strict=True, raises=Inconsistent,
-        reason="_classify refuses states with l0 ~ 1e-9 (ROADMAP item 4)")),
+        reason="_classify refuses states with l0 ~ 1e-9 (ROADMAP item 3)")),
     1, 2, 3, 4])
 def test_decision_is_reflexive_near_a_vanishing_coefficient(slot):
     rng = np.random.default_rng(11)
@@ -543,7 +543,7 @@ def test_oracle_s_law_without_a_target_shape():
 @pytest.mark.xfail(strict=True, reason=(
     "ep_definite reads c_ac against TOL_ZERO, so of two LU-equivalent states "
     "on either side of it the decision reaches only one from the other, and "
-    "the oracle neither (ROADMAP item 4)"))
+    "the oracle neither (ROADMAP item 3)"))
 def test_lu_equivalent_states_across_the_ep_definite_boundary_reach_each_other():
     z = 1.3 * cmath.exp(0.7j)
     s = samplers.two_term_state([0.5, 0.6, 2e-9], z)
