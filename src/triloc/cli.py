@@ -151,10 +151,6 @@ def ghz_canonical(args):
                  "zeta_tilde_definite": g.zeta_tilde_definite})
 
 
-# largest violation of a transfer law that verify-lemmas still passes
-LEMMA_GATE = 1e-9
-
-
 def verify_lemmas(args):
     """Fuzz the transfer laws on random states and measurements."""
     from . import transfer
@@ -179,7 +175,7 @@ def verify_lemmas(args):
         asum = transfer.alpha_average(stk, measa)
         worst["alpha_sum"] = max(worst["alpha_sum"], asum - 1.0, -asum)
     max_dev = max(worst.values())
-    passed = bool(max_dev <= LEMMA_GATE)
+    passed = bool(max_dev <= state_core.TOL_ZERO)
     _emit(args, {"samples": args.samples, "max_deviation": max_dev,
                  "pass": passed, "components": worst})
     return 0 if passed else 1

@@ -273,7 +273,7 @@ def coeffs_from_invariants(c, q):
     except NegativeDiscriminant as exc:
         raise Inconsistent(str(exc)) from exc
     # written so that a NaN j5 fails it too
-    if not der.j_ap - c.j5**2 >= -1e-8:
+    if not der.j_ap - c.j5**2 >= -state_core.TOL_RECON:
         raise Inconsistent("j5^2 exceeds the concurrence product")
 
     cls = _classify(c, der)
@@ -309,9 +309,11 @@ def coeffs_from_invariants(c, q):
             l4 = math.sqrt(c.tau) / (2.0 * l0)
             l1 = math.sqrt(max(1.0 - l0sq - l2**2 - l3**2 - l4**2, 0.0))
             denom = 2.0 * l1 * l2 * l3 * l4
+            lams = _normalized([l0, l1, l2, l3, l4])
             phi = 0.0
-            if denom > tz:
+            # a coefficient that is rounding noise leaves the phase removable
+            if denom > tz and min(lams) >= state_core._NEGLIGIBLE:
                 x = (l1**2 * l4**2 + l2**2 * l3**2 - c.c_bc**2 / 4.0) / denom
                 phi = math.acos(min(1.0, max(-1.0, x)))
-            cands.append(SchmidtCoeffs(*_normalized([l0, l1, l2, l3, l4]), phi))
+            cands.append(SchmidtCoeffs(*lams, phi))
     return _verified(cands, c, q)

@@ -29,6 +29,10 @@ TOL_ZERO = 1e-9   # "this invariant is zero" decisions
 TOL_RECON = 1e-8  # reconstruction / round-trip error budget
 TOL_EQ = 1e-8     # equality of invariants between two states
 
+# Rounding rules of the numerics, which no flag moves (the third: _snap_det).
+_SLACK = 1e-12       # range slack of the value types; residuals this close tie
+_NEGLIGIBLE = 1e-9   # a normal-form coefficient this small is rounding noise
+
 QUBITS = ("A", "B", "C")
 _STRIDE = {"A": 4, "B": 2, "C": 1}  # amplitude-index weight of each qubit
 
@@ -122,14 +126,14 @@ class SchmidtCoeffs(namedtuple("SchmidtCoeffs", "l0 l1 l2 l3 l4 phi")):
         lams = (l0, l1, l2, l3, l4)
         if not all(math.isfinite(l) for l in lams) or not math.isfinite(phi):
             raise NonFinite("non-finite Schmidt coefficient")
-        if min(lams) < -1e-12:
+        if min(lams) < -_SLACK:
             raise ValueError("negative Schmidt coefficient")
         norm2 = sum(l * l for l in lams)
         if abs(norm2 - 1.0) > TOL_NORM * 10:
             raise NotNormalized(f"coefficient norm^2 = {norm2}")
-        if not -1e-12 <= phi <= math.pi + 1e-12:
+        if not -_SLACK <= phi <= math.pi + _SLACK:
             raise ValueError("phase outside [0, pi]")
-        if min(lams) < TOL_ZERO and phi > TOL_ZERO:
+        if min(lams) < _NEGLIGIBLE and phi > _NEGLIGIBLE:
             # the phase is removable (hence defined as 0) once a coefficient vanishes
             raise ValueError("phi must be 0 when some coefficient vanishes")
         return tuple.__new__(cls, (l0, l1, l2, l3, l4, phi))
@@ -145,10 +149,11 @@ class GramParams(namedtuple("GramParams", "a b k theta")):
     __slots__ = ()
 
     def __new__(cls, a, b, k, theta):
-        for name, v in (("a", a), ("b", b), ("k", k)):
+        for name, v in (("a", a), ("b", b), ("k", k), ("theta", theta)):
             if not math.isfinite(v):
                 raise NonFinite(f"non-finite gram parameter {name}")
-            if v < -1e-12:
+        for name, v in (("a", a), ("b", b), ("k", k)):
+            if v < -_SLACK:
                 raise ValueError(f"gram parameter {name} must be >= 0")
         if a * b - k**2 < -TOL_ZERO:
             raise ValueError("gram matrix not positive semidefinite (ab < k^2)")
@@ -471,12 +476,11 @@ def _phase_gauge(raw):
     other slot is negligible, in which case the leftover can be dumped there
     and slot 4 gets zero phase too.  A negligible slot 4 counts as phase 0.
     """
-    tz = TOL_ZERO
     r4, r5, r6, r7 = (-cmath.phase(z) for z in raw)
-    on5, on6, on7 = (abs(z) >= tz for z in raw[1:])
+    on5, on6, on7 = (abs(z) >= _NEGLIGIBLE for z in raw[1:])
     if on5 and on6 and on7:
         return r5 + r6 - r7, r7 - r5, r7 - r6
-    if abs(raw[0]) < tz:
+    if abs(raw[0]) < _NEGLIGIBLE:
         r4 = 0.0
     # slot 4 fixes a1 and slots 5, 6 fix c1, b1; slot 7 fixes whichever of
     # them is still free, or splits evenly between both
@@ -505,7 +509,7 @@ def _candidate_decomposition(num, den, t0, t1):
     s1 = [u10 * x + u11 * y for x, y in zip(t0, t1)]
     # s0 is rank-1 because (den, num) is a root of det(t0 + x t1)
     sig, _, w1, w2, v1, v2 = _svd2(*s0)
-    if sig < TOL_ZERO:
+    if sig < _NEGLIGIBLE:
         # the mixed slice vanishes: qubit A factors out on the other side,
         # so diagonalize that slice instead (biseparable BC normal form)
         sa, sb, w1, w2, v1, v2 = _svd2(*s1)
@@ -522,7 +526,7 @@ def _candidate_decomposition(num, den, t0, t1):
     mags = [abs(z) for z in raw]
     n = math.hypot(sig, *mags)
     lams = [sig / n] + [x / n for x in mags]
-    if lams[1] < TOL_ZERO or min(lams[2:]) < TOL_ZERO:
+    if lams[1] < _NEGLIGIBLE or min(lams[2:]) < _NEGLIGIBLE:
         # any vanishing coefficient makes the phase removable; the gauge above
         # already dumped the leftover onto the negligible slot
         phi = 0.0
@@ -531,7 +535,7 @@ def _candidate_decomposition(num, den, t0, t1):
         s = math.sin(phi)
         # the extracted phase carries noise of order eps / l1, so test the
         # imaginary amplitude l1 sin(phi) rather than the bare sine
-        if lams[1] * abs(s) <= TOL_ZERO:
+        if lams[1] * abs(s) <= _NEGLIGIBLE:
             phi = 0.0 if math.cos(phi) > 0 else math.pi
         elif s < 0:
             return None  # negative decomposition; the other root is positive
@@ -563,14 +567,14 @@ def schmidt_decompose(state):
     # candidate directions are projective roots (num, den) of det(t0 + x t1)
     # in x = num/den
     disc2 = m * m - 4.0 * d0 * d1
-    # at a double root disc2 is rounding noise: relative to the size of its
-    # terms, or, at x = 0 or infinity (an A slice of rank 1, as in a W-type
-    # state whose A is in its normal-form basis), ~1e-16 of the pencil's
-    # coefficients, unless those are all noise (both slices of rank 1)
+    # at a double root disc2 is noise, snapped like a determinant on its terms
+    # or, at x = 0 or infinity (an A slice of rank 1, as in a W-type state
+    # whose A is in its normal-form basis), on the pencil's coefficients,
+    # unless those are all noise (both slices of rank 1)
     scale = abs(m) ** 2 + 4.0 * abs(d0) * abs(d1)
     floor = abs(d0) + abs(m) + abs(d1)
-    double_root = (abs(disc2) <= 1e-14 * scale
-                   or floor > 1e-14 and abs(disc2) <= 1e-14 * floor)
+    double_root = (_snap_det(abs(disc2), scale) == 0.0
+                   or floor > 1e-14 and _snap_det(abs(disc2), floor) == 0.0)
     if double_root:
         # the midpoint direction is exact, where the square root of the noise
         # would shift the root by ~1e-8; a pencil singular everywhere has no

@@ -39,7 +39,7 @@ from collections import namedtuple
 from . import state_core
 from .invariants import (CParams, coeffs_profile, invariant_kernel,
                          lu_equivalent_profiles, profile)
-from .state_core import (GramParams, Measurement2, _complement_det,
+from .state_core import (_SLACK, GramParams, Measurement2, _complement_det,
                          _gram_det, _gram_from_entries)
 
 
@@ -63,7 +63,7 @@ class TransferParams(namedtuple("TransferParams", "alpha beta")):
 
     def __new__(cls, alpha, beta):
         for name, v in (("alpha", alpha), ("beta", beta)):
-            if not math.isfinite(v) or not -1e-12 <= v <= 1.0 + 1e-12:
+            if not math.isfinite(v) or not -_SLACK <= v <= 1.0 + _SLACK:
                 raise ValueError(f"{name} must lie in [0, 1]")
         return tuple.__new__(cls, (alpha, beta))
 
@@ -169,9 +169,6 @@ def _dagger(u):
 
 _FRONT = {"A": None, "B": "BAC", "C": "CBA"}
 
-# worst probability/invariant deviation a verified prediction may show
-VERIFY_TOL = 1e-8
-
 
 def _measured_front(state, meas):
     """Permute so the measured qubit sits in slot A (the normal-form slot).
@@ -194,7 +191,7 @@ def verify_update(state, meas):
     a report dict with the worst probability/invariant deviation; charges
     are compared separately (they are integers, so they either match or
     they do not).  The report passes when that deviation is at most
-    VERIFY_TOL and every charge matches.
+    TOL_EQ and every charge matches.
     """
     qubit = meas.qubit
     front, meas = _measured_front(state, meas)
@@ -228,7 +225,7 @@ def verify_update(state, meas):
             "max_deviation": max_dev,
             "p_sum_deviation": p_sum_dev,
             "charge_consistent": charge_ok,
-            "pass": bool(max_dev <= VERIFY_TOL and charge_ok),
+            "pass": bool(max_dev <= state_core.TOL_EQ and charge_ok),
             "outcomes": outcomes}
 
 
@@ -343,10 +340,6 @@ def _circle_point(c, r0, r1):
     return c / d * complex(p, math.sqrt(max(r0**2 - p**2, 0.0))), miss
 
 
-# residuals of two pairings closer than this are equal within rounding
-_TIE = 1e-12
-
-
 def _two_term_gram(ps, pd):
     """Gram of the step between two tangled states with the same B and C
     overlaps, or None.
@@ -360,7 +353,7 @@ def _two_term_gram(ps, pd):
     H(G0) + H(G1) = H(I) then reads x0 r0 + (1 - x0) r1 = 1 on the diagonal
     and x0 v0 + (1 - x0) v1 = e0[1] off it; of the pairings whose H00 and
     H11 lie in [0, 1], the one that solves both best is taken, the first in
-    weights order among residuals equal within _TIE.  The residual goes
+    weights order among residuals equal within _SLACK.  The residual goes
     whole to the more probable outcome, and the other is solved exactly: an
     outcome divides its share by its probability.  When c_ab or c_ac
     vanishes, a B or C overlap is zero and the weights' phases are free:
@@ -395,7 +388,7 @@ def _two_term_gram(ps, pd):
                 rows = ((r0 - r1, 1.0 - r1), ((v0 - v1).real, (e10 - v1).real),
                         ((v0 - v1).imag, (e10 - v1).imag))
                 norm = sum(a * a for a, _ in rows)
-                x0 = sum(a * b for a, b in rows) / norm if norm > 1e-300 else 0.5
+                x0 = sum(a * b for a, b in rows) / norm if norm > 0.0 else 0.5
                 res = math.hypot(*(a * x0 - b for a, b in rows))
                 h0, h1 = x0 * v0, e10 - (1.0 - x0) * v1
             # (H11, H10) of outcome 0 when outcome 0, or outcome 1, is exact
@@ -407,7 +400,7 @@ def _two_term_gram(ps, pd):
             # admissible one, so only admissible pairings compete
             if not (0.0 <= x0 <= 1.0 and 0.0 <= y0 <= 1.0):
                 continue
-            if best is None or res < best[0] - _TIE:
+            if best is None or res < best[0] - _SLACK:
                 best = (res, x0, y0, h0)
     if best is None or best[0] > math.sqrt(state_core.TOL_EQ):
         return None

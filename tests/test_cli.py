@@ -215,6 +215,26 @@ def test_verify_lemmas(runner):
                                        "alpha_sum"}
 
 
+def test_verify_lemmas_under_a_loose_zero_tolerance(runner):
+    # the gate reads --tol-zero, and the decomposition does not
+    res = runner.invoke(main, ["--tol-zero", "1e-3", "verify-lemmas", "--samples", "200"])
+    assert res.exit_code == 0, res.output + res.stderr
+    assert json.loads(res.output)["pass"] is True
+
+
+def test_measure_pass_reads_tol_eq(runner, tmp_path):
+    # the prediction misses the simulation by 4.4e-16
+    path = tmp_path / "haar.json"
+    path.write_text(json.dumps(state_core.state_to_dict(sampling.random_state("haar", 11))))
+    mpath = tmp_path / "meas.json"
+    meas = sampling.random_measurement(12, qubit="B")
+    mpath.write_text(json.dumps(state_core.measurement_to_dict(meas)))
+    for flags, code in (([], 0), (["--tol-eq", "1e-30"], 1)):
+        res = runner.invoke(main, [*flags, "measure", str(path), str(mpath)])
+        assert res.exit_code == code, res.output
+        assert json.loads(res.output)["report"]["pass"] is (code == 0)
+
+
 def test_malformed_inputs_exit_2(runner, tmp_path, ghz):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

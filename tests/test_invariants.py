@@ -321,6 +321,34 @@ def test_inversion_returns_distinct_sets_that_reproduce_the_invariants():
                 assert max(abs(x - y) for x, y in zip(co, other)) > state_core.TOL_ZERO
 
 
+@pytest.mark.parametrize("x", [
+    5e-3,
+    pytest.param(4e-3, marks=pytest.mark.xfail(strict=True, reason=(
+        "phi is set only when 2 l1 l2 l3 l4 exceeds TOL_ZERO, a degree-4 "
+        "product read on the scale of one invariant (5.1e-10 at x = 4e-3), "
+        "so the state's own set is lost (ROADMAP item 3)"))),
+])
+def test_inversion_returns_the_state_s_own_chargeless_set(x):
+    co = SchmidtCoeffs(math.sqrt(1.0 - 4.0 * x * x), x, x, x, x, 1.0)
+    p = invariants.coeffs_profile(co)
+    assert p.q_e == 0
+    sets = coeffs_from_invariants(p.c, 0)
+    assert any(max(abs(a - b) for a, b in zip(co, s)) <= 1e-9 for s in sets), sets
+
+
+def test_inversion_under_a_tight_zero_tolerance(monkeypatch):
+    # a coefficient of 1e-11..1e-9 is rounding noise to the decomposition,
+    # whatever TOL_ZERO says, so its phase is 0 and the inversion's must be
+    monkeypatch.setattr(state_core, "TOL_ZERO", 1e-12)
+    rng = np.random.default_rng(1)
+    for i in range(60):
+        lams = rng.uniform(0.2, 1.0, 5)
+        lams[1 + i % 4] = 10.0 ** rng.uniform(-11.0, -9.0)
+        co = SchmidtCoeffs(*lams / np.linalg.norm(lams), 0.0)
+        p = profile(samplers.scrambled(state_core.state_from_schmidt(co), rng))
+        assert coeffs_from_invariants(p.c, p.q_e), i
+
+
 def test_inversion_rejects_charged_tangle_free():
     with pytest.raises(Inconsistent, match="tangle"):
         coeffs_from_invariants(CParams(0.5, 0.0, 0.0, 0.0, 0.0), 1)

@@ -79,9 +79,16 @@ def test_import_loads_no_submodule():
     assert res.stdout.strip() == str(["triloc", "triloc.invariants", "triloc.state_core"])
 
 
-# literal thresholds written as 1e-N in the library: 12 in state_core (4 of
-# them the TOL_* defaults), 5 in transfer, 2 in invariants, 1 in cli
-MAX_LITERAL_THRESHOLDS = 20
+# literal thresholds written as 1e-N in the library, one role each:
+# - the four TOL_* defaults (state_core), the user's tolerances;
+# - _SLACK (state_core), the range slack of the value types and the tie of
+#   two equal residuals;
+# - _NEGLIGIBLE (state_core), a normal-form coefficient that is rounding noise;
+# - _snap_det's relative factor (state_core), a difference of terms that
+#   cancels to rounding;
+# - the pencil floor guard (state_core), pencil coefficients that are all noise;
+# - the inversion's 1 + 1e-6 ceiling on a concurrence or tangle (invariants)
+MAX_LITERAL_THRESHOLDS = 9
 
 
 def test_literal_thresholds_do_not_grow():

@@ -217,6 +217,28 @@ def test_decompose_biseparable_bc_takes_the_fallback():
         assert abs(coeffs.l1 - want.l1) < 1e-12 and abs(coeffs.l4 - want.l4) < 1e-12
 
 
+# Haar seeds whose l1 |sin phi| lies below 1e-3 (4.3e-4 on seed 32)
+SMALL_IMAGINARY_SLOT = (32, 85, 1384, 1624, 1786)
+
+
+def test_decomposition_reads_no_user_tolerance(monkeypatch):
+    # the decomposition's zero tests are rounding rules: a phase snapped on
+    # a loose TOL_ZERO left seed 32's normal form 4.3e-4 off the state
+    states = [sampling.random_state(kind, 40 + i)
+              for kind in RANDOM_KINDS for i in range(10)]
+    states += [sampling.random_state("haar", s) for s in SMALL_IMAGINARY_SLOT]
+    want = [repr(state_core.schmidt_decompose(st)) for st in states]
+    for tz in (1e-3, 1e-12):
+        monkeypatch.setattr(state_core, "TOL_ZERO", tz)
+        assert [repr(state_core.schmidt_decompose(st)) for st in states] == want
+
+
+def test_profile_under_a_loose_zero_tolerance(monkeypatch):
+    monkeypatch.setattr(state_core, "TOL_ZERO", 1e-3)
+    for s in SMALL_IMAGINARY_SLOT:
+        assert invariants.profile(sampling.random_state("haar", s)).state_class.kind == "ghz_type"
+
+
 def _candidates_built(monkeypatch, state):
     """What each _candidate_decomposition call of one decomposition gave,
     in the order built."""
