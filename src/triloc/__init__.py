@@ -14,10 +14,9 @@ __version__ = "0.1.0"
 # the exported names of each submodule
 _EXPORTS = {
     "invariants": (
-        "CParams", "Derived", "Inconsistent", "KParams", "NegativeDiscriminant",
-        "StateClass", "StateProfile", "c_params", "classify",
-        "coeffs_from_invariants", "derived", "ep_phase", "k_params",
-        "lu_equivalent", "profile", "q_e"),
+        "CParams", "Derived", "Inconsistent", "KParams", "StateClass",
+        "StateProfile", "c_params", "classify", "coeffs_from_invariants",
+        "derived", "ep_phase", "k_params", "lu_equivalent", "profile"),
     "locc": (
         "GhzCanonical", "LoccVerdict", "NotFeasible", "NotGhzType", "NotWType",
         "WCoords", "ZetaWitness", "dlocc_feasible", "ghz_canonical",

@@ -195,6 +195,13 @@ def count(text):
     return value
 
 
+def seed(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="triloc",
@@ -208,7 +215,7 @@ def _parser():
                         help="Normalization / completeness tolerance.")
     parser.add_argument("--tol-eq", type=tolerance, default=state_core.TOL_EQ,
                         help="Tolerance for equality of invariants between states.")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=seed, default=0,
                         help="Seed for commands that sample (default: 0).")
     parser.add_argument("--pretty", action="store_true", help="Indent JSON output.")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)

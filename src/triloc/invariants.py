@@ -16,10 +16,6 @@ from . import state_core
 from .state_core import SchmidtCoeffs, schmidt_decompose, state_from_schmidt
 
 
-class NegativeDiscriminant(ValueError):
-    """k5^2 - k_ap is negative beyond tolerance: no state has these invariants."""
-
-
 class Inconsistent(ValueError):
     """The requested invariant combination is realized by no pure state."""
 
@@ -111,11 +107,6 @@ def c_params(coeffs):
     return _coeff_invariants(coeffs)[0]
 
 
-def q_e(coeffs):
-    """Charge of the state: the sign that flips under complex conjugation."""
-    return _coeff_invariants(coeffs)[3]
-
-
 def k_params(c):
     """Shifted pair quantities from the continuous invariants."""
     return KParams(c.c_ab**2 + c.tau, c.c_ac**2 + c.tau, c.c_bc**2 + c.tau,
@@ -124,17 +115,13 @@ def k_params(c):
 
 def derived(c):
     """Products and the discriminant of the invariants c: (j_ap, k_ap, k5,
-    delta_j), with j_ap = (c_ab c_ac c_bc)^2 and k_ap = k_ab k_ac k_bc.
-
-    Raises NegativeDiscriminant when delta_j < -TOL_ZERO, which signals that
-    the input invariants belong to no state.
+    delta_j), with j_ap = (c_ab c_ac c_bc)^2, k_ap = k_ab k_ac k_bc and
+    delta_j = k5^2 - k_ap clamped at 0.  Invariants from outside are checked
+    by coeffs_from_invariants.
     """
     k_ap = (c.c_ab**2 + c.tau) * (c.c_ac**2 + c.tau) * (c.c_bc**2 + c.tau)
     k5 = c.tau + c.j5
-    delta_j = k5**2 - k_ap
-    if delta_j < -state_core.TOL_ZERO:
-        raise NegativeDiscriminant(f"k5^2 - k_ap = {delta_j} < 0")
-    return Derived((c.c_ab * c.c_ac * c.c_bc) ** 2, k_ap, k5, max(delta_j, 0.0))
+    return Derived((c.c_ab * c.c_ac * c.c_bc) ** 2, k_ap, k5, max(k5**2 - k_ap, 0.0))
 
 
 def ep_phase(c):
@@ -234,13 +221,13 @@ def _normalized(lams):
 
 
 def _verified(cands, c, q):
-    """The candidates that reproduce c within TOL_RECON with charge q, each
+    """The candidates that reproduce c within TOL_EQ with charge q, each
     kept only when it differs by more than TOL_ZERO from those kept before."""
     tz = state_core.TOL_ZERO
     good = []
     for cand in cands:
         back, _, _, q_back = _coeff_invariants(cand)
-        if (back.max_deviation(c) <= state_core.TOL_RECON and q_back == q
+        if (back.max_deviation(c) <= state_core.TOL_EQ and q_back == q
                 and all(max(abs(x - y) for x, y in zip(cand, g)) > tz for g in good)):
             good.append(cand)
     if not good:
@@ -253,27 +240,28 @@ def coeffs_from_invariants(c, q):
 
     The candidates of the state's class are built with every square root
     and arccosine clamped to its domain, and a set is returned exactly when
-    it reproduces c within TOL_RECON, has charge q and differs by more than
+    it reproduces c within TOL_EQ, has charge q and differs by more than
     TOL_ZERO from every set returned before it.  So a nonzero charge gives
     one set and q = 0 up to two (larger l0 first).  Concurrences and tangle
-    within TOL_ZERO below zero are read as 0.  Raises Inconsistent when no
-    pure state has these invariants.
+    within TOL_ZERO below zero are read as 0.  This is the one check of
+    invariants from outside, on the user's tolerances: raises Inconsistent
+    when no pure state has these invariants.
     """
     tz = state_core.TOL_ZERO
     if q not in (-1, 0, 1):
         raise ValueError("charge must be -1, 0 or +1")
     for name, v in (("c_ab", c.c_ab), ("c_ac", c.c_ac), ("c_bc", c.c_bc),
                     ("tau", c.tau)):
-        if not -tz <= v <= 1.0 + 1e-6:
+        if not -tz <= v <= 1.0 + tz:
             raise Inconsistent(f"{name} = {v} outside [0, 1]")
     c = CParams(*(max(v, 0.0) for v in c[:4]), c.j5)
     k = k_params(c)
-    try:
-        der = derived(c)
-    except NegativeDiscriminant as exc:
-        raise Inconsistent(str(exc)) from exc
+    der = derived(c)
+    gap = der.k5**2 - der.k_ap
+    if gap < -tz:
+        raise Inconsistent(f"k5^2 - k_ap = {gap} < 0")
     # written so that a NaN j5 fails it too
-    if not der.j_ap - c.j5**2 >= -state_core.TOL_RECON:
+    if not der.j_ap - c.j5**2 >= -state_core.TOL_EQ:
         raise Inconsistent("j5^2 exceeds the concurrence product")
 
     cls = _classify(c, der)

@@ -13,7 +13,8 @@ import numpy as np
 
 from .state_core import (RANDOM_KINDS, GramParams, Measurement2, PureState3,
                          SchmidtCoeffs, _local_product, _max_k,
-                         measurement_from_grams, state_from_schmidt)
+                         measurement_from_grams, permute_qubits,
+                         state_from_schmidt)
 
 
 def haar_unitary(rng):
@@ -50,27 +51,17 @@ def random_state(kind, seed):
         amps = state_from_schmidt(SchmidtCoeffs(*lams, phi)).amps
     elif kind == "w_type":
         x = np.concatenate([[rng.uniform(0.0, 0.6)], rng.uniform(0.25, 1.0, 3)])
-        x /= np.linalg.norm(x)
-        amps = np.zeros(8, dtype=complex)
-        amps[0], amps[4], amps[2], amps[1] = x  # x0|000> + x1|100> + x2|010> + x3|001>
-        amps = amps.tolist()
+        x0, x1, x2, x3 = (x / np.linalg.norm(x)).tolist()
+        amps = (x0, x3, x2, 0.0, x1, 0.0, 0.0, 0.0)  # x0|000> + x1|100> + x2|010> + x3|001>
     elif kind.startswith("biseparable_"):
         th = rng.uniform(0.15, math.pi / 4)
-        pair = np.array([math.cos(th), 0.0, 0.0, math.sin(th)], dtype=complex)
-        lone = _random_qubit(rng)
-        t = np.zeros((2, 2, 2), dtype=complex)
-        p = pair.reshape(2, 2)
-        if kind.endswith("ab"):
-            t += np.einsum("ab,c->abc", p, lone)
-        elif kind.endswith("ac"):
-            t += np.einsum("ac,b->abc", p, lone)
-        else:
-            t += np.einsum("bc,a->abc", p, lone)
-        amps = t.reshape(8).tolist()
+        pair = (math.cos(th), 0.0, 0.0, math.sin(th))
+        lone = _random_qubit(rng).tolist()
+        order = {"ab": "ABC", "ac": "ACB", "bc": "CAB"}[kind[-2:]]
+        amps = permute_qubits(PureState3([p * z for p in pair for z in lone]), order).amps
     else:  # full_separable
-        t = np.einsum("a,b,c->abc", _random_qubit(rng), _random_qubit(rng),
-                      _random_qubit(rng))
-        amps = t.reshape(8).tolist()
+        qa, qb, qc = (_random_qubit(rng).tolist() for _ in range(3))
+        amps = [x * y * z for x in qa for y in qb for z in qc]
     scramble = (haar_unitary(rng).tolist() for _ in range(3))
     return PureState3(_local_product(amps, *scramble))
 
@@ -84,4 +75,6 @@ def random_measurement(seed, qubit="A"):
     k = rng.uniform(0.0, 1.0) * _max_k(a, b)
     theta = rng.uniform(0.0, 2 * math.pi)
     base = measurement_from_grams(GramParams(a, b, k, theta))
+    # numpy's product, not a scalar 2x2 one: the two round differently in
+    # the last bits, and every seeded measurement would move
     return Measurement2(qubit, haar_unitary(rng) @ base.m0, haar_unitary(rng) @ base.m1)

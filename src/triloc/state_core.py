@@ -21,17 +21,17 @@ from collections import namedtuple
 # numpy is imported inside the functions that build or read arrays, so the
 # scalar path (validation, decomposition, permutation) runs without it.
 
-# Zero/normalization thresholds.  Classification of nearly-zero invariants is
-# discontinuous, so these are module globals that the CLI can override for
-# one call; library code reads them at call time.
+# The user's tolerances, one per CLI flag.  Classification of nearly-zero
+# invariants is discontinuous, so these are module globals that the CLI can
+# override for one call; library code reads them at call time.
 TOL_NORM = 1e-9   # state / measurement completeness
 TOL_ZERO = 1e-9   # "this invariant is zero" decisions
-TOL_RECON = 1e-8  # reconstruction / round-trip error budget
 TOL_EQ = 1e-8     # equality of invariants between two states
 
-# Rounding rules of the numerics, which no flag moves (the third: _snap_det).
-_SLACK = 1e-12       # range slack of the value types; residuals this close tie
-_NEGLIGIBLE = 1e-9   # a normal-form coefficient this small is rounding noise
+# Rounding rules of the numerics, which no flag moves (the fourth: _snap_det).
+_SLACK = 1e-12         # range slack of the value types; residuals this close tie
+_NEGLIGIBLE = 1e-9     # a normal-form coefficient this small is rounding noise
+_RECON_BUDGET = 1e-8   # reconstruction error of an accepted decomposition
 
 QUBITS = ("A", "B", "C")
 _STRIDE = {"A": 4, "B": 2, "C": 1}  # amplitude-index weight of each qubit
@@ -551,7 +551,7 @@ def schmidt_decompose(state):
     """Normal form of a three-qubit state.
 
     Returns (coeffs, (ua, ub, uc)) such that applying ua ⊗ ub ⊗ uc to the
-    input reproduces the normal-form amplitudes of coeffs within TOL_RECON;
+    input reproduces the normal-form amplitudes of coeffs within _RECON_BUDGET;
     each unitary is a pair of rows of Python numbers (complex, or float
     where an entry is exact), which apply_local_unitaries, Measurement2 and
     np.array all accept.  The positive decomposition is returned; for
@@ -596,7 +596,7 @@ def schmidt_decompose(state):
     for coeffs, us in candidates:
         out = _local_product(amps, *us)
         err = _norm([x - y for x, y in zip(out, _normal_form_amps(coeffs))])
-        if err <= TOL_RECON:
+        if err <= _RECON_BUDGET:
             return coeffs, us
     if err is None:
         raise DecompositionFailed("no positive decomposition found")

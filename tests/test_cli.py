@@ -312,6 +312,29 @@ def test_bad_tolerance_flag_is_usage_error(runner, ghz, flag, value):
     assert "must be finite and > 0" in res.stderr
 
 
+def test_tiny_tol_zero_profiles_every_w_state(runner, tmp_path, monkeypatch):
+    # derived once refused a W state's own invariants when k5^2 - k_ap
+    # rounded below -TOL_ZERO (seed 42 reads -1.4e-17): only the inversion
+    # checks invariants from outside
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(state_core.state_to_dict(sampling.random_state("w_type", 42))))
+    res = runner.invoke(main, ["--tol-zero", "1e-17", "invariants", str(path)])
+    assert res.exit_code == 0, res.stderr
+    assert json.loads(res.output)["class"] == "w_type"
+    monkeypatch.setattr(state_core, "TOL_ZERO", 1e-17)
+    for seed in range(500):
+        st = state_core.state_from_dict(json.loads(json.dumps(
+            state_core.state_to_dict(sampling.random_state("w_type", seed)))))
+        assert triloc.profile(st).state_class.kind == "w_type", seed
+
+
+def test_negative_seed_is_usage_error_naming_the_flag(runner):
+    res = runner.invoke(main, ["--seed", "-1", "random"])
+    assert res.exit_code == 2
+    assert res.output == ""
+    assert "--seed" in res.stderr and "must be >= 0" in res.stderr
+
+
 def test_error_message_prints_plain_floats(runner, tmp_path):
     unnorm = tmp_path / "unnorm.json"
     amps = [[0.0, 0.0]] * 8
@@ -429,14 +452,15 @@ def test_numpy_audit(tmp_path, ghz, w, command):
 
 def test_closed_pipe_exits_quietly():
     # the reader takes one line and closes the pipe while triloc still writes
-    proc = subprocess.Popen([sys.executable, "-m", "triloc.cli", "random", "--count", "2000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
-    try:
-        json.loads(proc.stdout.readline())
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        status = proc.wait(timeout=60)
-    finally:
-        proc.kill()
+    # leaving the block closes both pipes, so no unclosed file is left
+    with subprocess.Popen([sys.executable, "-m", "triloc.cli", "random", "--count", "2000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env()) as proc:
+        try:
+            json.loads(proc.stdout.readline())
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            status = proc.wait(timeout=60)
+        finally:
+            proc.kill()
     assert "Traceback" not in err, err
     assert status == cli.BROKEN_PIPE

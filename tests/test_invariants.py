@@ -8,7 +8,6 @@ from triloc import invariants, locc, sampling, state_core, transfer
 from triloc.invariants import (
     CParams,
     Inconsistent,
-    NegativeDiscriminant,
     coeffs_from_invariants,
     derived,
     ep_phase,
@@ -235,8 +234,11 @@ def test_ep_phase_limits():
 
 
 def test_negative_discriminant_rejected():
-    with pytest.raises(NegativeDiscriminant):
-        derived(CParams(0.9, 0.9, 0.9, 0.01, 0.0))
+    # derived only computes (delta_j clamped at 0); the inversion refuses
+    c = CParams(0.9, 0.9, 0.9, 0.01, 0.0)
+    assert derived(c).delta_j == 0.0
+    with pytest.raises(Inconsistent, match=r"k5\^2 - k_ap = .* < 0"):
+        coeffs_from_invariants(c, 0)
 
 
 def test_lu_equivalent_under_local_unitaries():
@@ -293,7 +295,7 @@ def test_inversion_reads_a_rounding_negative_concurrence_as_zero():
     sets = coeffs_from_invariants(c, 0)
     for co in sets:
         assert min(co[:5]) >= 0.0
-        assert invariants.c_params(co).max_deviation(c) <= state_core.TOL_RECON
+        assert invariants.c_params(co).max_deviation(c) <= state_core.TOL_EQ
 
 
 def test_inversion_returns_distinct_sets_that_reproduce_the_invariants():
@@ -316,7 +318,7 @@ def test_inversion_returns_distinct_sets_that_reproduce_the_invariants():
             assert min(co[:5]) >= 0.0
             back = profile(state_core.state_from_schmidt(co))
             assert back.q_e == p.q_e
-            assert invariants.c_params(co).max_deviation(c) <= state_core.TOL_RECON
+            assert invariants.c_params(co).max_deviation(c) <= state_core.TOL_EQ
             for other in sets[:j]:
                 assert max(abs(x - y) for x, y in zip(co, other)) > state_core.TOL_ZERO
 
@@ -360,8 +362,19 @@ def test_inversion_rejects_two_bare_pairs():
 
 
 def test_inversion_rejects_out_of_range():
-    with pytest.raises(Inconsistent):
-        coeffs_from_invariants(CParams(1.5, 0.0, 0.0, 0.0, 0.0), 0)
+    # the range's slack above 1 is TOL_ZERO, as below 0
+    for c_ab in (1.5, 1.0 + 1e-7):
+        with pytest.raises(Inconsistent, match=r"outside \[0, 1\]"):
+            coeffs_from_invariants(CParams(c_ab, 0.0, 0.0, 0.0, 0.0), 0)
+
+
+def test_inversion_accepts_within_tol_eq(monkeypatch):
+    # the round trip compares two invariant vectors, as LU-equivalence does
+    p = profile(sampling.random_state("ghz_type", 3))
+    assert len(coeffs_from_invariants(p.c, p.q_e)) == 1
+    monkeypatch.setattr(state_core, "TOL_EQ", 1e-30)
+    with pytest.raises(Inconsistent, match="no coefficient set reproduces"):
+        coeffs_from_invariants(p.c, p.q_e)
 
 
 def test_inversion_rejects_bad_charge():
@@ -370,7 +383,7 @@ def test_inversion_rejects_bad_charge():
 
 
 @pytest.mark.parametrize("make_error", [
-    lambda: derived(CParams(*np.float64([0.1, 0.1, 0.1, 0.0, 0.0]))),
+    lambda: coeffs_from_invariants(CParams(*np.float64([0.1, 0.1, 0.1, 0.0, 0.0])), 0),
     lambda: coeffs_from_invariants(CParams(*np.float64([1.5, 0.0, 0.0, 0.0, 0.0])), 0),
     lambda: coeffs_from_invariants(CParams(*np.float64([0.5, 0.5, 0.0, 0.0, 0.0])), 0),
 ])

@@ -15,10 +15,9 @@ from triloc import invariants, locc, sampling, state_core, transfer
 
 # the package's export list, by home module
 EXPORTS = {
-    invariants: ("CParams", "Derived", "Inconsistent", "KParams",
-                 "NegativeDiscriminant", "StateClass", "StateProfile", "c_params",
-                 "classify", "coeffs_from_invariants", "derived", "ep_phase",
-                 "k_params", "lu_equivalent", "profile", "q_e"),
+    invariants: ("CParams", "Derived", "Inconsistent", "KParams", "StateClass",
+                 "StateProfile", "c_params", "classify", "coeffs_from_invariants",
+                 "derived", "ep_phase", "k_params", "lu_equivalent", "profile"),
     locc: ("GhzCanonical", "LoccVerdict", "NotFeasible", "NotGhzType", "NotWType",
            "WCoords", "ZetaWitness", "dlocc_feasible", "ghz_canonical", "ghz_oracle",
            "min_measurements", "ns_params", "w_coords"),
@@ -80,15 +79,17 @@ def test_import_loads_no_submodule():
 
 
 # literal thresholds written as 1e-N in the library, one role each:
-# - the four TOL_* defaults (state_core), the user's tolerances;
+# - the three TOL_* defaults (state_core), the user's tolerances, one per
+#   CLI flag;
+# - _RECON_BUDGET (state_core), the reconstruction error of an accepted
+#   decomposition;
 # - _SLACK (state_core), the range slack of the value types and the tie of
 #   two equal residuals;
 # - _NEGLIGIBLE (state_core), a normal-form coefficient that is rounding noise;
 # - _snap_det's relative factor (state_core), a difference of terms that
 #   cancels to rounding;
-# - the pencil floor guard (state_core), pencil coefficients that are all noise;
-# - the inversion's 1 + 1e-6 ceiling on a concurrence or tangle (invariants)
-MAX_LITERAL_THRESHOLDS = 9
+# - the pencil floor guard (state_core), pencil coefficients that are all noise
+MAX_LITERAL_THRESHOLDS = 8
 
 
 def test_literal_thresholds_do_not_grow():

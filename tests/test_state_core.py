@@ -129,9 +129,9 @@ def _lams(rng, lo=0.15):
 
 
 def _assert_same_invariants(coeffs, want):
-    got = invariants.c_params(coeffs)
-    assert got.max_deviation(invariants.c_params(want)) < 1e-9
-    assert invariants.q_e(coeffs) == invariants.q_e(want)
+    got, ref = invariants.coeffs_profile(coeffs), invariants.coeffs_profile(want)
+    assert got.c.max_deviation(ref.c) < 1e-9
+    assert got.q_e == ref.q_e
 
 
 def test_decompose_round_trip_real_phase():
@@ -312,7 +312,7 @@ def _reconstructs(state, cand):
     out = state_core._local_product(state.amps, *us)
     err = state_core._norm([x - y for x, y in
                             zip(out, state_core._normal_form_amps(coeffs))])
-    return err <= state_core.TOL_RECON
+    return err <= state_core._RECON_BUDGET
 
 
 def test_decompose_keeps_the_larger_l0_root(monkeypatch):
@@ -340,7 +340,7 @@ def test_decompose_keeps_the_larger_l0_root(monkeypatch):
 
 
 @pytest.mark.parametrize("patch, message", [
-    (lambda mp: mp.setattr(state_core, "TOL_RECON", 0.0),
+    (lambda mp: mp.setattr(state_core, "_RECON_BUDGET", 0.0),
      "reconstruction error .* exceeds budget"),
     (lambda mp: mp.setattr(state_core, "_candidate_decomposition",
                            lambda *args: None),
