@@ -175,17 +175,10 @@ def verify_lemmas(args):
         asum = transfer.alpha_average(stk, measa)
         worst["alpha_sum"] = max(worst["alpha_sum"], asum - 1.0, -asum)
     max_dev = max(worst.values())
-    passed = bool(max_dev <= state_core.TOL_ZERO)
+    passed = bool(max_dev <= state_core.TOL.zero)
     _emit(args, {"samples": args.samples, "max_deviation": max_dev,
                  "pass": passed, "components": worst})
     return 0 if passed else 1
-
-
-def tolerance(text):
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
 
 
 def count(text):
@@ -208,12 +201,13 @@ def _parser():
         description="Decide local-unitary equivalence and deterministic LOCC "
                     "transformability of three-qubit pure states, and verify "
                     "the entanglement-transfer laws by simulation.")
-    # the defaults are the current module values, so an absent flag keeps them
-    parser.add_argument("--tol-zero", type=tolerance, default=state_core.TOL_ZERO,
+    # the defaults are the values in force, so an absent flag keeps them;
+    # main validates the three as one Tolerances
+    parser.add_argument("--tol-zero", type=float, default=state_core.TOL.zero,
                         help="Threshold below which an invariant counts as zero.")
-    parser.add_argument("--tol-norm", type=tolerance, default=state_core.TOL_NORM,
+    parser.add_argument("--tol-norm", type=float, default=state_core.TOL.norm,
                         help="Normalization / completeness tolerance.")
-    parser.add_argument("--tol-eq", type=tolerance, default=state_core.TOL_EQ,
+    parser.add_argument("--tol-eq", type=float, default=state_core.TOL.eq,
                         help="Tolerance for equality of invariants between states.")
     parser.add_argument("--seed", type=seed, default=0,
                         help="Seed for commands that sample (default: 0).")
@@ -249,11 +243,15 @@ BROKEN_PIPE = 141
 
 def main(argv=None):
     """Run one command and exit the process with its status."""
-    args = _parser().parse_args(argv)
-    saved = state_core.TOL_ZERO, state_core.TOL_NORM, state_core.TOL_EQ
+    parser = _parser()
+    args = parser.parse_args(argv)
     try:
-        state_core.TOL_ZERO, state_core.TOL_NORM, state_core.TOL_EQ = (
-            args.tol_zero, args.tol_norm, args.tol_eq)
+        tol = state_core.Tolerances(args.tol_zero, args.tol_norm, args.tol_eq)
+    except ValueError as exc:
+        # "zero: must be ..." reads "argument --tol-zero: must be ..."
+        parser.error(f"argument --tol-{exc}")
+    saved, state_core.TOL = state_core.TOL, tol
+    try:
         status = args.run(args)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -265,7 +263,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         status = 2
     finally:
-        state_core.TOL_ZERO, state_core.TOL_NORM, state_core.TOL_EQ = saved
+        state_core.TOL = saved
     sys.exit(status)
 
 

@@ -75,7 +75,7 @@ def invariant_kernel(l0, l1c, l2, l3, l4):
     Im(l1c) and of the weight bracket, both of which are representation
     independent.  Returns (CParams, KParams, Derived, q_e).
     """
-    tz = state_core.TOL_ZERO
+    tz = state_core.TOL.zero
     w = l1c * l4 - l2 * l3
     c = CParams(2.0 * l0 * l3, 2.0 * l0 * l2, 2.0 * abs(w), 4.0 * l0**2 * l4**2,
                 4.0 * l0**2 * (abs(w) ** 2 + (l2 * l3) ** 2 - (abs(l1c) * l4) ** 2))
@@ -129,7 +129,7 @@ def ep_phase(c):
 
     None when any concurrence vanishes (the phase is then indefinite).
     """
-    tz = state_core.TOL_ZERO
+    tz = state_core.TOL.zero
     if min(c.c_ab, c.c_ac, c.c_bc) <= tz:
         return None
     x = c.j5 / (c.c_ab * c.c_ac * c.c_bc)
@@ -139,7 +139,7 @@ def ep_phase(c):
 def _classify(c, der):
     """StateClass of the invariants c with derived quantities der; raises
     Inconsistent for two pair entanglements without tangle."""
-    tz = state_core.TOL_ZERO
+    tz = state_core.TOL.zero
     ep_definite = bool(min(c.c_ab, c.c_ac, c.c_bc) > tz)
     j5sq_gap = der.j_ap - c.j5**2
     zeta_tilde_definite = not (der.delta_j <= tz and j5sq_gap <= tz)
@@ -159,7 +159,7 @@ def _classify(c, der):
             raise Inconsistent(
                 f"two bare pair entanglements cannot coexist: c_ab = {c.c_ab}, "
                 f"c_ac = {c.c_ac}, c_bc = {c.c_bc}, tau = {c.tau} "
-                f"(TOL_ZERO = {tz})")
+                f"(--tol-zero = {tz})")
     return StateClass(kind, pair, ep_definite, zeta_tilde_definite)
 
 
@@ -183,10 +183,10 @@ def classify(state):
 def lu_equivalent_profiles(pa, pb):
     """True when two profiled states share all six invariants.
 
-    Continuous invariants are compared within TOL_EQ per component and the
+    Continuous invariants are compared within TOL.eq per component and the
     charge exactly.
     """
-    return bool(pa.c.max_deviation(pb.c) <= state_core.TOL_EQ and pa.q_e == pb.q_e)
+    return bool(pa.c.max_deviation(pb.c) <= state_core.TOL.eq and pa.q_e == pb.q_e)
 
 
 def lu_equivalent(state_a, state_b):
@@ -221,13 +221,13 @@ def _normalized(lams):
 
 
 def _verified(cands, c, q):
-    """The candidates that reproduce c within TOL_EQ with charge q, each
-    kept only when it differs by more than TOL_ZERO from those kept before."""
-    tz = state_core.TOL_ZERO
+    """The candidates that reproduce c within TOL.eq with charge q, each
+    kept only when it differs by more than TOL.zero from those kept before."""
+    tz = state_core.TOL.zero
     good = []
     for cand in cands:
         back, _, _, q_back = _coeff_invariants(cand)
-        if (back.max_deviation(c) <= state_core.TOL_EQ and q_back == q
+        if (back.max_deviation(c) <= state_core.TOL.eq and q_back == q
                 and all(max(abs(x - y) for x, y in zip(cand, g)) > tz for g in good)):
             good.append(cand)
     if not good:
@@ -240,14 +240,14 @@ def coeffs_from_invariants(c, q):
 
     The candidates of the state's class are built with every square root
     and arccosine clamped to its domain, and a set is returned exactly when
-    it reproduces c within TOL_EQ, has charge q and differs by more than
-    TOL_ZERO from every set returned before it.  So a nonzero charge gives
+    it reproduces c within TOL.eq, has charge q and differs by more than
+    TOL.zero from every set returned before it.  So a nonzero charge gives
     one set and q = 0 up to two (larger l0 first).  Concurrences and tangle
-    within TOL_ZERO below zero are read as 0.  This is the one check of
+    within TOL.zero below zero are read as 0.  This is the one check of
     invariants from outside, on the user's tolerances: raises Inconsistent
     when no pure state has these invariants.
     """
-    tz = state_core.TOL_ZERO
+    tz = state_core.TOL.zero
     if q not in (-1, 0, 1):
         raise ValueError("charge must be -1, 0 or +1")
     for name, v in (("c_ab", c.c_ab), ("c_ac", c.c_ac), ("c_bc", c.c_bc),
@@ -261,7 +261,7 @@ def coeffs_from_invariants(c, q):
     if gap < -tz:
         raise Inconsistent(f"k5^2 - k_ap = {gap} < 0")
     # written so that a NaN j5 fails it too
-    if not der.j_ap - c.j5**2 >= -state_core.TOL_EQ:
+    if not der.j_ap - c.j5**2 >= -state_core.TOL.eq:
         raise Inconsistent("j5^2 exceeds the concurrence product")
 
     cls = _classify(c, der)

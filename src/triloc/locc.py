@@ -133,7 +133,7 @@ def ns_params(g):
     n = 2.0 * g.z.real / (z2 + 1.0)
     if not g.zeta_tilde_definite:
         s = None
-    elif abs(g.abs_z - 1.0) <= state_core.TOL_ZERO:
+    elif abs(g.abs_z - 1.0) <= state_core.TOL.zero:
         s = math.inf
     else:
         s = 2.0 * g.z.imag / (z2 - 1.0)
@@ -142,7 +142,7 @@ def ns_params(g):
 
 def w_coords(c):
     """Per-qubit coordinates of a zero-tangle fully pair-entangled state."""
-    tz = state_core.TOL_ZERO
+    tz = state_core.TOL.zero
     if c.tau > tz:
         raise NotWType("state carries tangle")
     if min(c.c_ab, c.c_ac, c.c_bc) <= tz:
@@ -185,7 +185,7 @@ def zeta_tilde(p, za, zb, zc):
     if not p.state_class.ep_definite:
         # j_ap and the gap vanish with a concurrence, so the ratio is 0, or
         # 0/0 where that pair's residue (1 - zeta) tau vanishes too
-        dead = [z for v, z in zip(p.c, (zc, zb, za)) if v <= state_core.TOL_ZERO]
+        dead = [z for v, z in zip(p.c, (zc, zb, za)) if v <= state_core.TOL.zero]
         return None if 1.0 in dead else 0.0
     der = p.derived
     gap = max(der.j_ap - p.c.j5**2, 0.0)
@@ -261,7 +261,7 @@ def dlocc_feasible_profiles(ps, pd):
     target without tangle: zeta = 1, and per-qubit factors under which what
     the target keeps can only shrink (for a lone pair, Nielsen's rule).
     """
-    te = state_core.TOL_EQ
+    te = state_core.TOL.eq
     case = _case_label(ps, pd)
     kind_s, kind_d = ps.state_class.kind, pd.state_class.kind
 
@@ -334,7 +334,7 @@ def ghz_oracle(src, dst):
     """Independent transformability oracle for tangled source and target,
     phrased in the canonical two-term coordinates."""
     g1, g2 = ghz_canonical(src), ghz_canonical(dst)
-    te = state_core.TOL_EQ
+    te = state_core.TOL.eq
     pairs = ((g1.c_a, g2.c_a), (g1.c_b, g2.c_b), (g1.c_c, g2.c_c))
     if any(d < s - te for s, d in pairs):
         return False
@@ -359,7 +359,7 @@ def ghz_oracle(src, dst):
         return abs(g1.abs_z - 1.0) <= te and abs(g2.z.real) <= te * (1.0 + g2.abs_z)
     if src_def and not dst_def:
         # also reached by LU-equivalent twins across the ep_definite boundary
-        # (an overlap just above TOL_ZERO against one at 0), which it refuses
+        # (an overlap just above TOL.zero against one at 0), which it refuses
         return False
     return g2.abs_z >= g1.abs_z - te
 

@@ -21,16 +21,10 @@ from collections import namedtuple
 # numpy is imported inside the functions that build or read arrays, so the
 # scalar path (validation, decomposition, permutation) runs without it.
 
-# The user's tolerances, one per CLI flag.  Classification of nearly-zero
-# invariants is discontinuous, so these are module globals that the CLI can
-# override for one call; library code reads them at call time.
-TOL_NORM = 1e-9   # state / measurement completeness
-TOL_ZERO = 1e-9   # "this invariant is zero" decisions
-TOL_EQ = 1e-8     # equality of invariants between two states
-
 # Rounding rules of the numerics, which no flag moves (the fourth: _snap_det).
 _SLACK = 1e-12         # range slack of the value types; residuals this close tie
-_NEGLIGIBLE = 1e-9     # a normal-form coefficient this small is rounding noise
+_NEGLIGIBLE = 1e-9     # a normal-form coefficient this small is rounding noise;
+                       # also the value types' norm (x10) and determinant slack
 _RECON_BUDGET = 1e-8   # reconstruction error of an accepted decomposition
 
 QUBITS = ("A", "B", "C")
@@ -38,7 +32,7 @@ _STRIDE = {"A": 4, "B": 2, "C": 1}  # amplitude-index weight of each qubit
 
 
 class NotNormalized(ValueError):
-    """State vector norm is not 1 within TOL_NORM."""
+    """State vector norm is not 1 within TOL.norm."""
 
 
 class NonFinite(ValueError):
@@ -46,7 +40,7 @@ class NonFinite(ValueError):
 
 
 class IncompleteMeasurement(ValueError):
-    """Measurement operators do not resolve the identity within TOL_NORM."""
+    """Measurement operators do not resolve the identity within TOL.norm."""
 
 
 class DecompositionFailed(RuntimeError):
@@ -84,9 +78,32 @@ def _immutable(self, name, *value):
 
 
 def _reduce_unchecked(self):
-    """Copy and pickle rebuild the tuple as it is: __new__'s checks read the
-    TOL_* values of the moment, and theta % 2pi maps a stored 2pi to 0."""
+    """Copy and pickle rebuild the tuple as it is: theta % 2pi maps a stored
+    2pi to 0."""
     return tuple.__new__, (type(self), tuple(self))
+
+
+class Tolerances(namedtuple("Tolerances", "zero norm eq")):
+    """The user's tolerances, one per CLI flag: zero decides that an
+    invariant or a probability is zero, norm the completeness of a state or
+    a measurement, eq the equality of invariants between two states.  Every
+    field is finite and > 0.  The value types read none of them: their
+    checks are rounding rules.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, zero=1e-9, norm=1e-9, eq=1e-8):
+        for name, v in zip(cls._fields, (zero, norm, eq)):
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name}: must be finite and > 0, got {v}")
+        return tuple.__new__(cls, (zero, norm, eq))
+
+
+# The tolerances in force.  Classification of nearly-zero invariants is
+# discontinuous, so the CLI swaps in the user's value for one call; library
+# code reads a field at call time.
+TOL = Tolerances()
 
 
 class PureState3:
@@ -129,7 +146,7 @@ class SchmidtCoeffs(namedtuple("SchmidtCoeffs", "l0 l1 l2 l3 l4 phi")):
         if min(lams) < -_SLACK:
             raise ValueError("negative Schmidt coefficient")
         norm2 = sum(l * l for l in lams)
-        if abs(norm2 - 1.0) > TOL_NORM * 10:
+        if abs(norm2 - 1.0) > 10 * _NEGLIGIBLE:
             raise NotNormalized(f"coefficient norm^2 = {norm2}")
         if not -_SLACK <= phi <= math.pi + _SLACK:
             raise ValueError("phase outside [0, pi]")
@@ -137,8 +154,6 @@ class SchmidtCoeffs(namedtuple("SchmidtCoeffs", "l0 l1 l2 l3 l4 phi")):
             # the phase is removable (hence defined as 0) once a coefficient vanishes
             raise ValueError("phi must be 0 when some coefficient vanishes")
         return tuple.__new__(cls, (l0, l1, l2, l3, l4, phi))
-
-    __reduce__ = _reduce_unchecked
 
 
 class GramParams(namedtuple("GramParams", "a b k theta")):
@@ -155,7 +170,7 @@ class GramParams(namedtuple("GramParams", "a b k theta")):
         for name, v in (("a", a), ("b", b), ("k", k)):
             if v < -_SLACK:
                 raise ValueError(f"gram parameter {name} must be >= 0")
-        if a * b - k**2 < -TOL_ZERO:
+        if a * b - k**2 < -_NEGLIGIBLE:
             raise ValueError("gram matrix not positive semidefinite (ab < k^2)")
         return tuple.__new__(cls, (a, b, k, float(theta) % (2 * math.pi)))
 
@@ -276,14 +291,14 @@ def validate_state(raw):
 
     Accepts any flat or (2, 2, 2) sequence or array of 8 numbers.  Raises
     ValueError for another size, NonFinite for NaN/inf entries and
-    NotNormalized when the vector norm differs from 1 by more than TOL_NORM.
+    NotNormalized when the vector norm differs from 1 by more than TOL.norm.
     The returned state is renormalized exactly.
     """
     amps = PureState3(raw).amps
     if not all(map(cmath.isfinite, amps)):
         raise NonFinite("state contains non-finite amplitudes")
     norm = _norm(amps)
-    if abs(norm - 1.0) > TOL_NORM:
+    if abs(norm - 1.0) > TOL.norm:
         raise NotNormalized(f"state norm {norm} differs from 1 beyond tolerance")
     return PureState3(tuple(z / norm for z in amps))
 
@@ -377,10 +392,10 @@ def gram_params(matrix):
 
 
 def validate_measurement(meas):
-    """Check completeness m0^dag m0 + m1^dag m1 = I within TOL_NORM."""
+    """Check completeness m0^dag m0 + m1^dag m1 = I within TOL.norm."""
     (a0, b0, off0), (a1, b1, off1) = map(_gram_entries, meas.ops)
     dev = max(abs(a0 + a1 - 1.0), abs(b0 + b1 - 1.0), abs(off0 + off1))
-    if dev > TOL_NORM:
+    if dev > TOL.norm:
         raise IncompleteMeasurement(f"operators miss completeness by {dev:.3e}")
 
 
@@ -388,7 +403,7 @@ def measure(state, meas):
     """Perform a two-outcome measurement.
 
     Returns [(state0, p0), (state1, p1)].  An outcome with probability below
-    TOL_ZERO is degenerate: its state is None and it must be excluded from
+    TOL.zero is degenerate: its state is None and it must be excluded from
     invariant checks downstream.
     """
     validate_measurement(meas)
@@ -398,7 +413,7 @@ def measure(state, meas):
         out = _mode_product(state.amps, rows, stride)
         n = _norm(out)
         p = n * n
-        if p < TOL_ZERO:
+        if p < TOL.zero:
             results.append((None, p))
         else:
             results.append((PureState3(tuple(z / n for z in out)), p))

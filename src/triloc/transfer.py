@@ -94,7 +94,7 @@ class OutcomePrediction(namedtuple("OutcomePrediction", "probability alpha c q_e
     """Predicted data of one measurement outcome: its probability, the
     attenuation alpha, the CParams and the charge.
 
-    A degenerate outcome (probability below TOL_ZERO) carries None in every
+    A degenerate outcome (probability below TOL.zero) carries None in every
     other field.
     """
 
@@ -113,7 +113,7 @@ def _predict_one(co, g, det):
     the outcome's normal form is l0 sqrt(det / (p b)), the complex slot
     (l0 k e^{i theta} + l1 e^{i phi} b) / sqrt(p b), and sqrt(b / p) l2, l3, l4.
     """
-    tz = state_core.TOL_ZERO
+    tz = state_core.TOL.zero
     p = _probability(co, *g)
     if p <= tz:
         return OutcomePrediction(p, None, None, None)
@@ -187,11 +187,11 @@ def verify_update(state, meas):
 
     Works for a measurement on any qubit.  Each outcome is predicted from
     its own operator's Gram parameters, so a measurement that is complete
-    only within TOL_NORM is checked against what its operators do.  Returns
+    only within TOL.norm is checked against what its operators do.  Returns
     a report dict with the worst probability/invariant deviation; charges
     are compared separately (they are integers, so they either match or
     they do not).  The report passes when that deviation is at most
-    TOL_EQ and every charge matches.
+    TOL.eq and every charge matches.
     """
     qubit = meas.qubit
     front, meas = _measured_front(state, meas)
@@ -225,7 +225,7 @@ def verify_update(state, meas):
             "max_deviation": max_dev,
             "p_sum_deviation": p_sum_dev,
             "charge_consistent": charge_ok,
-            "pass": bool(max_dev <= state_core.TOL_EQ and charge_ok),
+            "pass": bool(max_dev <= state_core.TOL.eq and charge_ok),
             "outcomes": outcomes}
 
 
@@ -257,7 +257,7 @@ def _a_step_gram(co, za):
     slot and leaving l2, l3 and l4 as they are.
     """
     h = math.hypot(co.l1 * math.sin(co.phi), co.l0)
-    if h <= state_core.TOL_ZERO:
+    if h <= state_core.TOL.zero:
         raise DegenerateInput("no weight on the measured side of the normal form")
     t = math.sqrt(1.0 - za)
     shift = t * co.l1 * math.sin(co.phi) / (2.0 * h)
@@ -363,7 +363,7 @@ def _two_term_gram(ps, pd):
     (e00, e10), z = locc.two_term(ps.coeffs)
     (_, t10), zt = locc.two_term(pd.coeffs)
     ca_t, mod = abs(t10), abs(z)
-    free = min(ps.c.c_ab, ps.c.c_ac) <= state_core.TOL_ZERO
+    free = min(ps.c.c_ab, ps.c.c_ac) <= state_core.TOL.zero
     f, g = 1.0 / e00, -e10 / e00
 
     def entries(x0, y0, h0):
@@ -378,7 +378,7 @@ def _two_term_gram(ps, pd):
             r0, r1 = (abs(x / z)**2 for x in (z0, z1))
             v0, v1 = ca_t * z0 / mod, ca_t * z1 / mod
             if free:
-                x0 = (1.0 - r1) / (r0 - r1) if abs(r0 - r1) > state_core.TOL_EQ else 0.5
+                x0 = (1.0 - r1) / (r0 - r1) if abs(r0 - r1) > state_core.TOL.eq else 0.5
                 h0, res = _circle_point(e10, abs(v0) * x0, abs(v1) * (1.0 - x0))
                 res += abs(x0 * r0 + (1.0 - x0) * r1 - 1.0)
                 h1 = h0
@@ -402,7 +402,7 @@ def _two_term_gram(ps, pd):
                 continue
             if best is None or res < best[0] - _SLACK:
                 best = (res, x0, y0, h0)
-    if best is None or best[0] > math.sqrt(state_core.TOL_EQ):
+    if best is None or best[0] > math.sqrt(state_core.TOL.eq):
         return None
     return _gram_from_entries(*entries(*best[1:]))
 
@@ -422,7 +422,7 @@ def _step_gram(ps, pd, w):
         if ps.state_class.pair == "BC":
             return None
         return _a_step_gram(ps.coeffs, w.zeta_a ** 2)
-    if min(w.zeta_b, w.zeta_c) < 1.0 - state_core.TOL_EQ:
+    if min(w.zeta_b, w.zeta_c) < 1.0 - state_core.TOL.eq:
         return None
     if pd.state_class.kind == "ghz_type":
         return _two_term_gram(ps, pd)

@@ -12,7 +12,7 @@ import pytest
 import cli_runner
 import samplers
 import triloc
-from triloc import cli, sampling, state_core
+from triloc import cli, sampling, state_core, transfer
 from triloc.cli import main
 from triloc.state_core import SchmidtCoeffs
 
@@ -266,7 +266,7 @@ def test_malformed_inputs_exit_2(runner, tmp_path, ghz):
 
 
 def test_two_bare_pairs_error_names_the_values(runner, tmp_path):
-    # l0 = 2e-9 puts c_ab = 7.2e-10 just below TOL_ZERO and c_ac = 2.9e-9
+    # l0 = 2e-9 puts c_ab = 7.2e-10 just below TOL.zero and c_ac = 2.9e-9
     # just above it, with tau ~ 4e-18: the class rule refuses this valid
     # state, so its message shows the values it decided on
     path = write_state(tmp_path / "two_pairs.json", 2e-9, 0.42, 0.72, 0.18,
@@ -274,7 +274,7 @@ def test_two_bare_pairs_error_names_the_values(runner, tmp_path):
     res = runner.invoke(main, ["invariants", path])
     assert res.exit_code == 2
     assert "two bare pair entanglements cannot coexist" in res.stderr
-    for text in ("c_ab = 7.2e-10", "c_ac = ", "c_bc = ", "tau = ", "TOL_ZERO = 1e-09"):
+    for text in ("c_ab = 7.2e-10", "c_ac = ", "c_bc = ", "tau = ", "--tol-zero = 1e-09"):
         assert text in res.stderr
 
 
@@ -295,13 +295,19 @@ def test_tolerance_flag_applies(runner, tmp_path):
                          ).exit_code == 0
 
 
-def test_tolerance_flags_last_one_call(runner, ghz, w):
-    saved = (state_core.TOL_ZERO, state_core.TOL_NORM, state_core.TOL_EQ)
+def test_tolerance_flags_last_one_call(runner, ghz, w, tmp_path):
+    saved = state_core.TOL
     res = runner.invoke(main, ["--tol-zero", "1e-3", "--tol-norm", "1e-3",
                                "--tol-eq", "0.5", "lu-equiv", ghz, w])
     assert res.exit_code == 1
-    assert (state_core.TOL_ZERO, state_core.TOL_NORM, state_core.TOL_EQ) == saved
-    assert state_core.TOL_EQ == 1e-8
+    assert state_core.TOL is saved
+    assert state_core.TOL == state_core.Tolerances(1e-9, 1e-9, 1e-8)
+    # a command that fails restores them too
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    res = runner.invoke(main, ["--tol-eq", "0.5", "invariants", str(bad)])
+    assert res.exit_code == 2
+    assert state_core.TOL is saved
 
 
 @pytest.mark.parametrize("flag", ["--tol-zero", "--tol-norm", "--tol-eq"])
@@ -309,23 +315,54 @@ def test_tolerance_flags_last_one_call(runner, ghz, w):
 def test_bad_tolerance_flag_is_usage_error(runner, ghz, flag, value):
     res = runner.invoke(main, [flag, value, "invariants", ghz])
     assert res.exit_code == 2
-    assert "must be finite and > 0" in res.stderr
+    assert f"argument {flag}: must be finite and > 0" in res.stderr
+
+
+def _json_round_trip(state):
+    return state_core.state_from_dict(json.loads(json.dumps(state_core.state_to_dict(state))))
 
 
 def test_tiny_tol_zero_profiles_every_w_state(runner, tmp_path, monkeypatch):
     # derived once refused a W state's own invariants when k5^2 - k_ap
-    # rounded below -TOL_ZERO (seed 42 reads -1.4e-17): only the inversion
+    # rounded below -TOL.zero (seed 42 reads -1.4e-17): only the inversion
     # checks invariants from outside
     path = tmp_path / "w.json"
     path.write_text(json.dumps(state_core.state_to_dict(sampling.random_state("w_type", 42))))
     res = runner.invoke(main, ["--tol-zero", "1e-17", "invariants", str(path)])
     assert res.exit_code == 0, res.stderr
     assert json.loads(res.output)["class"] == "w_type"
-    monkeypatch.setattr(state_core, "TOL_ZERO", 1e-17)
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(zero=1e-17))
     for seed in range(500):
-        st = state_core.state_from_dict(json.loads(json.dumps(
-            state_core.state_to_dict(sampling.random_state("w_type", seed)))))
+        st = _json_round_trip(sampling.random_state("w_type", seed))
         assert triloc.profile(st).state_class.kind == "w_type", seed
+
+
+def test_tiny_tol_norm_validates_or_profiles_every_haar_state(monkeypatch):
+    # the coefficients' norm check once read 10 TOL.norm, so a state that
+    # passed validation could fail inside its own decomposition
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(norm=1e-17))
+    refused = 0
+    for seed in range(500):
+        try:
+            st = _json_round_trip(sampling.random_state("haar", seed))
+        except state_core.NotNormalized:
+            refused += 1
+            continue
+        triloc.profile(st)
+    assert 0 < refused < 500
+
+
+def test_tiny_tol_zero_splits_every_ghz_state(runner, tmp_path, monkeypatch):
+    # the Gram's PSD check once read TOL.zero, so the library's own rank-1
+    # splitting Grams (ab - k^2 rounding below -1e-17) were refused
+    path = tmp_path / "ghz.json"
+    path.write_text(json.dumps(state_core.state_to_dict(sampling.random_state("ghz_type", 1))))
+    res = runner.invoke(main, ["--tol-zero", "1e-17", "synth-bisep", str(path)])
+    assert res.exit_code == 0, res.stderr
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(zero=1e-17))
+    for seed in range(300):
+        st = sampling.random_state("ghz_type", seed)
+        assert transfer.verify_update(st, transfer.synth_bisep_measurement(st))["pass"], seed
 
 
 def test_negative_seed_is_usage_error_naming_the_flag(runner):

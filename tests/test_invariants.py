@@ -100,7 +100,7 @@ def _surface_state(rng, i):
     else:
         lams[slot] *= 0.0 if surface == "zero_coeff" else 10.0 ** rng.uniform(-12.0, -6.0)
         lams /= np.linalg.norm(lams)
-        phi = rng.uniform(0.0, math.pi) if min(lams) >= state_core.TOL_ZERO else 0.0
+        phi = rng.uniform(0.0, math.pi) if min(lams) >= state_core.TOL.zero else 0.0
         co = SchmidtCoeffs(*lams, phi)
         if surface == "tiny_coeff" and slot == 0:
             surface = "tiny_l0"
@@ -156,7 +156,7 @@ def test_near_w_states_keep_their_invariants():
 
 def test_charge_bracket_is_the_discriminant_root(monkeypatch):
     # a charged kernel output has l0^2 - k5 / (2 k_bc) = +-sqrt(delta_J) / (2 k_bc)
-    # with delta_J > TOL_ZERO, so the bracket's sign needs no zero test
+    # with delta_J > TOL.zero, so the bracket's sign needs no zero test
     calls = []
 
     def recording(l0, *rest):
@@ -295,7 +295,7 @@ def test_inversion_reads_a_rounding_negative_concurrence_as_zero():
     sets = coeffs_from_invariants(c, 0)
     for co in sets:
         assert min(co[:5]) >= 0.0
-        assert invariants.c_params(co).max_deviation(c) <= state_core.TOL_EQ
+        assert invariants.c_params(co).max_deviation(c) <= state_core.TOL.eq
 
 
 def test_inversion_returns_distinct_sets_that_reproduce_the_invariants():
@@ -318,15 +318,15 @@ def test_inversion_returns_distinct_sets_that_reproduce_the_invariants():
             assert min(co[:5]) >= 0.0
             back = profile(state_core.state_from_schmidt(co))
             assert back.q_e == p.q_e
-            assert invariants.c_params(co).max_deviation(c) <= state_core.TOL_EQ
+            assert invariants.c_params(co).max_deviation(c) <= state_core.TOL.eq
             for other in sets[:j]:
-                assert max(abs(x - y) for x, y in zip(co, other)) > state_core.TOL_ZERO
+                assert max(abs(x - y) for x, y in zip(co, other)) > state_core.TOL.zero
 
 
 @pytest.mark.parametrize("x", [
     5e-3,
     pytest.param(4e-3, marks=pytest.mark.xfail(strict=True, reason=(
-        "phi is set only when 2 l1 l2 l3 l4 exceeds TOL_ZERO, a degree-4 "
+        "phi is set only when 2 l1 l2 l3 l4 exceeds TOL.zero, a degree-4 "
         "product read on the scale of one invariant (5.1e-10 at x = 4e-3), "
         "so the state's own set is lost (ROADMAP item 3)"))),
 ])
@@ -340,8 +340,8 @@ def test_inversion_returns_the_state_s_own_chargeless_set(x):
 
 def test_inversion_under_a_tight_zero_tolerance(monkeypatch):
     # a coefficient of 1e-11..1e-9 is rounding noise to the decomposition,
-    # whatever TOL_ZERO says, so its phase is 0 and the inversion's must be
-    monkeypatch.setattr(state_core, "TOL_ZERO", 1e-12)
+    # whatever TOL.zero says, so its phase is 0 and the inversion's must be
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(zero=1e-12))
     rng = np.random.default_rng(1)
     for i in range(60):
         lams = rng.uniform(0.2, 1.0, 5)
@@ -362,7 +362,7 @@ def test_inversion_rejects_two_bare_pairs():
 
 
 def test_inversion_rejects_out_of_range():
-    # the range's slack above 1 is TOL_ZERO, as below 0
+    # the range's slack above 1 is TOL.zero, as below 0
     for c_ab in (1.5, 1.0 + 1e-7):
         with pytest.raises(Inconsistent, match=r"outside \[0, 1\]"):
             coeffs_from_invariants(CParams(c_ab, 0.0, 0.0, 0.0, 0.0), 0)
@@ -372,7 +372,7 @@ def test_inversion_accepts_within_tol_eq(monkeypatch):
     # the round trip compares two invariant vectors, as LU-equivalence does
     p = profile(sampling.random_state("ghz_type", 3))
     assert len(coeffs_from_invariants(p.c, p.q_e)) == 1
-    monkeypatch.setattr(state_core, "TOL_EQ", 1e-30)
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(eq=1e-30))
     with pytest.raises(Inconsistent, match="no coefficient set reproduces"):
         coeffs_from_invariants(p.c, p.q_e)
 
@@ -399,11 +399,11 @@ def test_error_messages_print_plain_floats(make_error):
        st.one_of(st.just(0.0), st.just(math.pi), st.floats(0.01, math.pi - 0.01)))
 def test_class_agrees_with_its_values_near_a_vanishing_coefficient(lams, slot, exp, phi):
     # one coefficient in 1e-12..1e-6 puts a concurrence or the tangle in the
-    # band around TOL_ZERO, where the class is decided once, on the profile
+    # band around TOL.zero, where the class is decided once, on the profile
     lams[slot] *= 10.0**exp
     norm = math.sqrt(sum(x * x for x in lams))
     lams = [x / norm for x in lams]
-    if min(lams) < state_core.TOL_ZERO:
+    if min(lams) < state_core.TOL.zero:
         phi = 0.0  # the phase is removable once a coefficient vanishes
     s = state_core.state_from_schmidt(SchmidtCoeffs(*lams, phi))
     try:
@@ -411,7 +411,7 @@ def test_class_agrees_with_its_values_near_a_vanishing_coefficient(lams, slot, e
     except Inconsistent:
         return
     kind = p.state_class.kind
-    assert (kind == "ghz_type") == (p.c.tau > state_core.TOL_ZERO)
+    assert (kind == "ghz_type") == (p.c.tau > state_core.TOL.zero)
     if kind == "w_type":
         assert p.state_class.ep_definite
     assert (locc.dlocc_feasible(s, s).case == "D") == (kind != "ghz_type")

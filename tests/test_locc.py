@@ -188,7 +188,7 @@ def test_weaker_targets_without_tangle():
 
 
 def test_faint_pair_is_out_of_reach_of_other_pairs_and_products():
-    # c_ab = 5e-9 lies between TOL_ZERO and TOL_EQ, so the target is an AB
+    # c_ab = 5e-9 lies between TOL.zero and TOL.eq, so the target is an AB
     # pair that no comparison of c_ab against the source's could rule out
     faint = S(math.sqrt(1.0 - 6.25e-18), 0, 0, 2.5e-9, 0, 0.0)
     assert profile(faint).state_class.pair == "AB"
@@ -216,8 +216,8 @@ def test_w_coords_needs_a_w_state():
 
 def test_charge_magnitude_at_a_wide_tolerance(tmp_path):
     # the target sits 5e-4 inside the row of an indefinite source and carries
-    # unit charge: interior at the default TOL_EQ, on the boundary (which
-    # needs zero charge) once TOL_EQ exceeds its distance
+    # unit charge: interior at the default TOL.eq, on the boundary (which
+    # needs zero charge) once TOL.eq exceeds its distance
     src, p = samplers.real_weight_ghz(np.random.default_rng(25), sign=1)
     zl = locc.zeta_lower(p, 0.9, 0.95, 0.85)
     dst = locc.scaled_destination(p, 0.9, 0.95, 0.85, zl + 5e-4, 1)
@@ -234,18 +234,18 @@ def test_charge_magnitude_at_a_wide_tolerance(tmp_path):
 
 def test_zeta_lower_of_small_concurrences():
     # concurrences ~0.03 make j_ap = (c_ab c_ac c_bc)^2 ~ 7e-10, below
-    # TOL_ZERO: a degree-6 product must not be read against a threshold for
+    # TOL.zero: a degree-6 product must not be read against a threshold for
     # single concurrences, so zeta_lower stays j_ap / ktil = 1 here
     src = samplers.two_term_state((0.03, 0.033, 0.027), 1.0)
     p = profile(src)
-    assert p.state_class.ep_definite and p.derived.j_ap < state_core.TOL_ZERO
+    assert p.state_class.ep_definite and p.derived.j_ap < state_core.TOL.zero
     verdict = dlocc_feasible(src, src)
     assert verdict.feasible
     assert verdict.witness.zeta_lower == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zeta_lower_where_a_concurrence_drops_out_of_k():
-    # c_ac = 5e-9 is above TOL_ZERO, but c_ac^2 is lost in k_ac = c_ac^2 + tau:
+    # c_ac = 5e-9 is above TOL.zero, but c_ac^2 is lost in k_ac = c_ac^2 + tau:
     # j_ap and the contracted residues are formed from the concurrences, so
     # the ratio at unit factors still reads 1
     s = S(0.5, 0.5, 5e-9, 0.5, 0.5, 0.0)
@@ -300,7 +300,7 @@ def test_decision_is_reflexive_near_a_vanishing_coefficient(slot):
         lams[slot] *= 10.0 ** rng.uniform(-12.0, -6.0)
         lams /= np.linalg.norm(lams)
         phi = rng.uniform(0.0, math.pi)
-        if min(lams) < state_core.TOL_ZERO:
+        if min(lams) < state_core.TOL.zero:
             phi = 0.0  # the phase is removable once a coefficient vanishes
         s = S(*lams, phi)
         assert dlocc_feasible(s, s).feasible, (lams, phi)
@@ -510,7 +510,7 @@ def test_unimodular_and_indefinite_sources_match_oracle():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ns_params tests |z| = 1 against TOL_ZERO, but a target rebuilt from its "
+    "ns_params tests |z| = 1 against TOL.zero, but a target rebuilt from its "
     "invariants sits 1e-8 to 1e-6 off the unit circle, so the oracle's s-law "
     "refuses targets that dlocc_feasible accepts"))
 def test_unimodular_sources_on_surface_targets_match_oracle():
@@ -525,7 +525,7 @@ def test_unimodular_sources_on_surface_targets_match_oracle():
 
 def test_oracle_s_law_without_a_target_shape():
     # a zeta-tilde-definite source just off z = -1 (delta_J = 3.6e-9 above
-    # TOL_ZERO) and the real-weight target z = -1, whose s is undefined: the
+    # TOL.zero) and the real-weight target z = -1, whose s is undefined: the
     # n-law passes, so the oracle reaches its s2 None branch, and it agrees
     # with the decision that the target is out of reach
     src = samplers.two_term_state([0.5, 0.6, 0.7], -(1 + 1.2e-4))
@@ -534,14 +534,14 @@ def test_oracle_s_law_without_a_target_shape():
     (n1, s1), (n2, s2) = ns_params(g1), ns_params(g2)
     r = (g1.c_a * g1.c_b * g1.c_c) / (g2.c_a * g2.c_b * g2.c_c)
     assert s1 is not None and s2 is None
-    assert abs(n2 - n1 * r) <= state_core.TOL_EQ
+    assert abs(n2 - n1 * r) <= state_core.TOL.eq
     assert not ghz_oracle(src, dst)
     v = dlocc_feasible(src, dst)
     assert not v.feasible and v.violated == "zeta_out_of_range"
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ep_definite reads c_ac against TOL_ZERO, so of two LU-equivalent states "
+    "ep_definite reads c_ac against TOL.zero, so of two LU-equivalent states "
     "on either side of it the decision reaches only one from the other, and "
     "the oracle neither (ROADMAP item 3)"))
 def test_lu_equivalent_states_across_the_ep_definite_boundary_reach_each_other():

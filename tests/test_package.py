@@ -79,13 +79,15 @@ def test_import_loads_no_submodule():
 
 
 # literal thresholds written as 1e-N in the library, one role each:
-# - the three TOL_* defaults (state_core), the user's tolerances, one per
-#   CLI flag;
+# - the three defaults of Tolerances (state_core), the user's tolerances,
+#   one per CLI flag;
 # - _RECON_BUDGET (state_core), the reconstruction error of an accepted
 #   decomposition;
 # - _SLACK (state_core), the range slack of the value types and the tie of
 #   two equal residuals;
-# - _NEGLIGIBLE (state_core), a normal-form coefficient that is rounding noise;
+# - _NEGLIGIBLE (state_core), a normal-form coefficient that is rounding noise,
+#   which also bounds the rounding of SchmidtCoeffs' norm (10x) and of
+#   GramParams' determinant;
 # - _snap_det's relative factor (state_core), a difference of terms that
 #   cancels to rounding;
 # - the pencil floor guard (state_core), pencil coefficients that are all noise

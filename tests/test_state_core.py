@@ -50,10 +50,10 @@ def test_state_input_contract():
     for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
         with pytest.raises(NonFinite):
             state_core.validate_state([bad] + [0.0] * 7)
-    off = 1.0 + 3.0 * state_core.TOL_NORM
+    off = 1.0 + 3.0 * state_core.TOL.norm
     with pytest.raises(NotNormalized):
         state_core.validate_state([off] + [0.0] * 7)
-    near = state_core.validate_state([1.0 + 0.5 * state_core.TOL_NORM] + [0.0] * 7)
+    near = state_core.validate_state([1.0 + 0.5 * state_core.TOL.norm] + [0.0] * 7)
     assert near.amps[0] == 1.0
     state = PureState3(vec)
     assert state.amplitudes is state.amplitudes
@@ -152,7 +152,7 @@ def test_decompose_round_trip_vanishing_coefficient():
         coeffs = _round_trip(_scrambled(want, rng))
         # l1 = 0 leaves charge 0, whose larger-l0 set may have no zero and phi = pi
         assert coeffs.phi in (0.0, math.pi)
-        assert coeffs.phi == 0.0 or min(coeffs[:5]) >= state_core.TOL_ZERO
+        assert coeffs.phi == 0.0 or min(coeffs[:5]) >= state_core.TOL.zero
         _assert_same_invariants(coeffs, want)
 
 
@@ -223,18 +223,18 @@ SMALL_IMAGINARY_SLOT = (32, 85, 1384, 1624, 1786)
 
 def test_decomposition_reads_no_user_tolerance(monkeypatch):
     # the decomposition's zero tests are rounding rules: a phase snapped on
-    # a loose TOL_ZERO left seed 32's normal form 4.3e-4 off the state
+    # a loose TOL.zero left seed 32's normal form 4.3e-4 off the state
     states = [sampling.random_state(kind, 40 + i)
               for kind in RANDOM_KINDS for i in range(10)]
     states += [sampling.random_state("haar", s) for s in SMALL_IMAGINARY_SLOT]
     want = [repr(state_core.schmidt_decompose(st)) for st in states]
     for tz in (1e-3, 1e-12):
-        monkeypatch.setattr(state_core, "TOL_ZERO", tz)
+        monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(zero=tz))
         assert [repr(state_core.schmidt_decompose(st)) for st in states] == want
 
 
 def test_profile_under_a_loose_zero_tolerance(monkeypatch):
-    monkeypatch.setattr(state_core, "TOL_ZERO", 1e-3)
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(zero=1e-3))
     for s in SMALL_IMAGINARY_SLOT:
         assert invariants.profile(sampling.random_state("haar", s)).state_class.kind == "ghz_type"
 
@@ -492,7 +492,7 @@ def test_measurement_completeness_guard():
     ([[1.0, 5e-10j], [0.0, 1.0]], None),
 ], ids=["off_diagonal", "a", "b", "within"])
 def test_measurement_completeness_entries(m0, dev):
-    # every entry of m0^dag m0 + m1^dag m1 - I counts against TOL_NORM
+    # every entry of m0^dag m0 + m1^dag m1 - I counts against TOL.norm
     meas = Measurement2("A", np.array(m0), np.zeros((2, 2)))
     if dev is None:
         state_core.validate_measurement(meas)

@@ -166,7 +166,7 @@ def test_rank1_gram_outcomes_profile_and_match_prediction():
     # k at its largest makes the Gram (a + b <= 1) or its complement
     # (a + b >= 1) rank-1.  A matrix square root that only clamps the
     # determinant turned its ~1e-17 residue into a ~3e-9 second singular
-    # value of the operator: the outcome then straddled TOL_ZERO, so profile
+    # value of the operator: the outcome then straddled TOL.zero, so profile
     # raised on some outcomes and missed the prediction by ~3e-8 on others
     rng = np.random.default_rng(5)
     kinds = state_core.RANDOM_KINDS

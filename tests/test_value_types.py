@@ -43,6 +43,10 @@ CASES = {
          (dict(a=0.5, b=0.5, k=0.1, theta=math.nan), state_core.NonFinite),
          (dict(a=0.5, b=0.5, k=0.1, theta=math.inf), state_core.NonFinite),
          (dict(a=0.1, b=-0.1, k=0.0, theta=0.0), ValueError)]),
+    state_core.Tolerances: (
+        dict(zero=1e-9, norm=1e-9, eq=1e-8),
+        [(dict(dict(zero=1e-9, norm=1e-9, eq=1e-8), **{field: bad}), ValueError)
+         for field in ("zero", "norm", "eq") for bad in (math.nan, math.inf, 0.0, -1.0)]),
     state_core.Measurement2: (
         dict(qubit="B", m0=[[1.0, 0.0], [0.0, 0.0]], m1=[[0.0, 0.0], [0.0, 1.0]]),
         [(dict(qubit="D", m0=[[1.0, 0.0], [0.0, 0.0]], m1=[[0.0, 0.0], [0.0, 1.0]]),
