@@ -83,6 +83,13 @@ def _reduce_unchecked(self):
     return tuple.__new__, (type(self), tuple(self))
 
 
+@classmethod
+def _checked_make(cls, iterable):
+    """_make of a value type that checks its fields: namedtuple's own, which
+    _replace calls, would skip __new__."""
+    return cls(*iterable)
+
+
 class Tolerances(namedtuple("Tolerances", "zero norm eq")):
     """The user's tolerances, one per CLI flag: zero decides that an
     invariant or a probability is zero, norm the completeness of a state or
@@ -98,6 +105,8 @@ class Tolerances(namedtuple("Tolerances", "zero norm eq")):
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name}: must be finite and > 0, got {v}")
         return tuple.__new__(cls, (zero, norm, eq))
+
+    _make = _checked_make
 
 
 # The tolerances in force.  Classification of nearly-zero invariants is
@@ -155,6 +164,8 @@ class SchmidtCoeffs(namedtuple("SchmidtCoeffs", "l0 l1 l2 l3 l4 phi")):
             raise ValueError("phi must be 0 when some coefficient vanishes")
         return tuple.__new__(cls, (l0, l1, l2, l3, l4, phi))
 
+    _make = _checked_make
+
 
 class GramParams(namedtuple("GramParams", "a b k theta")):
     """Parameters (a, b, k, theta) of a Gram matrix M^dag M =
@@ -174,6 +185,7 @@ class GramParams(namedtuple("GramParams", "a b k theta")):
             raise ValueError("gram matrix not positive semidefinite (ab < k^2)")
         return tuple.__new__(cls, (a, b, k, float(theta) % (2 * math.pi)))
 
+    _make = _checked_make
     __reduce__ = _reduce_unchecked
 
     def matrix(self):
@@ -482,6 +494,31 @@ def _svd2(a, b, c, d):
     return s1, s2, u1, u2, v1, v2
 
 
+def _pencil(t0, t1):
+    """Coefficients (d0, m, d1) of det(t0 + x t1) = d0 + m x + d1 x^2 for the
+    A = 0 and A = 1 slices t0, t1, flat (b, c) = 00, 01, 10, 11 sequences."""
+    d0 = t0[0] * t0[3] - t0[1] * t0[2]
+    d1 = t1[0] * t1[3] - t1[1] * t1[2]
+    m = t0[0] * t1[3] + t1[0] * t0[3] - t0[1] * t1[2] - t1[1] * t0[2]
+    return d0, m, d1
+
+
+def spectator_pair(state):
+    """(c_bc, tau, sqrt(k_bc)) of the state, without a decomposition.
+
+    The BC pair is what a measurement on A leaves untouched.  Its reduced
+    state is spanned by the A slices t0, t1, and Wootters' rank-2 matrix
+    t_i^T (sigma_y ⊗ sigma_y) t_j is minus the complex symmetric pencil
+    matrix [[2 d0, m], [m, 2 d1]].  With its singular values s1 >= s2,
+    c_bc = s1 - s2 (Wootters), tau = 4 |m^2 - 4 d0 d1| = 4 s1 s2 (the
+    Cayley hyperdeterminant), so sqrt(k_bc) = sqrt(c_bc^2 + tau) = s1 + s2.
+    """
+    amps = state.amps
+    d0, m, d1 = _pencil(amps[:4], amps[4:])
+    s1, s2 = _svd2(2.0 * d0, m, m, 2.0 * d1)[:2]
+    return s1 - s2, 4.0 * s1 * s2, s1 + s2
+
+
 def _phase_gauge(raw):
     """Diagonal phases (a1, b1, c1) zeroing the phases of the anchor slots.
 
@@ -576,9 +613,7 @@ def schmidt_decompose(state):
     """
     amps = state.amps
     t0, t1 = amps[:4], amps[4:]
-    d0 = t0[0] * t0[3] - t0[1] * t0[2]
-    d1 = t1[0] * t1[3] - t1[1] * t1[2]
-    m = t0[0] * t1[3] + t1[0] * t0[3] - t0[1] * t1[2] - t1[1] * t0[2]
+    d0, m, d1 = _pencil(t0, t1)
     # candidate directions are projective roots (num, den) of det(t0 + x t1)
     # in x = num/den
     disc2 = m * m - 4.0 * d0 * d1

@@ -28,6 +28,12 @@ is returned only after simulation confirms both outcomes.  transfer_rule is
 the specification of such a step: the tests hold both simulated outcomes to
 it.
 
+The transfer-law checks (lemma2_bounds, lemma4_check, alpha_average)
+simulate each outcome with state_core.measure and read the spectator pair
+from the A-slice pencil (state_core.spectator_pair), so they decompose
+nothing; of the checks, only verify_update decomposes, because it compares
+j5 and the charge.
+
 Only the synthesis imports locc, when it first runs, so the prediction and
 verification path (triloc measure) loads no decision code.
 """
@@ -39,8 +45,8 @@ from collections import namedtuple
 from . import state_core
 from .invariants import (CParams, coeffs_profile, invariant_kernel,
                          lu_equivalent_profiles, profile)
-from .state_core import (_SLACK, GramParams, Measurement2, _complement_det,
-                         _gram_det, _gram_from_entries)
+from .state_core import (_SLACK, GramParams, Measurement2, _checked_make,
+                         _complement_det, _gram_det, _gram_from_entries)
 
 
 class ZeroProbability(RuntimeError):
@@ -66,6 +72,8 @@ class TransferParams(namedtuple("TransferParams", "alpha beta")):
             if not math.isfinite(v) or not -_SLACK <= v <= 1.0 + _SLACK:
                 raise ValueError(f"{name} must lie in [0, 1]")
         return tuple.__new__(cls, (alpha, beta))
+
+    _make = _checked_make
 
 
 def transfer_rule(c, t):
@@ -305,24 +313,27 @@ def lemma2_bounds(state, meas):
 
     Returns (lhs, mid, rhs): the source concurrence of the unmeasured pair,
     its probability-averaged outcome value, and the transfer ceiling.  The
-    law is lhs <= mid <= rhs.
+    law is lhs <= mid <= rhs.  Every c_bc and tau is read from the A-slice
+    pencil (state_core.spectator_pair), so nothing is decomposed.
     """
     front, terms = _outcome_terms(state, meas)
-    src = profile(front)
-    mid = sum(p * profile(out).c.c_bc for p, _, out in terms)
+    c_bc, tau, _ = state_core.spectator_pair(front)
+    mid = sum(p * state_core.spectator_pair(out)[0] for p, _, out in terms)
     asum = sum(p * alpha for p, alpha, _ in terms)
-    rhs = math.sqrt(src.c.c_bc**2 + max(1.0 - asum**2, 0.0) * src.c.tau)
-    return src.c.c_bc, mid, rhs
+    rhs = math.sqrt(c_bc**2 + max(1.0 - asum**2, 0.0) * tau)
+    return c_bc, mid, rhs
 
 
 def lemma4_check(state, meas):
     """Average shifted pair residue of the unmeasured pair never grows.
 
-    Returns (avg, bound) with the law avg <= bound.
+    Returns (avg, bound) with the law avg <= bound.  Each sqrt(k_bc) is read
+    from the A-slice pencil (state_core.spectator_pair), so nothing is
+    decomposed.
     """
     front, terms = _outcome_terms(state, meas)
-    avg = sum(p * math.sqrt(profile(out).k.k_bc) for p, _, out in terms)
-    return avg, math.sqrt(profile(front).k.k_bc)
+    avg = sum(p * state_core.spectator_pair(out)[2] for p, _, out in terms)
+    return avg, state_core.spectator_pair(front)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,12 @@ def density(vec):
     return np.outer(vec, vec.conj())
 
 
-def pair_concurrence(vec, pair):
-    """Concurrence of the named pair ("AB"/"AC"/"BC"), Wootters' rank-2 recipe.
-
-    The reduced pair state is spanned by the two slices psi_0, psi_1 of the
-    third qubit, and C = s_max - s_min for the singular values s of the 2x2
-    matrix psi_i^T (sigma_y x sigma_y) psi_j.  Singular values carry an
-    absolute error of ~1e-16, where the square roots of the eigenvalues of
-    rho * rho_tilde would carry ~1e-8.
+def _pair_singular_values(vec, pair):
+    """Singular values s_max >= s_min of Wootters' 2x2 matrix
+    psi_i^T (sigma_y x sigma_y) psi_j of the named pair ("AB"/"AC"/"BC"),
+    psi_0, psi_1 the slices of the third qubit, which span the reduced pair
+    state.  Singular values carry an absolute error of ~1e-16, where the
+    square roots of the eigenvalues of rho * rho_tilde would carry ~1e-8.
     """
     t = np.asarray(vec, dtype=complex).reshape(2, 2, 2)
     if pair == "AB":
@@ -34,8 +32,25 @@ def pair_concurrence(vec, pair):
         m = np.transpose(t, (1, 2, 0)).reshape(4, 2)
     else:
         raise ValueError(pair)
-    s = np.linalg.svd(m.T @ np.kron(SIGMA_Y, SIGMA_Y) @ m, compute_uv=False)
+    return np.linalg.svd(m.T @ np.kron(SIGMA_Y, SIGMA_Y) @ m, compute_uv=False)
+
+
+def pair_concurrence(vec, pair):
+    """Concurrence of the named pair, Wootters' rank-2 recipe: s_max - s_min."""
+    s = _pair_singular_values(vec, pair)
     return s[0] - s[1]
+
+
+def pair_residue_root(vec, pair):
+    """sqrt(k_xy) = sqrt(c_xy^2 + tau) of the named pair as s_max + s_min.
+
+    The product s_max s_min is |det| of Wootters' matrix, which is the
+    hyperdeterminant up to sign, so (s_max + s_min)^2 = c^2 + 4 s_max s_min
+    = c^2 + tau.  The sum keeps the singular values' absolute error, where
+    the square root of c^2 + tau magnifies the tangle's by 1 / (2 sqrt(k)).
+    """
+    s = _pair_singular_values(vec, pair)
+    return s[0] + s[1]
 
 
 def hyperdeterminant_tangle(vec):

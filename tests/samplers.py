@@ -122,6 +122,40 @@ def chargeless_state(c, rng):
     return scrambled(state_core.state_from_schmidt(coeffs), rng)
 
 
+THRESHOLD_FAMILIES = ("real_phase", "vanishing_coeff", "double_root", "near_product")
+
+
+def threshold_state(rng, family, i):
+    """State i of a threshold family: a real phase (0 or pi by the parity of
+    i), the coefficient l_(i % 5) exactly zero, a double root (delta_J = 0,
+    charge 0), each LU-scrambled, or a product state plus a Haar-random
+    admixture of weight 10^-(2 + i % 4)."""
+    lams = rng.uniform(0.15, 1.0, 5)
+    if family == "real_phase":
+        coeffs = state_core.SchmidtCoeffs(*(lams / np.linalg.norm(lams)), math.pi * (i % 2))
+    elif family == "vanishing_coeff":
+        lams[i % 5] = 0.0
+        coeffs = state_core.SchmidtCoeffs(*(lams / np.linalg.norm(lams)), 0.0)
+    elif family == "double_root":
+        while True:
+            c = invariants.c_params(state_core.SchmidtCoeffs(
+                *(lams / np.linalg.norm(lams)), rng.uniform(0.0, math.pi)))
+            k = invariants.k_params(c)
+            # the j5 that closes the discriminant: k5 = sqrt(k_ap)
+            j5 = math.sqrt(k.k_ab * k.k_ac * k.k_bc) - c.tau
+            if abs(j5) < c.c_ab * c.c_ac * c.c_bc:
+                return chargeless_state(c._replace(j5=j5), rng)
+            lams = rng.uniform(0.3, 1.0, 5)
+    elif family == "near_product":
+        seed = int(rng.integers(1, 2**31))
+        amps = (sampling.random_state("full_separable", seed).amplitudes
+                + 10.0 ** -(2 + i % 4) * sampling.random_state("haar", seed + 1).amplitudes)
+        return state_core.PureState3(amps / np.linalg.norm(amps))
+    else:
+        raise ValueError(family)
+    return scrambled(state_core.state_from_schmidt(coeffs), rng)
+
+
 ONE_STEP_KINDS = ("zt_definite", "real_weight", "w_type", "pair", "chargeless")
 
 

@@ -96,6 +96,27 @@ def test_cli_measure(decompositions, state_files, tmp_path):
     assert len(decompositions) == 3
 
 
+def test_transfer_laws(decompositions):
+    # the lemmas read the spectator pair from the A-slice pencil, and the
+    # attenuation from the Gram determinants
+    states = (GHZ, BELL_BC, sampling.random_state("haar", 8))
+    for qubit in state_core.QUBITS:
+        meas = sampling.random_measurement(9, qubit=qubit)
+        for st in states:
+            transfer.lemma2_bounds(st, meas)
+            transfer.lemma4_check(st, meas)
+            transfer.alpha_average(st, meas)
+    assert decompositions == []
+
+
+def test_cli_verify_lemmas(decompositions):
+    # verify_update's three per sample, and none for the lemmas
+    res = invoke(main, ["verify-lemmas", "--samples", "5"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["pass"] is True
+    assert len(decompositions) == 3 * 5
+
+
 @pytest.mark.parametrize("make_pair", [
     lambda rng: (GHZ, GHZ),
     lambda rng: (GHZ, BELL_BC),

@@ -22,6 +22,7 @@ from triloc.state_core import (
 )
 
 import oracles
+import samplers
 from cli_runner import invoke
 
 
@@ -633,6 +634,42 @@ def test_random_state_kinds_against_oracles():
         assert oracles.hyperdeterminant_tangle(v) < 1e-10
         for pair in ("AB", "AC", "BC"):
             assert oracles.pair_concurrence(v, pair) < 1e-8
+
+
+def _spectator_samples(rng):
+    """States of every random kind and threshold family, each followed by
+    the nondegenerate outcomes of a random measurement on A, B and C."""
+    sources = [sampling.random_state(kind, 31000 + 100 * j + i)
+               for j, kind in enumerate(RANDOM_KINDS) for i in range(40)]
+    sources += [samplers.threshold_state(rng, family, i)
+                for family in samplers.THRESHOLD_FAMILIES for i in range(40)]
+    for state in sources:
+        yield state
+        for q in QUBITS:
+            meas = sampling.random_measurement(int(rng.integers(2**31)), qubit=q)
+            yield from (out for out, _ in state_core.measure(state, meas) if out is not None)
+
+
+def test_spectator_pair_from_the_pencil():
+    # the singular values s1 >= s2 of the A-slice pencil matrix
+    # [[2 d0, m], [m, 2 d1]] give c_bc = s1 - s2, tau = 4 s1 s2 and
+    # sqrt(k_bc) = s1 + s2, as the normal form and the oracles do
+    rng = np.random.default_rng(2026)
+    for state in _spectator_samples(rng):
+        c_bc, tau, root_k = state_core.spectator_pair(state)
+        prof = invariants.profile(state)
+        v = state.amplitudes
+        c_ref, tau_ref = oracles.pair_concurrence(v, "BC"), oracles.hyperdeterminant_tangle(v)
+        root_ref = oracles.pair_residue_root(v, "BC")
+        assert abs(root_ref**2 - (c_ref**2 + tau_ref)) <= 1e-14
+        for got, want in ((c_bc, prof.c.c_bc), (c_bc, c_ref), (tau, prof.c.tau),
+                          (tau, tau_ref), (root_k, root_ref)):
+            assert abs(got - want) <= 1e-14
+        # near a product state the square root of the normal form's c^2 + tau
+        # magnifies its rounding of tau by 1 / (2 sqrt(k_bc)), to 4.6e-12 on
+        # these samples; the singular-value sums of the pencil and of the
+        # oracle agree within 5e-16, so that error is the normal form's
+        assert abs(math.sqrt(prof.k.k_bc) - root_ref) <= 1e-10
 
 
 def test_random_state_deterministic():

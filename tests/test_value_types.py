@@ -1,6 +1,7 @@
 """The contract of the library's value types: each is immutable, survives
 copy, deepcopy and pickle unchanged, is built by keywords, and rejects
-invalid input with the exception its callers catch."""
+invalid input with the exception its callers catch, also through a named
+tuple's _make and _replace."""
 
 import copy
 import math
@@ -34,6 +35,7 @@ CASES = {
         [(dict(l0=-0.6, l1=0.0, l2=0.0, l3=0.0, l4=0.8, phi=0.0), ValueError),
          (dict(l0=math.inf, l1=0.0, l2=0.0, l3=0.0, l4=0.8, phi=0.0), state_core.NonFinite),
          (dict(l0=0.6, l1=0.0, l2=0.0, l3=0.0, l4=0.6, phi=0.0), state_core.NotNormalized),
+         (dict(l0=5.0, l1=0.0, l2=0.0, l3=0.0, l4=0.8, phi=0.0), state_core.NotNormalized),
          (dict(l0=0.6, l1=0.0, l2=0.0, l3=0.0, l4=0.8, phi=4.0), ValueError)]),
     # a tiny negative angle is stored as 2pi by theta % 2pi; a copy keeps it
     state_core.GramParams: (
@@ -92,10 +94,15 @@ def _check_contract(cls, kwargs, invalid):
     for name in (next(iter(kwargs)), "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, 0.0)
+    makers = [lambda bad: cls(**bad)]
+    if hasattr(cls, "_make"):
+        # namedtuple's _replace goes through _make
+        makers += [lambda bad: cls._make(bad.values()), lambda bad: value._replace(**bad)]
     for bad, exc in invalid:
-        with pytest.raises(exc) as info:
-            cls(**bad)
-        assert info.type is exc
+        for make in makers:
+            with pytest.raises(exc) as info:
+                make(bad)
+            assert info.type is exc
 
 
 @pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
