@@ -528,11 +528,12 @@ def _phase_gauge(raw):
     other slot is negligible, in which case the leftover can be dumped there
     and slot 4 gets zero phase too.  A negligible slot 4 counts as phase 0.
     """
-    r4, r5, r6, r7 = (-cmath.phase(z) for z in raw)
-    on5, on6, on7 = (abs(z) >= _NEGLIGIBLE for z in raw[1:])
+    z4, z5, z6, z7 = raw
+    r4, r5, r6, r7 = -cmath.phase(z4), -cmath.phase(z5), -cmath.phase(z6), -cmath.phase(z7)
+    on5, on6, on7 = abs(z5) >= _NEGLIGIBLE, abs(z6) >= _NEGLIGIBLE, abs(z7) >= _NEGLIGIBLE
     if on5 and on6 and on7:
         return r5 + r6 - r7, r7 - r5, r7 - r6
-    if abs(raw[0]) < _NEGLIGIBLE:
+    if abs(z4) < _NEGLIGIBLE:
         r4 = 0.0
     # slot 4 fixes a1 and slots 5, 6 fix c1, b1; slot 7 fixes whichever of
     # them is still free, or splits evenly between both
@@ -545,58 +546,67 @@ def _phase_gauge(raw):
 def _mixed_norm(num, den, t0, t1):
     """Norm of the mixed slice of the slice-mixing row (den, num).  At a root
     the slice has rank 1, so this is l0 times the state's norm."""
-    return _norm([den * x + num * y for x, y in zip(t0, t1)]) / math.hypot(abs(num), abs(den))
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = t0, t1
+    return (math.hypot(abs(den * x0 + num * y0), abs(den * x1 + num * y1),
+                       abs(den * x2 + num * y2), abs(den * x3 + num * y3))
+            / math.hypot(abs(num), abs(den)))
 
 
 def _candidate_decomposition(num, den, t0, t1):
     """Normal form induced by the slice-mixing row (den, num).
 
     t0, t1 are the A = 0 and A = 1 slices as flat (b, c) = 00, 01, 10, 11
-    lists; the local unitaries come back as pairs of rows.
+    sequences; the local unitaries come back as pairs of rows.
     """
     ell = math.hypot(abs(num), abs(den))
     u00, u01 = den / ell, num / ell
     u10, u11 = -u01.conjugate(), u00.conjugate()
-    s0 = [u00 * x + u01 * y for x, y in zip(t0, t1)]
-    s1 = [u10 * x + u11 * y for x, y in zip(t0, t1)]
-    # s0 is rank-1 because (den, num) is a root of det(t0 + x t1)
-    sig, _, w1, w2, v1, v2 = _svd2(*s0)
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = t0, t1
+    s1 = (u10 * x0 + u11 * y0, u10 * x1 + u11 * y1, u10 * x2 + u11 * y2, u10 * x3 + u11 * y3)
+    # the mixed slice is rank-1 because (den, num) is a root of det(t0 + x t1)
+    sig, _, w1, w2, v1, v2 = _svd2(u00 * x0 + u01 * y0, u00 * x1 + u01 * y1,
+                                   u00 * x2 + u01 * y2, u00 * x3 + u01 * y3)
     if sig < _NEGLIGIBLE:
         # the mixed slice vanishes: qubit A factors out on the other side,
         # so diagonalize that slice instead (biseparable BC normal form)
         sa, sb, w1, w2, v1, v2 = _svd2(*s1)
         n = math.hypot(sa, sb)
+        if n == 0.0:
+            return None  # both slices vanish: the zero vector has no normal form
         coeffs = SchmidtCoeffs(0.0, sa / n, 0.0, 0.0, sb / n, 0.0)
         ub = ((w1[0].conjugate(), w1[1].conjugate()),
               (w2[0].conjugate(), w2[1].conjugate()))
         return coeffs, (((u00, u01), (u10, u11)), ub, (v1, v2))
     # slot 4 + 2b + c of the rotated A = 1 slice is w_b^dag s1 v_c
-    sv = [(s1[0] * v[0] + s1[1] * v[1], s1[2] * v[0] + s1[3] * v[1]) for v in (v1, v2)]
-    raw = [w[0].conjugate() * x[0] + w[1].conjugate() * x[1]
-           for w in (w1, w2) for x in sv]
+    (p0, p1, p2, p3), (v10, v11), (v20, v21) = s1, v1, v2
+    e0, e1, f0, f1 = (p0 * v10 + p1 * v11, p2 * v10 + p3 * v11,
+                      p0 * v20 + p1 * v21, p2 * v20 + p3 * v21)
+    w10, w11, w20, w21 = (w1[0].conjugate(), w1[1].conjugate(),
+                          w2[0].conjugate(), w2[1].conjugate())
+    raw = z4, z5, z6, z7 = (w10 * e0 + w11 * e1, w10 * f0 + w11 * f1,
+                            w20 * e0 + w21 * e1, w20 * f0 + w21 * f1)
     a1, b1, c1 = _phase_gauge(raw)
-    mags = [abs(z) for z in raw]
-    n = math.hypot(sig, *mags)
-    lams = [sig / n] + [x / n for x in mags]
-    if lams[1] < _NEGLIGIBLE or min(lams[2:]) < _NEGLIGIBLE:
+    m4, m5, m6, m7 = abs(z4), abs(z5), abs(z6), abs(z7)
+    n = math.hypot(sig, m4, m5, m6, m7)
+    l0, l1, l2, l3, l4 = sig / n, m4 / n, m5 / n, m6 / n, m7 / n
+    if l1 < _NEGLIGIBLE or min(l2, l3, l4) < _NEGLIGIBLE:
         # any vanishing coefficient makes the phase removable; the gauge above
         # already dumped the leftover onto the negligible slot
         phi = 0.0
     else:
-        phi = (cmath.phase(raw[0]) + a1) % (2 * math.pi)
+        phi = (cmath.phase(z4) + a1) % (2 * math.pi)
         s = math.sin(phi)
         # the extracted phase carries noise of order eps / l1, so test the
         # imaginary amplitude l1 sin(phi) rather than the bare sine
-        if lams[1] * abs(s) <= _NEGLIGIBLE:
+        if l1 * abs(s) <= _NEGLIGIBLE:
             phi = 0.0 if math.cos(phi) > 0 else math.pi
         elif s < 0:
             return None  # negative decomposition; the other root is positive
     ea, eb, ec = cmath.exp(1j * a1), cmath.exp(1j * b1), cmath.exp(1j * c1)
     ua = ((u00, u01), (u10 * ea, u11 * ea))
-    ub = ((w1[0].conjugate(), w1[1].conjugate()),
-          (w2[0].conjugate() * eb, w2[1].conjugate() * eb))
-    uc = (v1, (v2[0] * ec, v2[1] * ec))
-    return SchmidtCoeffs(*lams, phi), (ua, ub, uc)
+    ub = ((w10, w11), (w20 * eb, w21 * eb))
+    uc = (v1, (v20 * ec, v21 * ec))
+    return SchmidtCoeffs(l0, l1, l2, l3, l4, phi), (ua, ub, uc)
 
 
 def schmidt_decompose(state):
@@ -608,8 +618,9 @@ def schmidt_decompose(state):
     where an entry is exact), which apply_local_unitaries, Measurement2 and
     np.array all accept.  The positive decomposition is returned; for
     chargeless states with two admissible coefficient sets the one with
-    larger l0 is chosen.  All 2x2 algebra is closed form on Python complex
-    numbers, so no numpy is loaded.
+    larger l0 is chosen, by one comparison of the roots' mixed slices.  Each
+    candidate is built in one pass on Python scalars and tuples, so no numpy
+    is loaded.  A state that fails and misses norm 1 raises NotNormalized.
     """
     amps = state.amps
     t0, t1 = amps[:4], amps[4:]
@@ -637,17 +648,21 @@ def schmidt_decompose(state):
         q = -0.5 * (m + disc) if abs(m + disc) >= abs(m - disc) else -0.5 * (m - disc)
         # two admissible sets only arise at distinct roots, and the larger-l0
         # one is the convention, so the root whose mixed slice has the larger
-        # norm is built first
-        pairs = sorted([(q, d1), (d0, q)], key=lambda p: -_mixed_norm(*p, t0, t1))
-    # built lazily; None is a negative decomposition, the other root is positive
-    candidates = filter(None, (_candidate_decomposition(num, den, t0, t1)
-                               for num, den in pairs))
+        # norm is built first, (q, d1) on a tie
+        swap = _mixed_norm(d0, q, t0, t1) > _mixed_norm(q, d1, t0, t1)
+        pairs = ((d0, q), (q, d1)) if swap else ((q, d1), (d0, q))
     err = None
-    for coeffs, us in candidates:
+    for num, den in pairs:
+        if (cand := _candidate_decomposition(num, den, t0, t1)) is None:
+            continue  # a negative decomposition; the other root is positive
+        coeffs, us = cand
         out = _local_product(amps, *us)
         err = _norm([x - y for x, y in zip(out, _normal_form_amps(coeffs))])
         if err <= _RECON_BUDGET:
             return coeffs, us
+    norm = _norm(amps)  # only a failing state pays for SchmidtCoeffs' norm rule
+    if abs(norm * norm - 1.0) > 10 * _NEGLIGIBLE:
+        raise NotNormalized(f"state norm {norm} differs from 1")
     if err is None:
         raise DecompositionFailed("no positive decomposition found")
     raise DecompositionFailed(f"reconstruction error {err:.3e} exceeds budget")

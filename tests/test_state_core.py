@@ -340,6 +340,29 @@ def test_decompose_keeps_the_larger_l0_root(monkeypatch):
         assert got_p.q_e == want_p.q_e
 
 
+def test_decompose_tries_the_q_d1_root_first_on_a_tie(monkeypatch):
+    # on GHZ both roots' mixed slices have the same norm to the last bit, and
+    # the decomposition tries the root (q, d1) = (-0.5, 0) first.  The two
+    # roots give different unitaries, which synth_bisep_measurement reads, so
+    # a swapped tie would change its measurements
+    r = 1.0 / math.sqrt(2.0)
+    ghz = PureState3([r, 0, 0, 0, 0, 0, 0, r])
+    t0, t1 = ghz.amps[:4], ghz.amps[4:]
+    tried = []
+    original = state_core._candidate_decomposition
+    monkeypatch.setattr(state_core, "_candidate_decomposition",
+                        lambda *args: tried.append(args[:2]) or original(*args))
+    coeffs, us = state_core.schmidt_decompose(ghz)
+    monkeypatch.undo()
+    (q, d1), = tried
+    d0 = state_core._pencil(t0, t1)[0]
+    assert d0 == d1 == 0 and abs(q + 0.5) <= 1e-15
+    assert state_core._mixed_norm(d0, q, t0, t1) == state_core._mixed_norm(q, d1, t0, t1)
+    first, second = _root_candidates(monkeypatch, ghz)
+    assert (coeffs, us) == first
+    assert second[1] != first[1]
+
+
 @pytest.mark.parametrize("patch, message", [
     (lambda mp: mp.setattr(state_core, "_RECON_BUDGET", 0.0),
      "reconstruction error .* exceeds budget"),
@@ -357,6 +380,18 @@ def test_decomposition_failed(monkeypatch, tmp_path, patch, message):
     res = invoke(main, ["invariants", str(path)])
     assert res.exit_code == 2
     assert re.search(message, res.stderr)
+
+
+@pytest.mark.parametrize("amps, norm", [([0] * 8, 0.0), ([2] + [0] * 7, 2.0)],
+                         ids=["zero", "norm_2"])
+def test_decompose_refuses_an_unnormalized_state(amps, norm):
+    # PureState3 takes any eight amplitudes; a state that cannot be
+    # decomposed because its norm is not 1 is refused by name, not with a
+    # ZeroDivisionError or a reconstruction error
+    state = PureState3(amps)
+    for fn in (state_core.schmidt_decompose, invariants.profile):
+        with pytest.raises(NotNormalized, match=f"state norm {norm} differs from 1"):
+            fn(state)
 
 
 def _svd_cases(rng):
