@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import state_core
-from .invariants import coeffs_profile, ep_phase, lu_equivalent_profiles, profile
+from .invariants import ep_phase, lu_equivalent_profiles, profile
 
 
 def _read_json(path):
@@ -124,16 +124,14 @@ def measure(args):
 def synth_bisep(args):
     """Measurement that deterministically splits off the unmeasured pair."""
     from . import transfer
-    # transfer.synth_bisep_measurement, keeping its one decomposition for
-    # the outcomes' pair concurrence
-    coeffs, (ua, _, _) = state_core.schmidt_decompose(_load_state(args.state_path))
+    st = _load_state(args.state_path)
     try:
-        meas = transfer._lab_measurement(transfer._a_step_gram(coeffs, 0.0), ua)
+        meas = transfer.synth_bisep_measurement(st)
     except transfer.DegenerateInput as exc:
         _emit(args, {"degenerate": True, "reason": str(exc)})
         return 1
     _emit(args, {"measurement": state_core.measurement_to_dict(meas),
-                 "outcome_c_bc": math.sqrt(coeffs_profile(coeffs).k.k_bc)})
+                 "outcome_c_bc": state_core.spectator_pair(st)[2]})
 
 
 def ghz_canonical(args):

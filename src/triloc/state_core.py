@@ -40,7 +40,8 @@ class NonFinite(ValueError):
 
 
 class IncompleteMeasurement(ValueError):
-    """Measurement operators do not resolve the identity within TOL.norm."""
+    """Measurement operators do not resolve the identity within TOL.norm
+    (raised by validate_measurement, which measurement_from_dict runs)."""
 
 
 class DecompositionFailed(RuntimeError):
@@ -404,7 +405,8 @@ def gram_params(matrix):
 
 
 def validate_measurement(meas):
-    """Check completeness m0^dag m0 + m1^dag m1 = I within TOL.norm."""
+    """Check completeness m0^dag m0 + m1^dag m1 = I within TOL.norm: the
+    entry check that measurement_from_dict runs, as validate_state is."""
     (a0, b0, off0), (a1, b1, off1) = map(_gram_entries, meas.ops)
     dev = max(abs(a0 + a1 - 1.0), abs(b0 + b1 - 1.0), abs(off0 + off1))
     if dev > TOL.norm:
@@ -416,9 +418,10 @@ def measure(state, meas):
 
     Returns [(state0, p0), (state1, p1)].  An outcome with probability below
     TOL.zero is degenerate: its state is None and it must be excluded from
-    invariant checks downstream.
+    invariant checks downstream.  Completeness is not checked here, so p0 +
+    p1 may miss 1: measurement_from_dict or validate_measurement checks it
+    where a measurement enters.
     """
-    validate_measurement(meas)
     stride = _STRIDE[meas.qubit]
     results = []
     for rows in meas.ops:

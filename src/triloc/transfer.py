@@ -194,12 +194,10 @@ def verify_update(state, meas):
     """Compare predicted outcome invariants against direct simulation.
 
     Works for a measurement on any qubit.  Each outcome is predicted from
-    its own operator's Gram parameters, so a measurement that is complete
-    only within TOL.norm is checked against what its operators do.  Returns
-    a report dict with the worst probability/invariant deviation; charges
-    are compared separately (they are integers, so they either match or
-    they do not).  The report passes when that deviation is at most
-    TOL.eq and every charge matches.
+    its own operator's Gram parameters, so an incomplete measurement is
+    checked against what its operators do, and the report gives its miss as
+    p_sum_deviation.  The report passes when the worst probability or
+    invariant deviation is at most TOL.eq and every (integer) charge matches.
     """
     qubit = meas.qubit
     front, meas = _measured_front(state, meas)
@@ -303,7 +301,7 @@ def _outcome_terms(state, meas):
 
 def alpha_average(state, meas):
     """Probability-weighted attenuation sum(p_i alpha_i), which never
-    exceeds 1."""
+    exceeds 1 for a complete measurement."""
     _, terms = _outcome_terms(state, meas)
     return sum(p * alpha for p, alpha, _ in terms)
 
@@ -313,8 +311,8 @@ def lemma2_bounds(state, meas):
 
     Returns (lhs, mid, rhs): the source concurrence of the unmeasured pair,
     its probability-averaged outcome value, and the transfer ceiling.  The
-    law is lhs <= mid <= rhs.  Every c_bc and tau is read from the A-slice
-    pencil (state_core.spectator_pair), so nothing is decomposed.
+    law is lhs <= mid <= rhs for a complete measurement.  Every c_bc and
+    tau comes from state_core.spectator_pair: nothing is decomposed.
     """
     front, terms = _outcome_terms(state, meas)
     c_bc, tau, _ = state_core.spectator_pair(front)
@@ -327,9 +325,9 @@ def lemma2_bounds(state, meas):
 def lemma4_check(state, meas):
     """Average shifted pair residue of the unmeasured pair never grows.
 
-    Returns (avg, bound) with the law avg <= bound.  Each sqrt(k_bc) is read
-    from the A-slice pencil (state_core.spectator_pair), so nothing is
-    decomposed.
+    Returns (avg, bound) with the law avg <= bound for a complete
+    measurement.  Each sqrt(k_bc) is read from the A-slice pencil
+    (state_core.spectator_pair), so nothing is decomposed.
     """
     front, terms = _outcome_terms(state, meas)
     avg = sum(p * state_core.spectator_pair(out)[2] for p, _, out in terms)

@@ -365,6 +365,61 @@ def test_tiny_tol_zero_splits_every_ghz_state(runner, tmp_path, monkeypatch):
         assert transfer.verify_update(st, transfer.synth_bisep_measurement(st))["pass"], seed
 
 
+def test_tiny_tol_norm_runs_the_librarys_own_measurements(monkeypatch):
+    # measure once re-checked completeness against TOL.norm, so measurements
+    # the library built itself, complete to 2.2e-16, were refused under 1e-17
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(norm=1e-17))
+    for seed in range(300):
+        st = sampling.random_state("ghz_type", seed)
+        assert transfer.verify_update(st, transfer.synth_bisep_measurement(st))["pass"], seed
+        assert transfer.search_deterministic_measurement(st, st) is not None, seed
+
+
+def test_tiny_tol_norm_verifies_the_lemmas(runner):
+    res = runner.invoke(main, ["--tol-norm", "1e-17", "verify-lemmas", "--samples", "200"])
+    assert res.exit_code == 0, res.output + res.stderr
+    assert json.loads(res.output)["pass"] is True
+
+
+def _incomplete_measurement(path):
+    """A measurement file whose m0^dag m0 + m1^dag m1 is (1 + 1e-7) I."""
+    s = math.sqrt(1.0 + 1e-7)
+    meas = state_core.Measurement2(
+        "A", [[s * math.sqrt(0.3), 0.0], [0.0, s * math.sqrt(0.6)]],
+        [[s * math.sqrt(0.7), 0.0], [0.0, s * math.sqrt(0.4)]])
+    path.write_text(json.dumps(state_core.measurement_to_dict(meas)))
+    return str(path)
+
+
+def test_measure_checks_completeness_where_the_measurement_enters(runner, tmp_path, charged):
+    # measurement_from_dict holds the file to --tol-norm; past it, the
+    # report shows the miss
+    mpath = _incomplete_measurement(tmp_path / "meas.json")
+    res = runner.invoke(main, ["measure", charged, mpath])
+    assert res.exit_code == 2
+    assert "operators miss completeness by 1.000e-07" in res.stderr
+    res = runner.invoke(main, ["--tol-norm", "1e-6", "measure", charged, mpath])
+    assert res.exit_code == 0, res.output + res.stderr
+    assert abs(json.loads(res.output)["report"]["p_sum_deviation"] - 1e-7) < 1e-12
+
+
+def test_measure_validates_its_measurement_once(runner, tmp_path, charged, monkeypatch):
+    calls = []
+    original = state_core.validate_measurement
+
+    def counting(meas):
+        calls.append(meas)
+        return original(meas)
+
+    monkeypatch.setattr(state_core, "validate_measurement", counting)
+    mpath = tmp_path / "meas.json"
+    mpath.write_text(json.dumps(state_core.measurement_to_dict(
+        sampling.random_measurement(5, qubit="B"))))
+    res = runner.invoke(main, ["measure", charged, str(mpath)])
+    assert res.exit_code == 0, res.output + res.stderr
+    assert len(calls) == 1
+
+
 def test_negative_seed_is_usage_error_naming_the_flag(runner):
     res = runner.invoke(main, ["--seed", "-1", "random"])
     assert res.exit_code == 2

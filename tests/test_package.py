@@ -1,6 +1,8 @@
 """The package namespace: each exported name resolves from triloc to the
-object of its home module, on first access."""
+object of its home module, on first access; and two scans of the
+library's source."""
 
+import ast
 import os
 import pathlib
 import re
@@ -103,3 +105,39 @@ def test_literal_thresholds_do_not_grow():
         if n:
             counts[path.name] = n
     assert sum(counts.values()) <= MAX_LITERAL_THRESHOLDS, counts
+
+
+# outside data is checked once, where it enters: each entry check is used by
+# its JSON reader and by no other library code
+ENTRY_CHECKS = {"validate_measurement": "measurement_from_dict",
+                "validate_state": "state_from_dict"}
+
+
+class _EntryCheckUses(ast.NodeVisitor):
+    """(innermost enclosing function, name) of every use of an entry check."""
+
+    def __init__(self):
+        self.scope, self.uses = [None], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if node.id in ENTRY_CHECKS:
+            self.uses.append((self.scope[-1], node.id))
+
+    def visit_Attribute(self, node):
+        if node.attr in ENTRY_CHECKS:
+            self.uses.append((self.scope[-1], node.attr))
+        self.generic_visit(node)
+
+
+def test_entry_checks_run_only_in_their_json_readers():
+    uses = _EntryCheckUses()
+    for path in sorted(pathlib.Path(triloc.__file__).parent.glob("*.py")):
+        uses.visit(ast.parse(path.read_text(), filename=str(path)))
+    assert sorted(uses.uses) == sorted((reader, check) for check, reader in ENTRY_CHECKS.items())

@@ -515,6 +515,15 @@ def test_measure_degenerate_outcome():
     assert outs[1][0] is None and outs[1][1] < 1e-12
 
 
+def test_measure_does_not_check_completeness():
+    # completeness is checked where a measurement enters; measure simulates
+    # what the operators do
+    m = np.eye(2) * 0.9
+    outs = state_core.measure(sampling.random_state("haar", 4), Measurement2("A", m, m))
+    assert all(out is not None for out, _ in outs)
+    assert abs(sum(p for _, p in outs) - 1.62) < 1e-12
+
+
 def test_measurement_completeness_guard():
     m = np.eye(2) * 0.9
     with pytest.raises(IncompleteMeasurement):
