@@ -115,13 +115,13 @@ def k_params(c):
 
 def derived(c):
     """Products and the discriminant of the invariants c: (j_ap, k_ap, k5,
-    delta_j), with j_ap = (c_ab c_ac c_bc)^2, k_ap = k_ab k_ac k_bc and
-    delta_j = k5^2 - k_ap clamped at 0.  Invariants from outside are checked
-    by coeffs_from_invariants.
+    delta_j), with j_ap = c_ab^2 c_ac^2 c_bc^2 (the contracted-residue product
+    at unit factors, in its order), k_ap = k_ab k_ac k_bc and delta_j = k5^2 -
+    k_ap clamped at 0; coeffs_from_invariants checks invariants from outside.
     """
     k_ap = (c.c_ab**2 + c.tau) * (c.c_ac**2 + c.tau) * (c.c_bc**2 + c.tau)
     k5 = c.tau + c.j5
-    return Derived((c.c_ab * c.c_ac * c.c_bc) ** 2, k_ap, k5, max(k5**2 - k_ap, 0.0))
+    return Derived(c.c_ab**2 * c.c_ac**2 * c.c_bc**2, k_ap, k5, max(k5**2 - k_ap, 0.0))
 
 
 def ep_phase(c):

@@ -158,7 +158,7 @@ def _contracted_residues(c, za, zb, zc):
     """The contracted pair residues (k_ab - zc tau, k_ac - zb tau,
     k_bc - za tau), each written c_xy^2 + (1 - zeta) tau so that no
     concurrence cancels out of it.  At unit factors their product is
-    derived's j_ap = (c_ab c_ac c_bc)^2."""
+    derived's j_ap, bit for bit."""
     return (c.c_ab**2 + (1.0 - zc) * c.tau, c.c_ac**2 + (1.0 - zb) * c.tau,
             c.c_bc**2 + (1.0 - za) * c.tau)
 
@@ -169,17 +169,17 @@ def _contracted_product(p, za, zb, zc):
 
 def zeta_lower(p, za, zb, zc):
     """Lower end of the admissible collective factor for given per-qubit
-    factors.  Defined as 0 when some concurrence vanishes (the 0/0 boundary
-    only matters for targets where the charge condition is skipped).
-    """
+    factors, in [0, 1] for factors in [0, 1] and exactly 1 at unit factors.
+    Defined as 0 when some concurrence vanishes (the 0/0 boundary only
+    matters for targets where the charge condition is skipped)."""
     if not p.state_class.ep_definite:
         return 0.0
     return p.derived.j_ap / _contracted_product(p, za, zb, zc)
 
 
 def zeta_tilde(p, za, zb, zc):
-    """The single admissible collective factor of a zeta-tilde-definite
-    source; None when indefinite or on a degenerate boundary."""
+    """The single admissible collective factor (None when indefinite or
+    0/0), in [0, 1] for factors in [0, 1] and exactly 1 at unit factors."""
     if not p.state_class.zeta_tilde_definite:
         return None
     if not p.state_class.ep_definite:
@@ -269,7 +269,7 @@ def dlocc_feasible_profiles(ps, pd):
         return LoccVerdict(False, case, None, tag)
 
     def feasible(zeta, za, zb, zc, zl, zt):
-        w = ZetaWitness(min(max(zeta, 0.0), 1.0), za, zb, zc, min(max(zl, 0.0), 1.0), zt)
+        w = ZetaWitness(min(zeta, 1.0), za, zb, zc, zl, zt)
         count = _MIN_MEASUREMENTS[(_depth(kind_s), _depth(kind_d))]
         return LoccVerdict(True, case, w, None, count)
 

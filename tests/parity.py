@@ -4,12 +4,18 @@
 
 DIR is a checkout of the commit to compare against, for example one made
 with `git archive REV | tar -x -C DIR`.  Each side runs every set in a
-subprocess of its own that imports triloc from that side's src; both sides
-draw their inputs from this checkout's perfbench/gen.py and tests/samplers.py,
-so only the library differs.  For each set the script prints the share of
-identical lines and the first index that differs, and it exits 1 on any
-difference.  A line is the repr of one result, so "identical" means equal
-to the last bit.  The sets:
+subprocess of its own that imports triloc from that side's src.  The locc
+and search pairs are drawn once, in a subprocess on DIR's src, and written
+to a file as the repr of each amplitude (a Python complex round-trips
+exactly), which both sides read: the samplers that draw them call the
+library, so drawing them on each side would let a last-bit library change
+show up as changed inputs.  The random and stream states are drawn on each
+side, through that side's random_state, and lemmas runs the CLI end to
+end.  Inputs come from this checkout's perfbench/gen.py and
+tests/samplers.py.  For each set the script prints the share of identical
+lines and the first index that differs, and it exits 1 on any difference.
+A line is the repr of one result, so "identical" means equal to the last
+bit.  The sets:
 
   random   decomposition and profile of 2,000 random_state draws per kind
   stream   decomposition and profile of 40,000 gen.stream_state states
@@ -34,6 +40,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SETS = ("random", "stream", "locc", "search", "lemmas")
+DRAWN = ("locc", "search")  # sets whose inputs are drawn once, on DIR's src
 
 
 def _outcome(fn, *args):
@@ -65,37 +72,56 @@ def emit_stream():
         yield _outcome(_decomposed, gen.stream_state(rng, i)[1])
 
 
-def emit_locc():
+def draw_locc():
     import numpy as np
     import gen
+    rng = np.random.default_rng(2)
+    for j in range(1500):
+        for _, _, src, dst, _, _ in gen.locc_block(rng, j):
+            yield src, dst
+
+
+def draw_search():
+    import numpy as np
+    import samplers
+    rng = np.random.default_rng(74)
+    for kind in samplers.ONE_STEP_KINDS:
+        for _ in range(150):
+            yield samplers.one_step_pair(rng, kind)[:2]
+    for zero_slot in (1, 2):
+        for _ in range(60):
+            yield samplers.free_phase_pair(rng, zero_slot)
+
+
+def _pairs(path):
+    """The (src, dst) pairs of a drawn file: sixteen amplitude reprs a line."""
+    from triloc import state_core
+    with open(path) as f:
+        for line in f:
+            amps = [complex(a) for a in line.split()]
+            yield state_core.PureState3(amps[:8]), state_core.PureState3(amps[8:])
+
+
+def emit_locc(path):
     from triloc import locc
 
     def verdict(src, dst):
         v = locc.dlocc_feasible(src, dst)
         return v, locc.min_measurements(src, dst) if v.feasible else None
 
-    rng = np.random.default_rng(2)
-    for j in range(1500):
-        for _, _, src, dst, _, _ in gen.locc_block(rng, j):
-            yield _outcome(verdict, src, dst)
+    for src, dst in _pairs(path):
+        yield _outcome(verdict, src, dst)
 
 
-def emit_search():
-    import numpy as np
-    import samplers
+def emit_search(path):
     from triloc import transfer
 
     def ops(src, dst):
         meas = transfer.search_deterministic_measurement(src, dst)
         return None if meas is None else meas.ops
 
-    rng = np.random.default_rng(74)
-    for kind in samplers.ONE_STEP_KINDS:
-        for _ in range(150):
-            yield _outcome(ops, *samplers.one_step_pair(rng, kind)[:2])
-    for zero_slot in (1, 2):
-        for _ in range(60):
-            yield _outcome(ops, *samplers.free_phase_pair(rng, zero_slot))
+    for src, dst in _pairs(path):
+        yield _outcome(ops, src, dst)
 
 
 def emit_lemmas():
@@ -106,16 +132,22 @@ def emit_lemmas():
     yield from res.stderr.splitlines()
 
 
-def emit(name):
-    for line in globals()["emit_" + name]():
+def emit(name, inputs):
+    fn = globals()["emit_" + name]
+    for line in fn(inputs) if name in DRAWN else fn():
         print(line.replace("\n", "\\n"))
 
 
-def run_side(src, name, out):
+def draw(name):
+    for src, dst in globals()["draw_" + name]():
+        print(" ".join(repr(a) for a in src.amps + dst.amps))
+
+
+def run_side(src, args, out):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.path.join(ROOT, "perfbench"), env.get("PYTHONPATH")) if p)
-    return subprocess.Popen([sys.executable, os.path.abspath(__file__), "--emit", name],
+    return subprocess.Popen([sys.executable, os.path.abspath(__file__), *args],
                             env=env, cwd=ROOT, stdout=out)
 
 
@@ -145,9 +177,14 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", help="root of the checkout to compare against")
     ap.add_argument("--emit", choices=SETS, help=argparse.SUPPRESS)
+    ap.add_argument("--inputs", help=argparse.SUPPRESS)
+    ap.add_argument("--draw", choices=DRAWN, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.emit:
-        emit(args.emit)
+        emit(args.emit, args.inputs)
+        return 0
+    if args.draw:
+        draw(args.draw)
         return 0
     if not args.parent:
         ap.error("--parent is required")
@@ -157,11 +194,21 @@ def main(argv=None):
     ok = True
     with tempfile.TemporaryDirectory(prefix="triloc-parity-") as tmp:
         for name in SETS:
+            args = ["--emit", name]
+            if name in DRAWN:
+                inputs = os.path.join(tmp, f"{name}-inputs.txt")
+                with open(inputs, "w") as out:
+                    code = run_side(parent_src, ["--draw", name], out).wait()
+                if code:
+                    print(f"{name:7s} drawing the inputs exited with {code}")
+                    ok = False
+                    continue
+                args += ["--inputs", inputs]
             paths = [os.path.join(tmp, f"{name}-{side}.txt") for side in ("parent", "this")]
             procs = []
             for src, path in zip((parent_src, os.path.join(ROOT, "src")), paths):
                 with open(path, "w") as out:
-                    procs.append(run_side(src, name, out))
+                    procs.append(run_side(src, args, out))
             codes = [p.wait() for p in procs]
             if any(codes):
                 print(f"{name:7s} a side exited with {codes}")

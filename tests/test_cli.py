@@ -403,6 +403,21 @@ def test_measure_checks_completeness_where_the_measurement_enters(runner, tmp_pa
     assert abs(json.loads(res.output)["report"]["p_sum_deviation"] - 1e-7) < 1e-12
 
 
+def test_measure_of_a_measurement_with_no_outcome(runner, tmp_path, charged):
+    # the entry check refuses zero operators at the default --tol-norm;
+    # past it, the prediction finds no outcome to report
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    mpath = tmp_path / "zero.json"
+    mpath.write_text(json.dumps(state_core.measurement_to_dict(
+        state_core.Measurement2("A", zero, zero))))
+    res = runner.invoke(main, ["measure", charged, str(mpath)])
+    assert res.exit_code == 2
+    assert "operators miss completeness by 1.000e+00" in res.stderr
+    res = runner.invoke(main, ["--tol-norm", "2", "measure", charged, str(mpath)])
+    assert res.exit_code == 2
+    assert "error: both outcomes have vanishing probability" in res.stderr
+
+
 def test_measure_validates_its_measurement_once(runner, tmp_path, charged, monkeypatch):
     calls = []
     original = state_core.validate_measurement

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 
@@ -241,7 +242,7 @@ def test_zeta_lower_of_small_concurrences():
     assert p.state_class.ep_definite and p.derived.j_ap < state_core.TOL.zero
     verdict = dlocc_feasible(src, src)
     assert verdict.feasible
-    assert verdict.witness.zeta_lower == pytest.approx(1.0, abs=1e-12)
+    assert verdict.witness.zeta_lower == 1.0
 
 
 def test_zeta_lower_where_a_concurrence_drops_out_of_k():
@@ -251,10 +252,10 @@ def test_zeta_lower_where_a_concurrence_drops_out_of_k():
     s = S(0.5, 0.5, 5e-9, 0.5, 0.5, 0.0)
     p = profile(s)
     assert p.state_class.ep_definite
-    assert p.derived.j_ap == (p.c.c_ab * p.c.c_ac * p.c.c_bc) ** 2 > 0.0
+    assert p.derived.j_ap == p.c.c_ab**2 * p.c.c_ac**2 * p.c.c_bc**2 > 0.0
     verdict = dlocc_feasible(s, s)
     assert verdict.feasible
-    assert verdict.witness.zeta_lower == pytest.approx(1.0, abs=1e-12)
+    assert verdict.witness.zeta_lower == 1.0
 
 
 def test_zeta_tilde_of_a_source_with_a_vanishing_concurrence():
@@ -282,8 +283,8 @@ def test_state_with_a_tiny_concurrence_reaches_itself(coeffs):
     s = S(*coeffs)
     v = dlocc_feasible(s, s)
     assert v.feasible and v.case == "A"
-    assert v.witness.zeta_lower == pytest.approx(1.0, abs=1e-12)
-    assert v.witness.zeta_tilde == pytest.approx(1.0, abs=1e-12)
+    assert v.witness.zeta_lower == 1.0
+    assert v.witness.zeta_tilde == 1.0
     assert min_measurements(s, s) == 3
     assert transfer.search_deterministic_measurement(s, s) is not None
 
@@ -304,6 +305,58 @@ def test_decision_is_reflexive_near_a_vanishing_coefficient(slot):
             phi = 0.0  # the phase is removable once a coefficient vanishes
         s = S(*lams, phi)
         assert dlocc_feasible(s, s).feasible, (lams, phi)
+
+
+# ---------------------------------------------------------------------------
+# the decision on its own diagonal: j_ap is the contracted product at unit
+# factors, so every ratio that is 1 in exact arithmetic reads exactly 1
+
+
+@pytest.fixture(scope="module")
+def diagonal():
+    """(state, profile) of 200 random_state draws per kind and 100 states per
+    threshold family, built at the default tolerances (the samplers invert
+    invariants under TOL.eq)."""
+    states = [sampling.random_state(kind, seed)
+              for kind in state_core.RANDOM_KINDS for seed in range(200)]
+    rng = np.random.default_rng(5)
+    states += [samplers.threshold_state(rng, family, i)
+               for family in samplers.THRESHOLD_FAMILIES for i in range(100)]
+    return [(st, profile(st)) for st in states]
+
+
+def test_j_ap_and_k_ap_are_the_contracted_product_at_unit_and_zero_factors(diagonal):
+    for _, p in diagonal:
+        assert p.derived.j_ap == locc._contracted_product(p, 1.0, 1.0, 1.0), p.c
+        assert p.derived.k_ap == locc._contracted_product(p, 0.0, 0.0, 0.0), p.c
+
+
+@pytest.mark.parametrize("eq", [1e-17, 1e-30])
+def test_a_state_reaches_itself_under_a_tol_eq_below_rounding(monkeypatch, diagonal, eq):
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(eq=eq))
+    tilde = 0
+    for _, p in diagonal:
+        v = locc.dlocc_feasible_profiles(p, p)
+        assert v.feasible, (p.c, v.violated)
+        assert v.witness.zeta == 1.0
+        assert v.witness.zeta_lower == (1.0 if p.state_class.ep_definite else 0.0)
+        assert v.witness.zeta_tilde in (None, 1.0)
+        tilde += v.witness.zeta_tilde is not None
+    assert tilde > 0
+    # a quarter of the states: min_measurements decomposes both sides again
+    for st, _ in diagonal[::4]:
+        min_measurements(st, st)
+
+
+def test_zeta_lower_and_zeta_tilde_stay_in_the_unit_interval(diagonal):
+    values = (0.0, 0.37, 1.0 - 1e-16, 1.0)
+    for _, p in diagonal:
+        if p.state_class.kind != "ghz_type":
+            continue
+        for za, zb, zc in itertools.product(values, repeat=3):
+            assert 0.0 <= locc.zeta_lower(p, za, zb, zc) <= 1.0, (p.c, za, zb, zc)
+            zt = locc.zeta_tilde(p, za, zb, zc)
+            assert zt is None or 0.0 <= zt <= 1.0, (p.c, za, zb, zc)
 
 
 # ---------------------------------------------------------------------------

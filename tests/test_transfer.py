@@ -9,6 +9,7 @@ from triloc.state_core import GramParams, SchmidtCoeffs
 from triloc.transfer import (
     DegenerateInput,
     TransferParams,
+    ZeroProbability,
     alpha_average,
     lemma2_bounds,
     lemma4_check,
@@ -97,6 +98,16 @@ def test_verify_update_report_shape():
         assert set(out) >= {"probability_predicted", "probability_simulated",
                             "alpha", "invariant_deviation",
                             "charge_predicted", "charge_simulated"}
+
+
+@pytest.mark.parametrize("qubit", ["A", "B", "C"])
+def test_verify_update_refuses_a_measurement_with_no_outcome(qubit):
+    # measure trusts its argument, so zero operators reach the prediction,
+    # which has no outcome of nonzero probability to report
+    zero = ((0.0, 0.0), (0.0, 0.0))
+    with pytest.raises(ZeroProbability, match="both outcomes have vanishing probability"):
+        verify_update(state_core.state_from_schmidt(PINNED),
+                      state_core.Measurement2(qubit, zero, zero))
 
 
 def test_synth_bisep_on_ghz():
