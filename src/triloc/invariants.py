@@ -242,10 +242,11 @@ def coeffs_from_invariants(c, q):
     and arccosine clamped to its domain, and a set is returned exactly when
     it reproduces c within TOL.eq, has charge q and differs by more than
     TOL.zero from every set returned before it.  So a nonzero charge gives
-    one set and q = 0 up to two (larger l0 first).  Concurrences and tangle
-    within TOL.zero below zero are read as 0.  This is the one check of
-    invariants from outside, on the user's tolerances: raises Inconsistent
-    when no pure state has these invariants.
+    one set and q = 0 up to two (larger l0 first); a tangled root with l0
+    below _NEGLIGIBLE, the normal form's own rounding rule, is skipped.
+    Concurrences and tangle within TOL.zero below zero are read as 0.  This
+    is the one check of invariants from outside, on the user's tolerances:
+    raises Inconsistent when no pure state has these invariants.
     """
     tz = state_core.TOL.zero
     if q not in (-1, 0, 1):
@@ -289,9 +290,9 @@ def coeffs_from_invariants(c, q):
         cands = []
         for s in signs:
             l0sq = (der.k5 + s * sqrt_d) / (2.0 * k.k_bc)
-            if l0sq <= tz:
+            l0 = math.sqrt(max(l0sq, 0.0))
+            if l0 < state_core._NEGLIGIBLE:
                 continue
-            l0 = math.sqrt(l0sq)
             l2 = c.c_ac / (2.0 * l0)
             l3 = c.c_ab / (2.0 * l0)
             l4 = math.sqrt(c.tau) / (2.0 * l0)

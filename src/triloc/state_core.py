@@ -416,9 +416,9 @@ def validate_measurement(meas):
 def measure(state, meas):
     """Perform a two-outcome measurement.
 
-    Returns [(state0, p0), (state1, p1)].  An outcome with probability below
-    TOL.zero is degenerate: its state is None and it must be excluded from
-    invariant checks downstream.  Completeness is not checked here, so p0 +
+    Returns [(state0, p0), (state1, p1)].  An outcome with probability at
+    most TOL.zero is degenerate: its state is None and it must be excluded
+    from invariant checks downstream.  Completeness is not checked here, so p0 +
     p1 may miss 1: measurement_from_dict or validate_measurement checks it
     where a measurement enters.
     """
@@ -428,7 +428,7 @@ def measure(state, meas):
         out = _mode_product(state.amps, rows, stride)
         n = _norm(out)
         p = n * n
-        if p < TOL.zero:
+        if p <= TOL.zero:
             results.append((None, p))
         else:
             results.append((PureState3(tuple(z / n for z in out)), p))

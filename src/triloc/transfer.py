@@ -102,7 +102,7 @@ class OutcomePrediction(namedtuple("OutcomePrediction", "probability alpha c q_e
     """Predicted data of one measurement outcome: its probability, the
     attenuation alpha, the CParams and the charge.
 
-    A degenerate outcome (probability below TOL.zero) carries None in every
+    A degenerate outcome (probability at most TOL.zero) carries None in every
     other field.
     """
 
@@ -119,14 +119,15 @@ def _probability(co, a, b, k, theta):
 def _predict_one(co, g, det):
     """Prediction for the Gram g, whose snapped determinant ab - k^2 is det:
     the outcome's normal form is l0 sqrt(det / (p b)), the complex slot
-    (l0 k e^{i theta} + l1 e^{i phi} b) / sqrt(p b), and sqrt(b / p) l2, l3, l4.
+    (l0 k e^{i theta} + l1 e^{i phi} b) / sqrt(p b), and sqrt(b / p) l2, l3, l4,
+    exact for every b > 0 as k <= sqrt(ab); at b = 0 it is a product.
     """
     tz = state_core.TOL.zero
     p = _probability(co, *g)
     if p <= tz:
         return OutcomePrediction(p, None, None, None)
-    if g.b <= tz:
-        # the measured side loses its |1> range: a pure product remains
+    if g.b <= 0.0:
+        # the operator annihilates the normal form's |1>: a pure product remains
         return OutcomePrediction(p, 0.0, CParams(0.0, 0.0, 0.0, 0.0, 0.0), 0)
     root_pb = math.sqrt(p * g.b)
     l1c = (co.l0 * g.k * cmath.exp(1j * g.theta)

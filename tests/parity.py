@@ -26,6 +26,8 @@ bit.  The sets:
            kind, then 60 samplers.free_phase_pair per zero slot, all from one
            default_rng(74)
   lemmas   `triloc verify-lemmas --samples 2000`, byte for byte
+  inversion  coeffs_from_invariants of each random state's profile, then
+           of each stream state's (14,000 lines, then 40,000)
 
 pytest does not collect this file (its name does not start with test_).
 """
@@ -39,7 +41,7 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SETS = ("random", "stream", "locc", "search", "lemmas")
+SETS = ("random", "stream", "locc", "search", "lemmas", "inversion")
 DRAWN = ("locc", "search")  # sets whose inputs are drawn once, on DIR's src
 
 
@@ -57,19 +59,40 @@ def _decomposed(state):
     return dec, invariants.coeffs_profile(dec[0])
 
 
-def emit_random():
+def _random_states():
     from triloc import sampling, state_core
     for kind in state_core.RANDOM_KINDS:
         for seed in range(2000):
-            yield _outcome(_decomposed, sampling.random_state(kind, seed))
+            yield sampling.random_state(kind, seed)
 
 
-def emit_stream():
+def _stream_states():
     import numpy as np
     import gen
     rng = np.random.default_rng(9801)
     for i in range(40000):
-        yield _outcome(_decomposed, gen.stream_state(rng, i)[1])
+        yield gen.stream_state(rng, i)[1]
+
+
+def emit_random():
+    for state in _random_states():
+        yield _outcome(_decomposed, state)
+
+
+def emit_stream():
+    for state in _stream_states():
+        yield _outcome(_decomposed, state)
+
+
+def emit_inversion():
+    from triloc import invariants
+
+    def inverted(state):
+        p = invariants.profile(state)
+        return invariants.coeffs_from_invariants(p.c, p.q_e)
+
+    for state in itertools.chain(_random_states(), _stream_states()):
+        yield _outcome(inverted, state)
 
 
 def draw_locc():
@@ -165,11 +188,11 @@ def compare(name, parent_path, child_path):
                 first = (i, a, b)
     share = same / total if total else 1.0
     where = "none" if first is None else str(first[0])
-    print(f"{name:7s} {same}/{total} identical ({share:.2%}), first difference: {where}")
+    print(f"{name:9s} {same}/{total} identical ({share:.2%}), first difference: {where}")
     if first is not None:
         for side, line in (("parent", first[1]), ("this  ", first[2])):
             text = "<missing>" if line is None else line.rstrip("\n")
-            print(f"        {side}: {text[:300]}")
+            print(f"          {side}: {text[:300]}")
     return first is None and total > 0
 
 
@@ -200,7 +223,7 @@ def main(argv=None):
                 with open(inputs, "w") as out:
                     code = run_side(parent_src, ["--draw", name], out).wait()
                 if code:
-                    print(f"{name:7s} drawing the inputs exited with {code}")
+                    print(f"{name:9s} drawing the inputs exited with {code}")
                     ok = False
                     continue
                 args += ["--inputs", inputs]
@@ -211,7 +234,7 @@ def main(argv=None):
                     procs.append(run_side(src, args, out))
             codes = [p.wait() for p in procs]
             if any(codes):
-                print(f"{name:7s} a side exited with {codes}")
+                print(f"{name:9s} a side exited with {codes}")
                 ok = False
                 continue
             ok = compare(name, *paths) and ok

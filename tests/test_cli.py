@@ -235,6 +235,26 @@ def test_measure_pass_reads_tol_eq(runner, tmp_path):
         assert json.loads(res.output)["report"]["pass"] is (code == 0)
 
 
+def test_measure_of_a_near_aligned_projective_measurement(runner, tmp_path):
+    # the normal form rotated on A by 1e-5 rad: outcome 0's normal-frame
+    # Gram entry b is ~1e-10, below --tol-zero, and its concurrences ~1e-5.
+    # Read as a product, the prediction missed the simulation by 2.06e-5
+    co = state_core.schmidt_decompose(sampling.random_state("ghz_type", 3))[0]
+    eps = 1e-5
+    rot = ((math.cos(eps), -math.sin(eps)), (math.sin(eps), math.cos(eps)))
+    eye = ((1.0, 0.0), (0.0, 1.0))
+    st = state_core.apply_local_unitaries(state_core.state_from_schmidt(co), rot, eye, eye)
+    path, mpath = tmp_path / "s.json", tmp_path / "z.json"
+    path.write_text(json.dumps(state_core.state_to_dict(st)))
+    meas = state_core.Measurement2("A", ((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 1.0)))
+    mpath.write_text(json.dumps(state_core.measurement_to_dict(meas)))
+    res = runner.invoke(main, ["measure", str(path), str(mpath)])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)["report"]
+    assert report["pass"] is True
+    assert report["max_deviation"] < 1e-14
+
+
 def test_malformed_inputs_exit_2(runner, tmp_path, ghz):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -351,6 +351,43 @@ def test_inversion_under_a_tight_zero_tolerance(monkeypatch):
         assert coeffs_from_invariants(p.c, p.q_e), i
 
 
+def _small_l0_forms(count):
+    """Normal forms with l0 = 10^U(-5, -4.5), the other coefficients
+    U(0.15, 1) scaled to norm 1 and phi U(0, pi), from default_rng(7)."""
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        l0 = 10.0 ** rng.uniform(-5.0, -4.5)
+        rest = rng.uniform(0.15, 1.0, 4)
+        rest *= math.sqrt(1.0 - l0 * l0) / np.linalg.norm(rest)
+        yield SchmidtCoeffs(l0, *rest.tolist(), rng.uniform(0.0, math.pi))
+
+
+def test_inversion_of_a_tangled_state_with_a_small_l0():
+    # tau = 1.2e-9 and q = 0.  The roots have l0^2 below TOL.zero, and a
+    # guard that skipped them on l0^2 <= TOL.zero refused the state's own
+    # invariants
+    co = SchmidtCoeffs(2.8984782005288228e-05, 0.5734427212909086, 0.3905007000452899,
+                       0.39518096003961184, 0.6020835960601059, 2.7149349301203394)
+    p = invariants.coeffs_profile(co)
+    assert p.state_class.kind == "ghz_type" and p.q_e == 0
+    assert coeffs_from_invariants(p.c, p.q_e)
+    rebuilt = locc.scaled_destination(p, 1.0, 1.0, 1.0, 1.0, p.q_e)
+    assert rebuilt is not None and invariants.lu_equivalent_profiles(profile(rebuilt), p)
+
+
+def test_inversion_of_tangled_states_with_small_l0s():
+    # 18 of these 249 raised Inconsistent on their own invariants
+    tangled = 0
+    for co in _small_l0_forms(3000):
+        p = invariants.coeffs_profile(co)
+        if p.state_class.kind != "ghz_type":
+            continue
+        tangled += 1
+        assert coeffs_from_invariants(p.c, p.q_e), co
+        assert locc.scaled_destination(p, 1.0, 1.0, 1.0, 1.0, p.q_e) is not None, co
+    assert tangled == 249
+
+
 def test_inversion_rejects_charged_tangle_free():
     with pytest.raises(Inconsistent, match="tangle"):
         coeffs_from_invariants(CParams(0.5, 0.0, 0.0, 0.0, 0.0), 1)

@@ -515,6 +515,16 @@ def test_measure_degenerate_outcome():
     assert outs[1][0] is None and outs[1][1] < 1e-12
 
 
+def test_measure_degenerate_at_tol_zero(monkeypatch):
+    # an outcome of probability at most TOL.zero is degenerate, as in every
+    # other zero test of the library
+    state, meas = sampling.random_state("haar", 4), sampling.random_measurement(5)
+    p0 = 0.7220427419705888
+    assert state_core.measure(state, meas)[0][1] == p0
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(zero=p0))
+    assert state_core.measure(state, meas)[0] == (None, p0)
+
+
 def test_measure_does_not_check_completeness():
     # completeness is checked where a measurement enters; measure simulates
     # what the operators do

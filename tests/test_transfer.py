@@ -63,6 +63,55 @@ def test_projective_on_ghz():
         assert max(pred.c.as_tuple()) < 1e-12
 
 
+P0, P1 = ((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 1.0))
+
+
+def _near_normal_form(kind, seed, qubit, eps):
+    """The normal form of random_state(kind, seed) with its A slot moved to
+    qubit and rotated there by eps rad, so that P0, P1 on qubit miss the
+    normal frame's projectors by eps."""
+    co = state_core.schmidt_decompose(sampling.random_state(kind, seed))[0]
+    st = state_core.permute_qubits(state_core.state_from_schmidt(co),
+                                   {"A": "ABC", "B": "BAC", "C": "CBA"}[qubit])
+    r = ((math.cos(eps), -math.sin(eps)), (math.sin(eps), math.cos(eps)))
+    eye = ((1.0, 0.0), (0.0, 1.0))
+    return state_core.apply_local_unitaries(st, *(r if q == qubit else eye for q in "ABC"))
+
+
+def test_projectors_on_exact_normal_forms_predict_a_product():
+    # P0 annihilates the normal form's |1> on A: its Gram has b = 0.  A
+    # biseparable BC normal form has l0 = 0, so P0 never fires there
+    for kind in state_core.RANDOM_KINDS:
+        co = state_core.schmidt_decompose(sampling.random_state(kind, 1))[0]
+        pred0, _ = predict_update(co, GramParams(1.0, 0.0, 0.0, 0.0))
+        if kind == "biseparable_bc":
+            assert pred0 == (0.0, None, None, None)
+        else:
+            assert pred0[1:] == (0.0, CParams(0.0, 0.0, 0.0, 0.0, 0.0), 0), kind
+        for qubit in state_core.QUBITS:
+            report = verify_update(_near_normal_form(kind, 1, qubit, 0.0),
+                                   state_core.Measurement2(qubit, P0, P1))
+            assert report["pass"], (kind, qubit, report)
+
+
+@pytest.mark.parametrize("zero, lo, hi", [(1e-9, -7.0, -4.5), (1e-3, -3.0, -1.7)])
+def test_verify_update_on_near_aligned_projectors(monkeypatch, zero, lo, hi):
+    # P0's normal-frame Gram entry is b ~ eps^2, and its outcome has
+    # concurrences ~ eps.  Read as a product while b <= TOL.zero, the
+    # prediction missed every haar and ghz_type case, by up to 2e-4 (and by
+    # 0.05 under TOL.zero = 1e-3)
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(zero=zero))
+    rng = np.random.default_rng(12)
+    for kind in state_core.RANDOM_KINDS:
+        for qubit in state_core.QUBITS:
+            for seed in range(20):
+                eps = 10.0 ** rng.uniform(lo, hi)
+                report = verify_update(_near_normal_form(kind, seed, qubit, eps),
+                                       state_core.Measurement2(qubit, P0, P1))
+                assert report["pass"], (kind, qubit, seed, eps, report["max_deviation"])
+                assert report["max_deviation"] < 1e-13
+
+
 def test_predict_matches_direct_simulation():
     g = GramParams(0.3, 0.6, 0.25, 1.1)
     st = state_core.state_from_schmidt(PINNED)
