@@ -144,6 +144,15 @@ class PureState3:
         return _frozen_array(self.amps)
 
 
+def _trusted_state(amps):
+    """The PureState3 holding amps, a tuple of eight Python complex numbers
+    that the library built, stored as it is: PureState3(...) is the public
+    entry, which coerces its argument."""
+    state = object.__new__(PureState3)
+    state.__dict__["amps"] = amps
+    return state
+
+
 class SchmidtCoeffs(namedtuple("SchmidtCoeffs", "l0 l1 l2 l3 l4 phi")):
     """Coefficients of the five-term normal form (positive convention)."""
 
@@ -290,6 +299,15 @@ class Measurement2:
         return _frozen_array(self.ops[1])
 
 
+def _trusted_measurement(qubit, ops):
+    """The Measurement2 on qubit with the operators ops, the rows of a
+    measurement that already holds them, stored as they are:
+    Measurement2(...) is the public entry, which checks its operators."""
+    meas = object.__new__(Measurement2)
+    meas.__dict__.update(qubit=qubit, ops=ops)
+    return meas
+
+
 # ---------------------------------------------------------------------------
 # construction / validation
 
@@ -313,7 +331,7 @@ def validate_state(raw):
     norm = _norm(amps)
     if abs(norm - 1.0) > TOL.norm:
         raise NotNormalized(f"state norm {norm} differs from 1 beyond tolerance")
-    return PureState3(tuple(z / norm for z in amps))
+    return _trusted_state(tuple([z / norm for z in amps]))
 
 
 def _normal_form_amps(coeffs):
@@ -327,7 +345,7 @@ def state_from_schmidt(coeffs):
     """Build the normal-form state for the given coefficients."""
     amps = _normal_form_amps(coeffs)
     n = _norm(amps)
-    return PureState3([z / n for z in amps])
+    return _trusted_state(tuple([complex(z / n) for z in amps]))
 
 
 def permute_qubits(state, order):
@@ -339,13 +357,13 @@ def permute_qubits(state, order):
         raise ValueError("order must be a permutation of 'ABC'")
     s0, s1, s2 = (_STRIDE[q] for q in order)
     amps = state.amps
-    return PureState3(tuple(amps[(i >> 2) * s0 + (i >> 1 & 1) * s1 + (i & 1) * s2]
-                            for i in range(8)))
+    return _trusted_state(tuple([amps[(i >> 2) * s0 + (i >> 1 & 1) * s1 + (i & 1) * s2]
+                                 for i in range(8)]))
 
 
 def complex_conjugate(state):
     """Entrywise complex conjugate (flips the charge, keeps all magnitudes)."""
-    return PureState3(tuple(z.conjugate() for z in state.amps))
+    return _trusted_state(tuple([z.conjugate() for z in state.amps]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +395,8 @@ def _local_product(amps, ua, ub, uc):
 
 def apply_local_unitaries(state, ua, ub, uc):
     """Apply (ua ⊗ ub ⊗ uc) to the state."""
-    return PureState3(_local_product(state.amps, *map(_operator_rows, (ua, ub, uc))))
+    return _trusted_state(tuple(_local_product(state.amps,
+                                               *map(_operator_rows, (ua, ub, uc)))))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +450,7 @@ def measure(state, meas):
         if p <= TOL.zero:
             results.append((None, p))
         else:
-            results.append((PureState3(tuple(z / n for z in out)), p))
+            results.append((_trusted_state(tuple([z / n for z in out])), p))
     return results
 
 

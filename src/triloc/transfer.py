@@ -34,6 +34,14 @@ from the A-slice pencil (state_core.spectator_pair), so they decompose
 nothing; of the checks, only verify_update decomposes, because it compares
 j5 and the charge.
 
+A state or measurement from outside is checked where it enters
+(state_from_dict, measurement_from_dict, validate_state,
+validate_measurement, or the PureState3 and Measurement2 constructors).
+Those the library builds are trusted: the checks move a measurement to slot
+A with its rows as they are, form each Gram from the rows they hold, and
+measure builds its outcomes from the amplitude tuples it computes.  A Gram
+entry that overflows still raises NonFinite.
+
 Only the synthesis imports locc, when it first runs, so the prediction and
 verification path (triloc measure) loads no decision code.
 """
@@ -46,7 +54,8 @@ from . import state_core
 from .invariants import (CParams, coeffs_profile, invariant_kernel,
                          lu_equivalent_profiles, profile)
 from .state_core import (_SLACK, GramParams, Measurement2, _checked_make,
-                         _complement_det, _gram_det, _gram_from_entries)
+                         _complement_det, _gram_det, _gram_entries,
+                         _gram_from_entries)
 
 
 class ZeroProbability(RuntimeError):
@@ -188,7 +197,8 @@ def _measured_front(state, meas):
     order = _FRONT[meas.qubit]
     if order is None:
         return state, meas
-    return (state_core.permute_qubits(state, order), Measurement2("A", *meas.ops))
+    return (state_core.permute_qubits(state, order),
+            state_core._trusted_measurement("A", meas.ops))
 
 
 def verify_update(state, meas):
@@ -204,7 +214,7 @@ def verify_update(state, meas):
     front, meas = _measured_front(state, meas)
     coeffs, (ua, _, _) = state_core.schmidt_decompose(front)
     uah = _dagger(ua)
-    grams = [state_core.gram_params(_product(m, uah)) for m in meas.ops]
+    grams = [_gram_from_entries(*_gram_entries(_product(m, uah))) for m in meas.ops]
     preds = _nondegenerate_pair(
         *(_predict_one(coeffs, g, _gram_det(g.a, g.b, g.k)) for g in grams))
     sims = state_core.measure(front, meas)
@@ -288,15 +298,20 @@ def _outcome_terms(state, meas):
     and the measured-front source state.
 
     Degenerate outcomes are skipped; alpha comes from the Gram determinant,
-    which the frame rotation into the normal form leaves untouched.
+    which the frame rotation into the normal form leaves untouched.  The
+    Gram is formed from the operator's rows, whose entries Measurement2
+    found finite; its entries can still overflow, which raises NonFinite.
     """
     front, meas = _measured_front(state, meas)
     terms = []
     for m, (sim_state, p) in zip(meas.ops, state_core.measure(front, meas)):
         if sim_state is None:
             continue
-        g = state_core.gram_params(m)
-        terms.append((p, math.sqrt(_gram_det(g.a, g.b, g.k)) / p, sim_state))
+        a, b, off = _gram_entries(m)
+        k = abs(off)
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(k)):
+            raise state_core.NonFinite("non-finite gram entry")
+        terms.append((p, math.sqrt(_gram_det(a, b, k)) / p, sim_state))
     return front, terms
 
 

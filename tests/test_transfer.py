@@ -310,6 +310,50 @@ def test_transfer_inequalities_fuzz():
         assert avg <= bound + 1e-9
 
 
+def _reference_checks(state, meas):
+    """lemma2_bounds, lemma4_check and alpha_average rebuilt from public
+    calls, in the order the checks make them: the measured qubit is moved to
+    slot A and the measurement rebuilt there, each outcome is simulated, its
+    alpha read from gram_params, and every spectator pair from the pencil."""
+    order = {"A": None, "B": "BAC", "C": "CBA"}[meas.qubit]
+    if order is not None:
+        state = state_core.permute_qubits(state, order)
+        meas = state_core.Measurement2("A", *meas.ops)
+    terms = []
+    for m, (out, p) in zip(meas.ops, state_core.measure(state, meas)):
+        if out is not None:
+            g = state_core.gram_params(m)
+            terms.append((p, math.sqrt(state_core._gram_det(g.a, g.b, g.k)) / p, out))
+    c_bc, tau, root_k = state_core.spectator_pair(state)
+    mid = sum(p * state_core.spectator_pair(out)[0] for p, _, out in terms)
+    asum = sum(p * alpha for p, alpha, _ in terms)
+    rhs = math.sqrt(c_bc**2 + max(1.0 - asum**2, 0.0) * tau)
+    avg = sum(p * state_core.spectator_pair(out)[2] for p, _, out in terms)
+    return (c_bc, mid, rhs), (avg, root_k), asum
+
+
+@pytest.mark.parametrize("qubit", state_core.QUBITS)
+@pytest.mark.parametrize("kind", state_core.RANDOM_KINDS)
+def test_transfer_checks_match_their_reference(kind, qubit):
+    # equal to the last bit: repr tells -0.0 from 0.0
+    for seed in range(20):
+        st = sampling.random_state(kind, 21000 + seed)
+        meas = sampling.random_measurement(22000 + seed, qubit=qubit)
+        got = lemma2_bounds(st, meas), lemma4_check(st, meas), alpha_average(st, meas)
+        assert repr(got) == repr(_reference_checks(st, meas)), (kind, qubit, seed)
+
+
+@pytest.mark.parametrize("check", [lemma2_bounds, lemma4_check, alpha_average, verify_update],
+                         ids=lambda f: f.__name__)
+def test_checks_refuse_a_gram_that_overflows(check):
+    # the operator's entries are finite, so Measurement2 takes it, but its
+    # Gram entry a = 1e400 is not: the checks raise rather than read alpha,
+    # or a probability and an invariant, as 0, inf or nan
+    meas = state_core.Measurement2("A", ((1e200, 0), (0, 0.5)), ((0, 0), (0, 0.5)))
+    with pytest.raises(state_core.NonFinite):
+        check(sampling.random_state("haar", 3), meas)
+
+
 def test_average_residue_components():
     # the averaged spectator concurrence and averaged sqrt(tangle) fit in
     # one circle of radius sqrt(k_bc); simulated directly, no helpers

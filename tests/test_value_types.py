@@ -84,16 +84,22 @@ def _copies(value):
     return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
 
 
+def _check_immutable_copies(value, field):
+    """value survives copy, deepcopy and pickle with its type and repr, and
+    neither field nor a new attribute can be set."""
+    for twin in _copies(value):
+        assert type(twin) is type(value)
+        assert repr(twin) == repr(value)
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0.0)
+
+
 def _check_contract(cls, kwargs, invalid):
     value = cls(**kwargs)
     assert repr(value) == repr(cls(*kwargs.values()))
     assert repr(value).startswith(f"{cls.__name__}({next(iter(kwargs))}=")
-    for twin in _copies(value):
-        assert type(twin) is cls
-        assert repr(twin) == repr(value)
-    for name in (next(iter(kwargs)), "extra"):
-        with pytest.raises(AttributeError):
-            setattr(value, name, 0.0)
+    _check_immutable_copies(value, next(iter(kwargs)))
     makers = [lambda bad: cls(**bad)]
     if hasattr(cls, "_make"):
         # namedtuple's _replace goes through _make
@@ -108,6 +114,39 @@ def _check_contract(cls, kwargs, invalid):
 @pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
 def test_value_type_contract(cls):
     _check_contract(cls, *CASES[cls])
+
+
+# states the library builds from amplitudes it made itself, without
+# PureState3's coercion; real operators and coefficients must still give
+# complex amplitudes
+HAAR = sampling.random_state("haar", 7)
+LIBRARY_STATES = {
+    "measure": lambda: state_core.measure(
+        HAAR, sampling.random_measurement(8, qubit="B"))[0][0],
+    "permute_qubits": lambda: state_core.permute_qubits(HAAR, "CAB"),
+    "complex_conjugate": lambda: state_core.complex_conjugate(HAAR),
+    "state_from_schmidt": lambda: state_core.state_from_schmidt(
+        state_core.SchmidtCoeffs(0.6, 0.0, 0.0, 0.0, 0.8, 0.0)),
+    "apply_local_unitaries": lambda: state_core.apply_local_unitaries(
+        state_core.PureState3(GHZ_AMPS), [[0, 1], [1, 0]], np.eye(2),
+        ((BELL, BELL), (BELL, -BELL))),
+    "validate_state": lambda: state_core.validate_state([1, 0, 0, 0, 0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("make", list(LIBRARY_STATES.values()), ids=list(LIBRARY_STATES))
+def test_library_built_state_contract(make):
+    state = make()
+    assert type(state) is state_core.PureState3
+    assert type(state.amps) is tuple and len(state.amps) == 8
+    assert all(type(z) is complex for z in state.amps)
+    assert repr(state) == repr(state_core.PureState3(state.amps))
+    _check_immutable_copies(state, "amps")
+    with pytest.raises(AttributeError):
+        del state.amps
+    arr = state.amplitudes
+    assert arr.dtype == complex and arr.shape == (8,) and not arr.flags.writeable
+    assert arr.tolist() == list(state.amps)
 
 
 def test_measurement_contract_from_arrays():
