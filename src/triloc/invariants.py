@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from . import state_core
-from .state_core import SchmidtCoeffs, schmidt_decompose, state_from_schmidt
+from .state_core import _NEGLIGIBLE, SchmidtCoeffs, schmidt_decompose, state_from_schmidt
 
 
 class Inconsistent(ValueError):
@@ -222,13 +222,12 @@ def _normalized(lams):
 
 def _verified(cands, c, q):
     """The candidates that reproduce c within TOL.eq with charge q, each
-    kept only when it differs by more than TOL.zero from those kept before."""
-    tz = state_core.TOL.zero
+    kept only when it differs by more than _NEGLIGIBLE from those kept before."""
     good = []
     for cand in cands:
         back, _, _, q_back = _coeff_invariants(cand)
-        if (back.max_deviation(c) <= state_core.TOL.eq and q_back == q
-                and all(max(abs(x - y) for x, y in zip(cand, g)) > tz for g in good)):
+        if (back.max_deviation(c) <= state_core.TOL.eq and q_back == q and all(
+                max(abs(x - y) for x, y in zip(cand, g)) > _NEGLIGIBLE for g in good)):
             good.append(cand)
     if not good:
         raise Inconsistent("no coefficient set reproduces the requested invariants")
@@ -241,12 +240,12 @@ def coeffs_from_invariants(c, q):
     The candidates of the state's class are built with every square root
     and arccosine clamped to its domain, and a set is returned exactly when
     it reproduces c within TOL.eq, has charge q and differs by more than
-    TOL.zero from every set returned before it.  So a nonzero charge gives
-    one set and q = 0 up to two (larger l0 first); a tangled root with l0
-    below _NEGLIGIBLE, the normal form's own rounding rule, is skipped.
-    Concurrences and tangle within TOL.zero below zero are read as 0.  This
-    is the one check of invariants from outside, on the user's tolerances:
-    raises Inconsistent when no pure state has these invariants.
+    _NEGLIGIBLE from every set returned before it: a nonzero charge gives
+    one set, q = 0 up to two (larger l0 first).  A tangled root whose l0 is
+    below _NEGLIGIBLE is skipped, and one whose 2 l1 l2 l3 l4 is not above
+    it takes phase 0.  Concurrences and tangle within TOL.zero below zero
+    are read as 0.  The one check of invariants from outside, on the user's
+    tolerances: raises Inconsistent when no pure state has these invariants.
     """
     tz = state_core.TOL.zero
     if q not in (-1, 0, 1):
@@ -291,7 +290,7 @@ def coeffs_from_invariants(c, q):
         for s in signs:
             l0sq = (der.k5 + s * sqrt_d) / (2.0 * k.k_bc)
             l0 = math.sqrt(max(l0sq, 0.0))
-            if l0 < state_core._NEGLIGIBLE:
+            if l0 < _NEGLIGIBLE:
                 continue
             l2 = c.c_ac / (2.0 * l0)
             l3 = c.c_ab / (2.0 * l0)
@@ -301,7 +300,7 @@ def coeffs_from_invariants(c, q):
             lams = _normalized([l0, l1, l2, l3, l4])
             phi = 0.0
             # a coefficient that is rounding noise leaves the phase removable
-            if denom > tz and min(lams) >= state_core._NEGLIGIBLE:
+            if denom > _NEGLIGIBLE and min(lams) >= _NEGLIGIBLE:
                 x = (l1**2 * l4**2 + l2**2 * l3**2 - c.c_bc**2 / 4.0) / denom
                 phi = math.acos(min(1.0, max(-1.0, x)))
             cands.append(SchmidtCoeffs(*lams, phi))

@@ -24,7 +24,7 @@ from collections import namedtuple
 # Rounding rules of the numerics, which no flag moves (the fourth: _snap_det).
 _SLACK = 1e-12         # range slack of the value types; residuals this close tie
 _NEGLIGIBLE = 1e-9     # a normal-form coefficient this small is rounding noise;
-                       # also the value types' norm (x10) and determinant slack
+                       # ten times it, the rounding of SchmidtCoeffs' norm
 _RECON_BUDGET = 1e-8   # reconstruction error of an accepted decomposition
 
 QUBITS = ("A", "B", "C")
@@ -191,7 +191,7 @@ class GramParams(namedtuple("GramParams", "a b k theta")):
         for name, v in (("a", a), ("b", b), ("k", k)):
             if v < -_SLACK:
                 raise ValueError(f"gram parameter {name} must be >= 0")
-        if a * b - k**2 < -_NEGLIGIBLE:
+        if _snap_det(k**2 - a * b, a * b + k**2 + a + b):
             raise ValueError("gram matrix not positive semidefinite (ab < k^2)")
         return tuple.__new__(cls, (a, b, k, float(theta) % (2 * math.pi)))
 

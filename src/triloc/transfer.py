@@ -53,7 +53,7 @@ from collections import namedtuple
 from . import state_core
 from .invariants import (CParams, coeffs_profile, invariant_kernel,
                          lu_equivalent_profiles, profile)
-from .state_core import (_SLACK, GramParams, Measurement2, _checked_make,
+from .state_core import (_NEGLIGIBLE, _SLACK, GramParams, Measurement2, _checked_make,
                          _complement_det, _gram_det, _gram_entries,
                          _gram_from_entries)
 
@@ -274,7 +274,7 @@ def _a_step_gram(co, za):
     slot and leaving l2, l3 and l4 as they are.
     """
     h = math.hypot(co.l1 * math.sin(co.phi), co.l0)
-    if h <= state_core.TOL.zero:
+    if h <= _NEGLIGIBLE:
         raise DegenerateInput("no weight on the measured side of the normal form")
     t = math.sqrt(1.0 - za)
     shift = t * co.l1 * math.sin(co.phi) / (2.0 * h)
@@ -408,13 +408,14 @@ def _two_term_gram(ps, pd):
                 res += abs(x0 * r0 + (1.0 - x0) * r1 - 1.0)
                 h1 = h0
             else:
-                # x0 solves both rows in least squares: near |z| = 1 the
-                # diagonal row alone is a ratio of two small numbers
-                rows = ((r0 - r1, 1.0 - r1), ((v0 - v1).real, (e10 - v1).real),
-                        ((v0 - v1).imag, (e10 - v1).imag))
-                norm = sum(a * a for a, _ in rows)
-                x0 = sum(a * b for a, b in rows) / norm if norm > 0.0 else 0.5
-                res = math.hypot(*(a * x0 - b for a, b in rows))
+                # x0 solves the rows p_i x0 = q_i in least squares: near |z| = 1
+                # the diagonal row alone is a ratio of two small numbers.  The
+                # sums add from 0.0 in order, as sum() did before 3.12 compensated
+                dv, de = v0 - v1, e10 - v1
+                p0, p1, p2, q0, q1, q2 = r0 - r1, dv.real, dv.imag, 1.0 - r1, de.real, de.imag
+                norm = 0.0 + p0 * p0 + p1 * p1 + p2 * p2
+                x0 = (0.0 + p0 * q0 + p1 * q1 + p2 * q2) / norm if norm > 0.0 else 0.5
+                res = math.hypot(p0 * x0 - q0, p1 * x0 - q1, p2 * x0 - q2)
                 h0, h1 = x0 * v0, e10 - (1.0 - x0) * v1
             # (H11, H10) of outcome 0 when outcome 0, or outcome 1, is exact
             exact0, exact1 = (r0 * x0, h0), (1.0 - r1 * (1.0 - x0), h1)

@@ -72,3 +72,18 @@ def one_tangle(vec, qubit):
     m = np.moveaxis(t, axis, 0).reshape(2, 4)
     rho = m @ m.conj().T
     return 4.0 * np.linalg.det(rho).real
+
+
+def fifth_invariant(vec):
+    """j5 from Kempe's invariant I5 = 3 Re tr[(rho_A ⊗ rho_B) rho_AB] -
+    tr rho_A^3 - tr rho_B^3, the one-qubit purities and the tangle:
+    j5 = 5/3 - (tr rho_A^2 + tr rho_B^2 + tr rho_C^2) + (4/3) I5 - tau / 2."""
+    t = np.asarray(vec, dtype=complex).reshape(2, 2, 2)
+    rho_ab = np.einsum("abc,dec->abde", t, t.conj()).reshape(4, 4)
+    rho_a = np.einsum("abc,dbc->ad", t, t.conj())
+    rho_b = np.einsum("abc,adc->bd", t, t.conj())
+    rho_c = np.einsum("abc,abd->cd", t, t.conj())
+    purity = sum(np.trace(r @ r).real for r in (rho_a, rho_b, rho_c))
+    i5 = (3.0 * np.trace(np.kron(rho_a, rho_b) @ rho_ab).real
+          - np.trace(rho_a @ rho_a @ rho_a).real - np.trace(rho_b @ rho_b @ rho_b).real)
+    return 5.0 / 3.0 - purity + 4.0 / 3.0 * i5 - hyperdeterminant_tangle(vec) / 2.0

@@ -218,6 +218,31 @@ def test_invariants_match_independent_oracles():
             assert abs(c.tau - oracles.hyperdeterminant_tangle(v)) < 1e-12
 
 
+def _oracle_j5_samples():
+    """(label, state): 300 random_state draws per kind, seeds from 700,000,
+    then 50 states of each threshold family from default_rng(11)."""
+    for kind in RANDOM_KINDS:
+        for seed in range(700_000, 700_300):
+            yield kind, sampling.random_state(kind, seed)
+    rng = np.random.default_rng(11)
+    for family in samplers.THRESHOLD_FAMILIES:
+        for i in range(50):
+            yield family, samplers.threshold_state(rng, family, i)
+
+
+def test_fifth_invariant_and_discriminant_match_the_kempe_oracle():
+    # j5 from Kempe's invariant, the purities and the hyperdeterminant, and
+    # delta_J from it and the Wootters concurrences: no normal form involved
+    for label, st in _oracle_j5_samples():
+        p, v = profile(st), st.amplitudes
+        j5 = oracles.fifth_invariant(v)
+        tau = oracles.hyperdeterminant_tangle(v)
+        k_ap = math.prod(oracles.pair_concurrence(v, pair) ** 2 + tau
+                         for pair in ("AB", "AC", "BC"))
+        assert abs(p.c.j5 - j5) <= 1e-13, label
+        assert abs(p.derived.delta_j - max((tau + j5) ** 2 - k_ap, 0.0)) <= 1e-13, label
+
+
 def test_monogamy_identity():
     # one-tangle of A splits exactly into the two concurrences plus the tangle
     for seed in range(40):
@@ -326,8 +351,8 @@ def test_inversion_returns_distinct_sets_that_reproduce_the_invariants():
 @pytest.mark.parametrize("x", [
     5e-3,
     pytest.param(4e-3, marks=pytest.mark.xfail(strict=True, reason=(
-        "phi is set only when 2 l1 l2 l3 l4 exceeds TOL.zero, a degree-4 "
-        "product read on the scale of one invariant (5.1e-10 at x = 4e-3), "
+        "phi is set only when 2 l1 l2 l3 l4 exceeds _NEGLIGIBLE, a degree-4 "
+        "product read on the scale of one coefficient (5.1e-10 at x = 4e-3), "
         "so the state's own set is lost (ROADMAP item 3)"))),
 ])
 def test_inversion_returns_the_state_s_own_chargeless_set(x):
@@ -335,6 +360,17 @@ def test_inversion_returns_the_state_s_own_chargeless_set(x):
     p = invariants.coeffs_profile(co)
     assert p.q_e == 0
     sets = coeffs_from_invariants(p.c, 0)
+    assert any(max(abs(a - b) for a, b in zip(co, s)) <= 1e-9 for s in sets), sets
+
+
+@pytest.mark.parametrize("x", [0.03, 0.05, 0.08, 0.1])
+def test_inversion_returns_the_state_s_own_set_under_a_loose_zero_tolerance(monkeypatch, x):
+    # the phase product 2 l1 l2 l3 l4 is made of coefficients: read against
+    # TOL.zero = 1e-3 it set phi = 0, and only the other set came back
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(zero=1e-3))
+    co = SchmidtCoeffs(math.sqrt(1.0 - 4.0 * x * x), x, x, x, x, 1.0)
+    p = invariants.coeffs_profile(co)
+    sets = coeffs_from_invariants(p.c, p.q_e)
     assert any(max(abs(a - b) for a, b in zip(co, s)) <= 1e-9 for s in sets), sets
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from triloc import locc, sampling, state_core, transfer
 from triloc.invariants import (CParams, Inconsistent, coeffs_from_invariants, ep_phase,
-                               lu_equivalent, profile)
+                               lu_equivalent, lu_equivalent_profiles, profile)
 from triloc.locc import (
     GhzCanonical,
     NotFeasible,
@@ -469,6 +469,48 @@ def test_offset_rows_are_infeasible():
         assert v.violated == "zeta_not_tilde"
         assert not ghz_oracle(src, dst_off)
         found += 1
+
+
+def _reachable_pairs(rng):
+    """(src, dst) pairs with dst reachable from src: feasible_pair draws,
+    40 one_step_pair draws of each kind, and from 20 ghz_type and 20 w_type
+    sources a product and, for each pair, the pair split off at full
+    strength (sqrt(k_xy) of a tangled source, c_xy of a W-type one) and a
+    weaker one."""
+    for _ in range(100):
+        if (pair := samplers.feasible_pair(rng)) is not None:
+            yield pair
+    for kind in samplers.ONE_STEP_KINDS:
+        for _ in range(40):
+            yield samplers.one_step_pair(rng, kind)[:2]
+    for kind in ("ghz_type", "w_type"):
+        for _ in range(20):
+            src = sampling.random_state(kind, int(rng.integers(1, 2**31)))
+            p = profile(src)
+            yield src, sampling.random_state("full_separable", int(rng.integers(1, 2**31)))
+            for i in range(3):
+                full = math.sqrt(p.k[i]) if kind == "ghz_type" else p.c[i]
+                for r in (1.0, rng.uniform(0.2, 1.0)):
+                    c = [0.0] * 5
+                    c[i] = r * full
+                    yield src, samplers.chargeless_state(CParams(*c), rng)
+
+
+def test_feasible_verdicts_rebuild_their_targets():
+    # a feasible verdict is its own certificate: the source's residues
+    # scaled by the witness are the target's invariants, also on the
+    # tangle-free branches that ghz_oracle never sees
+    class_pairs = set()
+    for src, dst in _reachable_pairs(np.random.default_rng(4)):
+        ps, pd = profile(src), profile(dst)
+        key = (ps.state_class.kind, pd.state_class.kind)
+        verdict = locc.dlocc_feasible_profiles(ps, pd)
+        assert verdict.feasible, (key, verdict)
+        w = verdict.witness
+        rebuilt = locc.scaled_destination(ps, w.zeta_a, w.zeta_b, w.zeta_c, w.zeta, pd.q_e)
+        assert lu_equivalent_profiles(profile(rebuilt), pd), (key, w)
+        class_pairs.add(key)
+    assert len(class_pairs) == 8, class_pairs
 
 
 def test_random_pairs_match_oracle():

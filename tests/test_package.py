@@ -87,11 +87,12 @@ def test_import_loads_no_submodule():
 #   decomposition;
 # - _SLACK (state_core), the range slack of the value types and the tie of
 #   two equal residuals;
-# - _NEGLIGIBLE (state_core), a normal-form coefficient that is rounding noise,
-#   which also bounds the rounding of SchmidtCoeffs' norm (10x) and of
-#   GramParams' determinant;
+# - _NEGLIGIBLE (state_core), a normal-form coefficient, or a quantity made
+#   of them, that is rounding noise; ten times it bounds the rounding of
+#   SchmidtCoeffs' norm;
 # - _snap_det's relative factor (state_core), a difference of terms that
-#   cancels to rounding;
+#   cancels to rounding, which every determinant test goes through, GramParams'
+#   positive-semidefiniteness included;
 # - the pencil floor guard (state_core), pencil coefficients that are all noise
 MAX_LITERAL_THRESHOLDS = 8
 

@@ -584,6 +584,13 @@ def test_gram_params_single_off_diagonal():
 def test_gram_params_rejects_non_psd():
     with pytest.raises(ValueError):
         GramParams(0.1, 0.1, 0.5, 0.0)  # k^2 > ab
+    # k^2 - ab is snapped like a determinant, on the size of its terms: an
+    # absolute slack of 1e-9 accepted 389 of these 1,000 small Grams
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        a, b = rng.uniform(0.0, 1e-4, 2)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            GramParams(a, b, math.sqrt(a * b) * (1.0 + rng.uniform(0.01, 1.0)), 0.0)
 
 
 def test_measurement_from_grams():

@@ -159,6 +159,18 @@ def test_verify_update_refuses_a_measurement_with_no_outcome(qubit):
                       state_core.Measurement2(qubit, zero, zero))
 
 
+def test_verify_update_on_large_rank1_operators():
+    # m0 = 1e4 v w^T has a rank-1 Gram with entries ~1e8, whose determinant
+    # rounds to a few units: GramParams refused 62 of these 200 against an
+    # absolute slack of 1e-9, where a determinant's snap accepts them
+    st = sampling.random_state("haar", 3)
+    rng = np.random.default_rng(0)
+    m1 = np.diag([0.0, 0.5])
+    for _ in range(200):
+        v, w = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2))
+        verify_update(st, state_core.Measurement2("A", 1e4 * np.outer(v, w), m1))
+
+
 def test_synth_bisep_on_ghz():
     st = state_core.state_from_schmidt(GHZ_CO)
     meas = synth_bisep_measurement(st)
@@ -293,6 +305,18 @@ def test_synth_bisep_degenerate():
     bell_bc = state_core.state_from_schmidt(SchmidtCoeffs(0.0, R2, 0.0, 0.0, R2, 0.0))
     with pytest.raises(DegenerateInput):
         synth_bisep_measurement(bell_bc)
+
+
+def test_synth_bisep_under_a_loose_zero_tolerance(monkeypatch):
+    # h = l0 = 5e-4 is made of normal-form coefficients, which only their
+    # rounding rule calls negligible: against TOL.zero = 1e-3 this state had
+    # "no weight on the measured side", though the splitting Gram splits it
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(zero=1e-3))
+    co = SchmidtCoeffs(5e-4, 0.0, 0.6, 0.6, math.sqrt(0.28 - 2.5e-7), 0.0)
+    st = samplers.scrambled(state_core.state_from_schmidt(co), np.random.default_rng(32))
+    rep = verify_update(st, synth_bisep_measurement(st))
+    assert rep["pass"], rep
+    assert [oc["alpha"] for oc in rep["outcomes"]] == [0.0, 0.0]
 
 
 def test_transfer_inequalities_fuzz():
@@ -621,6 +645,34 @@ def test_search_from_drifted_unlikely_branches():
             meas = search_deterministic_measurement(
                 state_core.permute_qubits(leaf, "CBA"), front)
             assert meas is not None, (i, prob)
+
+
+def _compensated_sum(values):
+    """sum() of floats as Python 3.12 computes it: Neumaier's compensated
+    summation, its correction added once at the end."""
+    total, comp = 0.0, 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp else total
+
+
+def test_search_is_the_same_under_a_compensated_sum(monkeypatch):
+    # 3.12 compensates sum() of floats: the searches' least squares, summed
+    # with sum(), moved in the last bits on 44 of these 180 measurements
+    rng = np.random.default_rng(74)
+    pairs = [samplers.one_step_pair(rng, kind)[:2]
+             for kind in ("zt_definite", "real_weight", "chargeless") for _ in range(60)]
+
+    def found():
+        return [repr(getattr(search_deterministic_measurement(src, dst), "ops", None))
+                for src, dst in pairs]
+
+    plain = found()
+    assert "None" not in plain
+    monkeypatch.setattr(transfer, "sum", _compensated_sum, raising=False)
+    assert found() == plain
 
 
 def _drifted(state, rng):

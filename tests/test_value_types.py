@@ -41,6 +41,7 @@ CASES = {
     state_core.GramParams: (
         dict(a=0.5, b=0.25, k=0.125, theta=-1e-17),
         [(dict(a=0.1, b=0.1, k=0.5, theta=0.0), ValueError),
+         (dict(a=1e-6, b=1e-6, k=1.1e-6, theta=0.0), ValueError),
          (dict(a=math.nan, b=0.1, k=0.0, theta=0.0), state_core.NonFinite),
          (dict(a=0.5, b=0.5, k=0.1, theta=math.nan), state_core.NonFinite),
          (dict(a=0.5, b=0.5, k=0.1, theta=math.inf), state_core.NonFinite),
