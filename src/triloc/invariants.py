@@ -124,13 +124,19 @@ def derived(c):
     return Derived(c.c_ab**2 * c.c_ac**2 * c.c_bc**2, k_ap, k5, max(k5**2 - k_ap, 0.0))
 
 
+def _entangled_pairs(c):
+    """(c_ab, c_ac, c_bc) > TOL.zero: which pairs of c are entangled.  The
+    one rule by which a pair concurrence vanishes."""
+    tz = state_core.TOL.zero
+    return c.c_ab > tz, c.c_ac > tz, c.c_bc > tz
+
+
 def ep_phase(c):
     """Relative phase of the invariant triple, in [0, pi].
 
     None when any concurrence vanishes (the phase is then indefinite).
     """
-    tz = state_core.TOL.zero
-    if min(c.c_ab, c.c_ac, c.c_bc) <= tz:
+    if not all(_entangled_pairs(c)):
         return None
     x = c.j5 / (c.c_ab * c.c_ac * c.c_bc)
     return math.acos(min(1.0, max(-1.0, x)))
@@ -140,14 +146,14 @@ def _classify(c, der):
     """StateClass of the invariants c with derived quantities der; raises
     Inconsistent for two pair entanglements without tangle."""
     tz = state_core.TOL.zero
-    ep_definite = bool(min(c.c_ab, c.c_ac, c.c_bc) > tz)
+    entangled = _entangled_pairs(c)
+    ep_definite = all(entangled)
     j5sq_gap = der.j_ap - c.j5**2
     zeta_tilde_definite = not (der.delta_j <= tz and j5sq_gap <= tz)
     if c.tau > tz:
         kind, pair = "ghz_type", None
     else:
-        alive = [p for p, v in (("AB", c.c_ab), ("AC", c.c_ac), ("BC", c.c_bc))
-                 if v > tz]
+        alive = [p for p, e in zip(("AB", "AC", "BC"), entangled) if e]
         if len(alive) == 3:
             kind, pair = "w_type", None
         elif len(alive) == 1:

@@ -17,8 +17,8 @@ import math
 from collections import namedtuple
 
 from . import state_core
-from .invariants import (CParams, Inconsistent, _w_coords,
-                         coeffs_from_invariants, profile)
+from .invariants import (CParams, Inconsistent, _classify, _entangled_pairs, _w_coords,
+                         coeffs_from_invariants, derived, profile)
 
 
 class NotGhzType(ValueError):
@@ -141,11 +141,12 @@ def ns_params(g):
 
 
 def w_coords(c):
-    """Per-qubit coordinates of a zero-tangle fully pair-entangled state."""
-    tz = state_core.TOL.zero
-    if c.tau > tz:
+    """Per-qubit coordinates of a zero-tangle fully pair-entangled state;
+    two pair entanglements without tangle raise Inconsistent."""
+    kind = _classify(c, derived(c)).kind
+    if kind == "ghz_type":
         raise NotWType("state carries tangle")
-    if min(c.c_ab, c.c_ac, c.c_bc) <= tz:
+    if kind != "w_type":
         raise NotWType("some pair concurrence vanishes")
     return WCoords(*_w_coords(c))
 
@@ -185,7 +186,7 @@ def zeta_tilde(p, za, zb, zc):
     if not p.state_class.ep_definite:
         # j_ap and the gap vanish with a concurrence, so the ratio is 0, or
         # 0/0 where that pair's residue (1 - zeta) tau vanishes too
-        dead = [z for v, z in zip(p.c, (zc, zb, za)) if v <= state_core.TOL.zero]
+        dead = [z for e, z in zip(_entangled_pairs(p.c), (zc, zb, za)) if not e]
         return None if 1.0 in dead else 0.0
     der = p.derived
     gap = max(der.j_ap - p.c.j5**2, 0.0)

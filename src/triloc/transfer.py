@@ -51,7 +51,7 @@ import math
 from collections import namedtuple
 
 from . import state_core
-from .invariants import (CParams, coeffs_profile, invariant_kernel,
+from .invariants import (CParams, _entangled_pairs, coeffs_profile, invariant_kernel,
                          lu_equivalent_profiles, profile)
 from .state_core import (_NEGLIGIBLE, _SLACK, GramParams, Measurement2, _checked_make,
                          _complement_det, _gram_det, _gram_entries,
@@ -388,7 +388,7 @@ def _two_term_gram(ps, pd):
     (e00, e10), z = locc.two_term(ps.coeffs)
     (_, t10), zt = locc.two_term(pd.coeffs)
     ca_t, mod = abs(t10), abs(z)
-    free = min(ps.c.c_ab, ps.c.c_ac) <= state_core.TOL.zero
+    free = not all(_entangled_pairs(ps.c)[:2])
     f, g = 1.0 / e00, -e10 / e00
 
     def entries(x0, y0, h0):

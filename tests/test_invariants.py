@@ -424,6 +424,14 @@ def test_inversion_of_tangled_states_with_small_l0s():
     assert tangled == 249
 
 
+def test_inversion_skips_roots_with_a_vanishing_l0():
+    # with the concurrences at 0, the TOL.eq slack on j5^2 admits |j5| up to
+    # 1e-4, so k5 = tau + j5 < 0 and both roots put l0 at 0.  Each is skipped
+    # before c_ac / (2 l0) divides by it, and no set is left
+    with pytest.raises(Inconsistent, match="no coefficient set reproduces"):
+        coeffs_from_invariants(CParams(0.0, 0.0, 0.0, 2e-9, -9e-5), 0)
+
+
 def test_inversion_rejects_charged_tangle_free():
     with pytest.raises(Inconsistent, match="tangle"):
         coeffs_from_invariants(CParams(0.5, 0.0, 0.0, 0.0, 0.0), 1)

@@ -215,6 +215,13 @@ def test_w_coords_needs_a_w_state():
         w_coords(profile(BELL_BC).c)
 
 
+def test_w_coords_refuses_two_bare_pairs():
+    # the class comes from the one classification, as in profile and the
+    # inversion: no pure state has two pair entanglements and no tangle
+    with pytest.raises(Inconsistent, match="cannot coexist"):
+        w_coords(CParams(0.5, 0.5, 0.0, 0.0, 0.0))
+
+
 def test_charge_magnitude_at_a_wide_tolerance(tmp_path):
     # the target sits 5e-4 inside the row of an indefinite source and carries
     # unit charge: interior at the default TOL.eq, on the boundary (which
@@ -648,6 +655,31 @@ def test_lu_equivalent_states_across_the_ep_definite_boundary_reach_each_other()
     for a, b in ((s, twin), (twin, s)):
         assert dlocc_feasible(a, b).feasible
         assert ghz_oracle(a, b)
+
+
+# op 0 of block 548 of perfbench's locc_pairs workload at seed 61, its
+# amplitudes written out: a zeta-tilde-definite source just off the real
+# point z = -1 (|z| = 1.0001, s1 = -32.99) and a target on its surface
+# (s2 = -13.60)
+SEED61_SRC = [
+    (0.03126458399398415-0.17308176950249762j), (0.1789372316893718+0.16233015680303464j),
+    (0.08562203194483328+0.07308078227132978j), (0.20591245551393483-0.3505915204707075j),
+    (0.277213770476431-0.024023654022236662j), (0.23486881378153576+0.3951993289970306j),
+    (-0.5494681697338311+0.32181893159204283j), (0.16191085155869425+0.11063918633278735j)]
+SEED61_DST = [
+    (-0.39530016975505666+0.05427181892007346j), (-0.17982267269729063-0.14022370897643566j),
+    (-0.22787865842882693-0.07278045207941893j), (0.09790633784109032+0.08553289018272774j),
+    (0.6279580474668154+0.3414115255952921j), (0.38283439375263445+0.016318968399848255j),
+    (0.10645425649162332+0.0013597560700076006j), (-0.18489137038351128-0.10688995444701813j)]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the decision accepts (case A, 3 measurements), but near z = -1 the "
+    "oracle's s1 is ill-conditioned and its s-law misses by 1.75e-7 against "
+    "an allowance of 1.36e-7 (ROADMAP item 3)"))
+def test_oracle_agrees_on_an_on_surface_target_of_a_source_near_z_minus_one():
+    src, dst = state_core.PureState3(SEED61_SRC), state_core.PureState3(SEED61_DST)
+    assert ghz_oracle(src, dst) == dlocc_feasible(src, dst).feasible
 
 
 def test_expanding_row_is_out_of_range():

@@ -1,5 +1,5 @@
 """The package namespace: each exported name resolves from triloc to the
-object of its home module, on first access; and two scans of the
+object of its home module, on first access; and three scans of the
 library's source."""
 
 import ast
@@ -114,11 +114,12 @@ ENTRY_CHECKS = {"validate_measurement": "measurement_from_dict",
                 "validate_state": "state_from_dict"}
 
 
-class _EntryCheckUses(ast.NodeVisitor):
-    """(innermost enclosing function, name) of every use of an entry check."""
+class _Uses(ast.NodeVisitor):
+    """(innermost enclosing function, key) of every node for which key(node)
+    is not None."""
 
-    def __init__(self):
-        self.scope, self.uses = [None], []
+    def __init__(self, key):
+        self.key, self.scope, self.uses = key, [None], []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -127,18 +128,68 @@ class _EntryCheckUses(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
-    def visit_Name(self, node):
-        if node.id in ENTRY_CHECKS:
-            self.uses.append((self.scope[-1], node.id))
+    def generic_visit(self, node):
+        key = self.key(node)
+        if key is not None:
+            self.uses.append((self.scope[-1], key))
+        super().generic_visit(node)
 
-    def visit_Attribute(self, node):
-        if node.attr in ENTRY_CHECKS:
-            self.uses.append((self.scope[-1], node.attr))
-        self.generic_visit(node)
+
+def _library_uses(key):
+    """(module, innermost enclosing function, key) of every node of the
+    library's source for which key(node) is not None."""
+    uses = []
+    for path in sorted(pathlib.Path(triloc.__file__).parent.glob("*.py")):
+        found = _Uses(key)
+        found.visit(ast.parse(path.read_text(), filename=str(path)))
+        uses += [(path.stem, *use) for use in found.uses]
+    return sorted(uses)
+
+
+def _entry_check(node):
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+    return name if name in ENTRY_CHECKS else None
 
 
 def test_entry_checks_run_only_in_their_json_readers():
-    uses = _EntryCheckUses()
-    for path in sorted(pathlib.Path(triloc.__file__).parent.glob("*.py")):
-        uses.visit(ast.parse(path.read_text(), filename=str(path)))
-    assert sorted(uses.uses) == sorted((reader, check) for check, reader in ENTRY_CHECKS.items())
+    uses = [(fn, check) for _, fn, check in _library_uses(_entry_check)]
+    assert sorted(uses) == sorted((reader, check) for check, reader in ENTRY_CHECKS.items())
+
+
+# the functions that read a user tolerance, with the field they read.
+# invariants alone decides that an invariant vanishes, and locc and
+# transfer read that decision from it; outside invariants TOL.zero decides
+# a probability (state_core.measure, transfer._predict_one), the oracle's
+# unit circle (locc.ns_params), and the CLI's flag default and
+# verify-lemmas' gate.  A new reader has to be added here
+TOL_READERS = [
+    ("cli", "_parser", "eq"), ("cli", "_parser", "norm"), ("cli", "_parser", "zero"),
+    ("cli", "verify_lemmas", "zero"),
+    ("invariants", "_classify", "zero"), ("invariants", "_entangled_pairs", "zero"),
+    ("invariants", "_verified", "eq"), ("invariants", "coeffs_from_invariants", "eq"),
+    ("invariants", "coeffs_from_invariants", "zero"),
+    ("invariants", "invariant_kernel", "zero"),
+    ("invariants", "lu_equivalent_profiles", "eq"),
+    ("locc", "dlocc_feasible_profiles", "eq"), ("locc", "ghz_oracle", "eq"),
+    ("locc", "ns_params", "zero"),
+    ("state_core", "measure", "zero"), ("state_core", "validate_measurement", "norm"),
+    ("state_core", "validate_state", "norm"),
+    ("transfer", "_predict_one", "zero"), ("transfer", "_step_gram", "eq"),
+    ("transfer", "_two_term_gram", "eq"), ("transfer", "verify_update", "eq"),
+]
+
+
+def _tol_field(node):
+    """The field of a read of TOL.zero, TOL.norm or TOL.eq, bare or as
+    state_core.TOL."""
+    if not (isinstance(node, ast.Attribute) and node.attr in state_core.Tolerances._fields):
+        return None
+    v = node.value
+    named_tol = ((isinstance(v, ast.Name) and v.id == "TOL")
+                 or (isinstance(v, ast.Attribute) and v.attr == "TOL"))
+    return node.attr if named_tol else None
+
+
+def test_tolerance_readers_are_the_listed_ones():
+    assert sorted(set(_library_uses(_tol_field))) == sorted(TOL_READERS)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from triloc import locc, sampling, state_core, transfer
-from triloc.invariants import CParams, lu_equivalent, lu_equivalent_profiles, profile
+from triloc.invariants import (CParams, Inconsistent, lu_equivalent, lu_equivalent_profiles,
+                               profile)
 from triloc.state_core import GramParams, SchmidtCoeffs
 from triloc.transfer import (
     DegenerateInput,
@@ -169,6 +170,25 @@ def test_verify_update_on_large_rank1_operators():
     for _ in range(200):
         v, w = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2))
         verify_update(st, state_core.Measurement2("A", 1e4 * np.outer(v, w), m1))
+
+
+@pytest.mark.parametrize("b", [
+    1e-10,
+    *(pytest.param(b, marks=pytest.mark.xfail(strict=True, raises=Inconsistent, reason=(
+        "outcome 0 keeps c_ab and c_ac ~ sqrt(b) above TOL.zero while c_bc and "
+        "tau ~ b fall below it, so its profile reads two bare pair "
+        "entanglements (ROADMAP item 3)")))
+      for b in (1e-11, 1e-12, 1e-13)),
+])
+def test_verify_update_on_a_near_rank1_measurement(b):
+    # outcome 0 of diag(sqrt(0.5), sqrt(b)) on a tangled normal form is that
+    # state squeezed toward the product |000>
+    co = state_core.schmidt_decompose(sampling.random_state("ghz_type", 3))[0]
+    m0 = ((math.sqrt(0.5), 0.0), (0.0, math.sqrt(b)))
+    m1 = ((math.sqrt(0.5), 0.0), (0.0, math.sqrt(1.0 - b)))
+    report = verify_update(state_core.state_from_schmidt(co),
+                           state_core.Measurement2("A", m0, m1))
+    assert report["pass"], report
 
 
 def test_synth_bisep_on_ghz():
