@@ -75,20 +75,20 @@ def invariant_kernel(l0, l1c, l2, l3, l4):
     Im(l1c) and of the weight bracket, both of which are representation
     independent.  Returns (CParams, KParams, Derived, q_e).
     """
-    tz = state_core.TOL.zero
     w = l1c * l4 - l2 * l3
     c = CParams(2.0 * l0 * l3, 2.0 * l0 * l2, 2.0 * abs(w), 4.0 * l0**2 * l4**2,
                 4.0 * l0**2 * (abs(w) ** 2 + (l2 * l3) ** 2 - (abs(l1c) * l4) ** 2))
     k = k_params(c)
     der = derived(c)
     # the physically meaningful phase weight is the imaginary amplitude
-    # l1 sin(phi), which is what survives decomposition noise
+    # l1 sin(phi), which is what survives decomposition noise; it is made of
+    # coefficients, so the decomposition's rounding rule decides it
     imw = l1c.imag
     # the charge vanishes on the tangle-free family (where the bracket's
     # float residue must not set the sign), on the double-root surface and
     # on the real-phase surface.  A vanishing coefficient lands on one of
     # these: l0 or l4 zeroes tau, l2 or l3 closes the gap, l1 zeroes imw
-    if min(c.tau, der.delta_j, der.j_ap - c.j5**2, abs(imw)) <= tz:
+    if any(_vanishing(c, der)) or abs(imw) <= _NEGLIGIBLE:
         return c, k, der, 0
     # the bracket is +-sqrt(delta_j) / (2 k_bc), so its sign is decided here
     bracket = l0**2 - der.k5 / (2.0 * k.k_bc)
@@ -124,6 +124,28 @@ def derived(c):
     return Derived(c.c_ab**2 * c.c_ac**2 * c.c_bc**2, k_ap, k5, max(k5**2 - k_ap, 0.0))
 
 
+def _j5_gap(c, der):
+    """j_ap - j5^2 of the invariants c with derived quantities der: it
+    vanishes on the real-j5 surface and is negative for no pure state."""
+    return der.j_ap - c.j5**2
+
+
+def _vanishing(c, der):
+    """(tau, delta_J, j_ap - j5^2) <= TOL.zero: whether c is tangle-free,
+    on the double-root surface and on the real-j5 surface.  The one rule by
+    which these vanish.  A NaN invariant makes delta_J NaN, which reaches
+    the last branch, where finite input never goes, and raises Inconsistent.
+    """
+    tz = state_core.TOL.zero
+    if der.delta_j > tz:
+        double_root = False
+    elif der.delta_j <= tz:
+        double_root = True
+    else:
+        raise Inconsistent(f"NaN among the invariants {tuple(map(float, c))}")
+    return c.tau <= tz, double_root, _j5_gap(c, der) <= tz
+
+
 def _entangled_pairs(c):
     """(c_ab, c_ac, c_bc) > TOL.zero: which pairs of c are entangled.  The
     one rule by which a pair concurrence vanishes."""
@@ -144,29 +166,28 @@ def ep_phase(c):
 
 def _classify(c, der):
     """StateClass of the invariants c with derived quantities der; raises
-    Inconsistent for two pair entanglements without tangle."""
-    tz = state_core.TOL.zero
+    Inconsistent for two pair entanglements without tangle or for a NaN
+    invariant.  A tangle-free state is zeta-tilde-indefinite by its class,
+    as it is chargeless by it."""
+    tangle_free, double_root, real_j5 = _vanishing(c, der)
     entangled = _entangled_pairs(c)
     ep_definite = all(entangled)
-    j5sq_gap = der.j_ap - c.j5**2
-    zeta_tilde_definite = not (der.delta_j <= tz and j5sq_gap <= tz)
-    if c.tau > tz:
-        kind, pair = "ghz_type", None
+    if not tangle_free:
+        return StateClass("ghz_type", None, ep_definite, not (double_root and real_j5))
+    alive = [p for p, e in zip(("AB", "AC", "BC"), entangled) if e]
+    if len(alive) == 3:
+        kind, pair = "w_type", None
+    elif len(alive) == 1:
+        kind, pair = "biseparable", alive[0]
+    elif not alive:
+        kind, pair = "full_separable", None
     else:
-        alive = [p for p, e in zip(("AB", "AC", "BC"), entangled) if e]
-        if len(alive) == 3:
-            kind, pair = "w_type", None
-        elif len(alive) == 1:
-            kind, pair = "biseparable", alive[0]
-        elif not alive:
-            kind, pair = "full_separable", None
-        else:
-            # no pure state has exactly two pairwise entanglements and no tangle
-            raise Inconsistent(
-                f"two bare pair entanglements cannot coexist: c_ab = {c.c_ab}, "
-                f"c_ac = {c.c_ac}, c_bc = {c.c_bc}, tau = {c.tau} "
-                f"(--tol-zero = {tz})")
-    return StateClass(kind, pair, ep_definite, zeta_tilde_definite)
+        # no pure state has exactly two pairwise entanglements and no tangle
+        raise Inconsistent(
+            f"two bare pair entanglements cannot coexist: c_ab = {c.c_ab}, "
+            f"c_ac = {c.c_ac}, c_bc = {c.c_bc}, tau = {c.tau} "
+            f"(--tol-zero = {state_core.TOL.zero})")
+    return StateClass(kind, pair, ep_definite, False)
 
 
 def coeffs_profile(coeffs):
@@ -267,7 +288,7 @@ def coeffs_from_invariants(c, q):
     if gap < -tz:
         raise Inconsistent(f"k5^2 - k_ap = {gap} < 0")
     # written so that a NaN j5 fails it too
-    if not der.j_ap - c.j5**2 >= -state_core.TOL.eq:
+    if not _j5_gap(c, der) >= -state_core.TOL.eq:
         raise Inconsistent("j5^2 exceeds the concurrence product")
 
     cls = _classify(c, der)

@@ -17,8 +17,8 @@ import math
 from collections import namedtuple
 
 from . import state_core
-from .invariants import (CParams, Inconsistent, _classify, _entangled_pairs, _w_coords,
-                         coeffs_from_invariants, derived, profile)
+from .invariants import (CParams, Inconsistent, _classify, _entangled_pairs, _j5_gap,
+                         _w_coords, coeffs_from_invariants, derived, profile)
 
 
 class NotGhzType(ValueError):
@@ -189,7 +189,7 @@ def zeta_tilde(p, za, zb, zc):
         dead = [z for e, z in zip(_entangled_pairs(p.c), (zc, zb, za)) if not e]
         return None if 1.0 in dead else 0.0
     der = p.derived
-    gap = max(der.j_ap - p.c.j5**2, 0.0)
+    gap = max(_j5_gap(p.c, der), 0.0)
     num = der.k_ap * gap + der.delta_j * der.j_ap
     return num / (der.k_ap * gap + der.delta_j * _contracted_product(p, za, zb, zc))
 
@@ -326,9 +326,7 @@ def dlocc_feasible_profiles(ps, pd):
         # tangled one would need a vanishing factor, killing a concurrence),
         # and a pair target its own pair or a source entangling all three
         return infeasible("cond1_no_solution")
-    # zeta_lower of a tangle-free source: j_ap over itself (1) for W, else 0
-    zl = zeta_lower(ps, *zs) if tangled else (1.0 if kind_s == "w_type" else 0.0)
-    return feasible(1.0, *zs, zl, zeta_tilde(ps, *zs) if tangled else None)
+    return feasible(1.0, *zs, zeta_lower(ps, *zs), zeta_tilde(ps, *zs))
 
 
 def ghz_oracle(src, dst):

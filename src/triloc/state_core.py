@@ -432,14 +432,21 @@ def validate_measurement(meas):
         raise IncompleteMeasurement(f"operators miss completeness by {dev:.3e}")
 
 
+def _degenerate_outcome(p):
+    """p <= TOL.zero: the one rule by which an outcome of probability p is
+    degenerate, for the simulation (measure) and the prediction alike."""
+    return p <= TOL.zero
+
+
 def measure(state, meas):
     """Perform a two-outcome measurement.
 
-    Returns [(state0, p0), (state1, p1)].  An outcome with probability at
-    most TOL.zero is degenerate: its state is None and it must be excluded
-    from invariant checks downstream.  Completeness is not checked here, so p0 +
-    p1 may miss 1: measurement_from_dict or validate_measurement checks it
-    where a measurement enters.
+    Returns [(state0, p0), (state1, p1)].  An outcome that
+    _degenerate_outcome calls degenerate (probability at most TOL.zero) has
+    state None and must be excluded from invariant checks downstream.
+    Completeness is not checked here, so p0 + p1 may miss 1:
+    measurement_from_dict or validate_measurement checks it where a
+    measurement enters.
     """
     stride = _STRIDE[meas.qubit]
     results = []
@@ -447,7 +454,7 @@ def measure(state, meas):
         out = _mode_product(state.amps, rows, stride)
         n = _norm(out)
         p = n * n
-        if p <= TOL.zero:
+        if _degenerate_outcome(p):
             results.append((None, p))
         else:
             results.append((_trusted_state(tuple([z / n for z in out])), p))

@@ -54,7 +54,7 @@ from . import state_core
 from .invariants import (CParams, _entangled_pairs, coeffs_profile, invariant_kernel,
                          lu_equivalent_profiles, profile)
 from .state_core import (_NEGLIGIBLE, _SLACK, GramParams, Measurement2, _checked_make,
-                         _complement_det, _gram_det, _gram_entries,
+                         _complement_det, _degenerate_outcome, _gram_det, _gram_entries,
                          _gram_from_entries)
 
 
@@ -111,8 +111,8 @@ class OutcomePrediction(namedtuple("OutcomePrediction", "probability alpha c q_e
     """Predicted data of one measurement outcome: its probability, the
     attenuation alpha, the CParams and the charge.
 
-    A degenerate outcome (probability at most TOL.zero) carries None in every
-    other field.
+    A degenerate outcome (_degenerate_outcome: probability at most
+    TOL.zero) carries None in every other field.
     """
 
     __slots__ = ()
@@ -129,11 +129,11 @@ def _predict_one(co, g, det):
     """Prediction for the Gram g, whose snapped determinant ab - k^2 is det:
     the outcome's normal form is l0 sqrt(det / (p b)), the complex slot
     (l0 k e^{i theta} + l1 e^{i phi} b) / sqrt(p b), and sqrt(b / p) l2, l3, l4,
-    exact for every b > 0 as k <= sqrt(ab); at b = 0 it is a product.
+    exact for every b > 0 as k <= sqrt(ab); at b = 0 it is a product.  An
+    outcome is degenerate by _degenerate_outcome, measure's rule.
     """
-    tz = state_core.TOL.zero
     p = _probability(co, *g)
-    if p <= tz:
+    if _degenerate_outcome(p):
         return OutcomePrediction(p, None, None, None)
     if g.b <= 0.0:
         # the operator annihilates the normal form's |1>: a pure product remains

@@ -474,6 +474,49 @@ def test_error_messages_print_plain_floats(make_error):
     assert "np.float64" not in str(info.value)
 
 
+@pytest.fixture(scope="module")
+def class_states():
+    """60 random_state draws per kind and 60 states per threshold family,
+    drawn at the default tolerances (the samplers invert invariants)."""
+    states = [sampling.random_state(kind, seed)
+              for kind in RANDOM_KINDS for seed in range(60)]
+    rng = np.random.default_rng(34)
+    states += [samplers.threshold_state(rng, family, i)
+               for family in samplers.THRESHOLD_FAMILIES for i in range(60)]
+    return states
+
+
+@pytest.mark.parametrize("zero", [state_core.Tolerances().zero, 1e-12, 1e-3])
+def test_class_and_charge_agree(monkeypatch, class_states, zero):
+    # the class decides both: a tangle-free profile is chargeless and
+    # zeta-tilde-indefinite, and a zeta-tilde-indefinite one is chargeless
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(zero=zero))
+    tangle_free = 0
+    for i, st in enumerate(class_states):
+        p = profile(st)
+        cls = p.state_class
+        if cls.kind != "ghz_type":
+            tangle_free += 1
+            assert p.q_e == 0 and not cls.zeta_tilde_definite, (i, p.c)
+        if not cls.zeta_tilde_definite:
+            assert p.q_e == 0, (i, p.c)
+    assert tangle_free >= 4 * 60
+
+
+# seeds whose profile is refused under TOL.zero = 1e-17: of seeds 0-199, 41
+# biseparable_ab, 53 biseparable_ac and 12 full_separable draws are
+@pytest.mark.xfail(strict=True, raises=Inconsistent, reason=(
+    "under TOL.zero = 1e-17 a coefficient below _NEGLIGIBLE (biseparable_ab "
+    "seed 0: l2 = 4.2e-17) leaves a second pair concurrence above TOL.zero "
+    "(c_ac = 5.6e-17) without tangle, and _classify refuses the two bare "
+    "pairs (ROADMAP item 3)"))
+@pytest.mark.parametrize("kind, seed", [
+    ("biseparable_ab", 0), ("biseparable_ac", 2), ("full_separable", 36)])
+def test_tangle_free_draws_profile_under_a_tol_zero_below_rounding(monkeypatch, kind, seed):
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(zero=1e-17))
+    profile(sampling.random_state(kind, seed))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.floats(0.1, 1.0), min_size=5, max_size=5),
        st.integers(0, 4), st.floats(-12.0, -6.0),

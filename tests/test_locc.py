@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from triloc import locc, sampling, state_core, transfer
+from triloc import invariants, locc, sampling, state_core, transfer
 from triloc.invariants import (CParams, Inconsistent, coeffs_from_invariants, ep_phase,
                                lu_equivalent, lu_equivalent_profiles, profile)
 from triloc.locc import (
@@ -220,6 +220,34 @@ def test_w_coords_refuses_two_bare_pairs():
     # inversion: no pure state has two pair entanglements and no tangle
     with pytest.raises(Inconsistent, match="cannot coexist"):
         w_coords(CParams(0.5, 0.5, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("c", [
+    CParams(0.5, 0.5, 0.5, math.nan, 0.0),
+    CParams(0.5, 0.5, 0.5, 0.1, math.nan),
+    CParams(0.5, 0.5, math.nan, 0.0, 0.0),
+])
+def test_a_nan_invariant_is_inconsistent(c):
+    # a NaN tau must not read as no tangle and get W coordinates; any NaN
+    # among the invariants makes delta_J and the j5^2 gap NaN
+    with pytest.raises(Inconsistent, match="NaN"):
+        invariants._classify(c, invariants.derived(c))
+    with pytest.raises(Inconsistent, match="NaN"):
+        w_coords(c)
+
+
+def test_w_states_are_zeta_tilde_indefinite_under_a_tol_zero_below_rounding(monkeypatch):
+    # a tangle-free state is zeta-tilde-indefinite by its class: under
+    # TOL.zero = 1e-17 the rounding of delta_J and the j5^2 gap exceeds it
+    # on 48 of these 300 W states
+    monkeypatch.setattr(state_core, "TOL", state_core.Tolerances(zero=1e-17))
+    for seed in range(300):
+        p = profile(sampling.random_state("w_type", seed))
+        assert p.state_class.kind == "w_type", seed
+        assert not p.state_class.zeta_tilde_definite and p.q_e == 0, seed
+        v = locc.dlocc_feasible_profiles(p, p)
+        assert v.feasible, seed
+        assert v.witness.zeta_lower == 1.0 and v.witness.zeta_tilde is None, seed
 
 
 def test_charge_magnitude_at_a_wide_tolerance(tmp_path):

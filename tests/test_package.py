@@ -158,24 +158,27 @@ def test_entry_checks_run_only_in_their_json_readers():
 
 
 # the functions that read a user tolerance, with the field they read.
-# invariants alone decides that an invariant vanishes, and locc and
+# invariants alone decides that an invariant vanishes, by two predicates
+# (_entangled_pairs for the pair concurrences, _vanishing for tau, delta_J
+# and the j5^2 gap; _classify reads TOL.zero only to print it), and locc and
 # transfer read that decision from it; outside invariants TOL.zero decides
-# a probability (state_core.measure, transfer._predict_one), the oracle's
-# unit circle (locc.ns_params), and the CLI's flag default and
-# verify-lemmas' gate.  A new reader has to be added here
+# a probability (state_core._degenerate_outcome, which measure and
+# transfer's prediction read), the oracle's unit circle (locc.ns_params),
+# and the CLI's flag default and verify-lemmas' gate.  A new reader has to
+# be added here
 TOL_READERS = [
     ("cli", "_parser", "eq"), ("cli", "_parser", "norm"), ("cli", "_parser", "zero"),
     ("cli", "verify_lemmas", "zero"),
     ("invariants", "_classify", "zero"), ("invariants", "_entangled_pairs", "zero"),
+    ("invariants", "_vanishing", "zero"),
     ("invariants", "_verified", "eq"), ("invariants", "coeffs_from_invariants", "eq"),
     ("invariants", "coeffs_from_invariants", "zero"),
-    ("invariants", "invariant_kernel", "zero"),
     ("invariants", "lu_equivalent_profiles", "eq"),
     ("locc", "dlocc_feasible_profiles", "eq"), ("locc", "ghz_oracle", "eq"),
     ("locc", "ns_params", "zero"),
-    ("state_core", "measure", "zero"), ("state_core", "validate_measurement", "norm"),
-    ("state_core", "validate_state", "norm"),
-    ("transfer", "_predict_one", "zero"), ("transfer", "_step_gram", "eq"),
+    ("state_core", "_degenerate_outcome", "zero"),
+    ("state_core", "validate_measurement", "norm"), ("state_core", "validate_state", "norm"),
+    ("transfer", "_step_gram", "eq"),
     ("transfer", "_two_term_gram", "eq"), ("transfer", "verify_update", "eq"),
 ]
 
